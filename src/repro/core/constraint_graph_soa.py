@@ -57,6 +57,13 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
         #: Live hard rows in insertion order (replayed by the UF rebuild,
         #: mirroring the object path's ``_hard_edges`` list).
         self._hard_rows: List[int] = []
+        #: Undo point of the newest ``add_scenarios`` batch that held a
+        #: hard row: (first row, batch size, ``_hard_rows`` length, UF
+        #: snapshot), all taken before the batch's unions. Removing a net
+        #: whose live rows are exactly that batch (the router undoing a
+        #: rejected commit) restores the snapshot instead of marking the
+        #: UF for a full rebuild. Any other mutation clears it.
+        self._undo: Optional[Tuple[int, int, int, tuple]] = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -91,6 +98,7 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                 self._flush_uf_stats(ob)
             return offenders
         store = self._store
+        self._undo = None
         rows = store.append_scenarios(
             [sc.net_a for sc in scenarios],
             [sc.net_b for sc in scenarios],
@@ -122,6 +130,13 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
         union = self._hard_uf.union
         for sc, row in zip(scenarios, rows):
             if _KIND_IS_HARD_PY[kinds[row]]:
+                if self._undo is None:
+                    self._undo = (
+                        rows.start,
+                        len(rows),
+                        len(self._hard_rows),
+                        self._hard_uf.snapshot(),
+                    )
                 self._hard_rows.append(row)
                 if not union(us[row], vs[row], pars[row]):
                     offenders.append(sc)
@@ -138,6 +153,7 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
         offenders: List[ConstraintEdge] = []
         if self._uf_dirty:
             self._rebuild_hard_uf()
+        self._undo = None
         ob = obs.get_active()
         store = self._store
         touched: Set[int] = set()
@@ -181,10 +197,22 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
             neighbours.add(vs[row] if us[row] == net_id else us[row])
             if _KIND_IS_HARD_PY[kinds[row]]:
                 had_hard = True
+        undo = self._undo
+        self._undo = None
         dead = store.kill_net(net_id)
         self._vertices.discard(net_id)
         self._touch(neighbours)
-        if had_hard:
+        if not had_hard:
+            return len(dead)
+        if undo is not None and (dead[0], len(dead)) == undo[:2]:
+            # The dead rows are exactly the newest batch (the router
+            # undoing a rejected commit): roll the union-find back to
+            # before it.
+            _, _, hard_len, snap = undo
+            self._hard_uf.restore(snap)
+            del self._hard_rows[hard_len:]
+            obs.counter_inc("ocg_uf_rollbacks_total")
+        else:
             doomed = set(dead)
             self._hard_rows = [r for r in self._hard_rows if r not in doomed]
             self._uf_dirty = True
@@ -326,23 +354,6 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
             cv = np.where(u_is_net, cother, own)
             totals.append(float(dp[sel, (cu << 1) | cv].sum()))
         return totals[0], totals[1]
-
-    def net_has_cut_risk(self, net_id: int, coloring: Dict[int, Color]) -> bool:
-        """Any incident edge in a cut-risk combo under ``coloring``?"""
-        store = self._store
-        rows = store.incident.get(net_id)
-        if not rows:
-            return False
-        us = store.us
-        vs = store.vs
-        risk4 = store.risk4
-        get = coloring.get
-        for row in rows:
-            cu = _CIDX[get(us[row], Color.CORE)]
-            cv = _CIDX[get(vs[row], Color.CORE)]
-            if risk4[row][(cu << 1) | cv]:
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # Components

@@ -272,39 +272,39 @@ class CutConflictChecker:
         conflicts: List[CutConflict] = []
         d_cut = self.rules.d_cut
         candidates = list(candidate_cuts)
-        # The candidate-vs-candidate half is quadratic when a caller
-        # (``_unique_conflicts``) passes every registered cut at once.
-        # Bucket large batches in a throwaway GridIndex: ``neighbours``
-        # applies the identical ``max(gap_x, gap_y) < d_cut`` predicate,
-        # and the position filter + sort replays the original pair order,
-        # so the conflict list is unchanged element for element.
-        local: Optional[Dict[int, GridIndex[int]]] = None
-        if len(candidates) > 8:
-            local = {}
-            for j, cand in enumerate(candidates):
-                if cand.layer not in local:
-                    local[cand.layer] = GridIndex()
-                local[cand.layer].insert(cand.rect, j)
         for i, cut in enumerate(candidates):
             index = self._cut_index[cut.layer]
             others = [c for _, c in index.neighbours(cut.rect, d_cut)]
-            if local is None:
-                others.extend(
-                    c for c in candidates[i + 1 :]
-                    if c.layer == cut.layer
-                    and max(c.rect.gap_x(cut.rect), c.rect.gap_y(cut.rect)) < d_cut
-                )
-            else:
-                tail = sorted(
-                    j
-                    for _, j in local[cut.layer].neighbours(cut.rect, d_cut)
-                    if j > i
-                )
-                others.extend(candidates[j] for j in tail)
+            others.extend(
+                c for c in candidates[i + 1 :]
+                if c.layer == cut.layer
+                and max(c.rect.gap_x(cut.rect), c.rect.gap_y(cut.rect)) < d_cut
+            )
             for other in others:
                 conflict = self._pair_conflict(cut, other)
                 if conflict is not None:
                     conflicts.append(conflict)
+        return conflicts
+
+    def all_conflicts(self) -> List[CutConflict]:
+        """Every conflicting pair of registered cuts, each reported once.
+
+        One pass over :meth:`all_cuts`: each cut is checked only against
+        its index neighbours that come later in that order, so a pair is
+        priced once and reported from its earlier cut. The conflict test
+        is symmetric, so this is exactly the first-seen dedup of
+        ``conflicts_with(all_cuts())``, element for element.
+        """
+        cuts = self.all_cuts()
+        position = {id(cut): k for k, cut in enumerate(cuts)}
+        d_cut = self.rules.d_cut
+        conflicts: List[CutConflict] = []
+        for k, cut in enumerate(cuts):
+            for _, other in self._cut_index[cut.layer].neighbours(cut.rect, d_cut):
+                if position[id(other)] > k:
+                    conflict = self._pair_conflict(cut, other)
+                    if conflict is not None:
+                        conflicts.append(conflict)
         return conflicts
 
     def _pair_conflict(

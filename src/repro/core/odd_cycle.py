@@ -106,6 +106,18 @@ class ParityUnionFind:
             self._rank[ru] += 1
         return True
 
+    def snapshot(self) -> Tuple[dict, dict, dict]:
+        """Copy of the structure for :meth:`restore` (op tallies excluded)."""
+        return dict(self._parent), dict(self._rank), dict(self._parity)
+
+    def restore(self, snap: Tuple[dict, dict, dict]) -> None:
+        """Return to a :meth:`snapshot`, which the structure takes over.
+
+        Undoes every union since the snapshot. The op tallies keep
+        counting: they record work done, not the current state.
+        """
+        self._parent, self._rank, self._parity = snap
+
     def components(self) -> Dict[Hashable, list]:
         """root -> members (after full compression)."""
         groups: Dict[Hashable, list] = {}

@@ -131,6 +131,64 @@ class TestTypeBDetection:
         assert checker.conflicts_with(cuts_cd) == []
 
 
+def _first_seen_dedup(checker):
+    """The endgame sweep's original form, kept as the oracle: every
+    registered cut fed back through ``conflicts_with`` (which meets each
+    pair up to three times), then a first-seen dedup by cut identity."""
+    unique = []
+    seen = set()
+    for conflict in checker.conflicts_with(checker.all_cuts()):
+        key = tuple(sorted([id(conflict.first), id(conflict.second)]))
+        if key not in seen:
+            seen.add(key)
+            unique.append(conflict)
+    return unique
+
+
+def _assert_same_conflicts(got, want):
+    assert [(id(c.first), id(c.second)) for c in got] == [
+        (id(c.first), id(c.second)) for c in want
+    ]
+    assert got == want
+
+
+class TestAllConflicts:
+    def test_flanked_wire_reported_once(self, checker):
+        mid = cell_rect(5, 5, 0)
+        sc1 = scenario(ScenarioType.T1B, 2, 0, mid, cell_rect(0, 4, 0))
+        sc2 = scenario(ScenarioType.T1B, 2, 1, mid, cell_rect(6, 9, 0))
+        cuts = checker.critical_cuts(
+            sc1, Color.CORE, Color.CORE
+        ) + checker.critical_cuts(sc2, Color.CORE, Color.CORE)
+        checker.register_net(0, [(0, checker.wire_rect_nm(cell_rect(0, 4, 0)))], [])
+        checker.register_net(1, [(0, checker.wire_rect_nm(cell_rect(6, 9, 0)))], [])
+        checker.register_net(2, [(0, checker.wire_rect_nm(mid))], cuts)
+        got = checker.all_conflicts()
+        assert len(got) == 1
+        assert (got[0].first, got[0].second) == (cuts[0], cuts[1])
+        _assert_same_conflicts(got, _first_seen_dedup(checker))
+
+    def test_matches_oracle_on_every_endgame_sweep(self, monkeypatch):
+        from repro.bench.workloads import generate_benchmark, spec_by_name
+        from repro.router import SadpRouter
+
+        sweeps = []
+        original = CutConflictChecker.all_conflicts
+
+        def checked(checker):
+            got = original(checker)
+            _assert_same_conflicts(got, _first_seen_dedup(checker))
+            sweeps.append(len(got))
+            return got
+
+        monkeypatch.setattr(CutConflictChecker, "all_conflicts", checked)
+        grid, nets = generate_benchmark(spec_by_name("Test1"), scale=0.15, seed=7)
+        result = SadpRouter(grid, nets).route_all()
+        assert result.cut_conflicts == 0
+        # the seed's repair loop runs: some sweeps do find conflicts
+        assert len(sweeps) > 1 and max(sweeps) > 0
+
+
 class TestRegistration:
     def test_remove_net_clears_cuts_and_wires(self, checker):
         a = cell_rect(0, 4, 0)

@@ -109,3 +109,26 @@ class TestStructure:
         assert uf.relation(0, n) == n % 2
         # Path compression keeps find cheap and correct afterwards.
         assert uf.relation(0, n // 2) == (n // 2) % 2
+
+
+class TestSnapshot:
+    def test_restore_undoes_unions_since_snapshot(self):
+        uf = ParityUnionFind()
+        uf.union("a", "b", 1)
+        snap = uf.snapshot()
+        uf.union("b", "c", 1)
+        assert not uf.union("a", "c", 1)  # would close an odd cycle
+        uf.restore(snap)
+        assert uf.relation("a", "b") == 1
+        assert "c" not in uf
+        assert uf.union("a", "c", 1)  # consistent again without b-c
+
+    def test_snapshot_is_a_copy(self):
+        uf = ParityUnionFind()
+        snap = uf.snapshot()
+        uf.union("a", "b", 0)
+        assert snap == ({}, {}, {})
+        unions = uf.union_ops
+        uf.restore(snap)
+        assert len(uf) == 0
+        assert uf.union_ops == unions  # tallies count work, not state

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.bench import FIXED_PIN_BENCHMARKS, run_proposed
+from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
 from repro.obs.export import export_run_jsonl, validate_run_jsonl
@@ -92,6 +93,19 @@ class TestInstrumentedRun:
         ob, _ = run
         path = export_run_jsonl(tmp_path / "run.jsonl", observability=ob)
         assert validate_run_jsonl(path) == []
+
+
+class TestUnionFindBranches:
+    def test_rejected_commits_roll_back(self):
+        """Undoing a rejected commit restores the hard-parity union-find
+        from its undo point; only older-net removals force a rebuild."""
+        with obs.session() as ob:
+            grid, nets = generate_benchmark(
+                spec_by_name("Test1"), scale=0.15, seed=2014
+            )
+            SadpRouter(grid, nets).route_all()
+            rollbacks = ob.registry.total("ocg_uf_rollbacks_total")
+        assert rollbacks > 0
 
 
 class TestDisabledRun:

@@ -10,7 +10,7 @@ bit-identical outcomes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -25,8 +25,10 @@ from repro.core import (
 from repro.core import constraint_graph_soa, scenario_detect
 from repro.core.color_flip import brute_force_coloring, flip_colors
 from repro.core.edge_store import SCENARIO_ORDER
+from repro.core.odd_cycle import ParityUnionFind
+from repro.core.scenario_detect import DetectedScenario
 from repro.errors import ColoringError, GridError
-from repro.geometry import Point, Segment
+from repro.geometry import Point, Rect, Segment
 from repro.grid import CellState, RoutingGrid
 
 NODES = list(range(10))
@@ -249,6 +251,123 @@ class TestDetectorEquivalence:
         finally:
             scenario_detect._SMALL_SCAN = small
         assert scalar == vectored
+
+
+_UNIT = Rect(0, 0, 1, 1)
+
+#: Few nets, so removals often hit a net sharing rows with the newest batch.
+OP_NETS = NODES[:6]
+
+#: One step of a rip-up sequence: a scenario batch for a net (what the
+#: router adds per commit and layer), undoing the newest batch's net (the
+#: router rejecting that commit), or removing any net (rip-up, repair).
+graph_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("batch"),
+            st.sampled_from(OP_NETS),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(OP_NETS), any_types, st.booleans(),
+                    st.integers(1, 4),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        st.tuples(st.just("undo")),
+        st.tuples(st.just("remove"), st.sampled_from(OP_NETS)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _relation(uf):
+    """The union-find's content, free of its root choices: each net's
+    smallest fellow member and the net's parity relative to it."""
+    anchors = {}
+    out = {}
+    for net in NODES:
+        if net not in uf:
+            out[net] = (net, 0)
+            continue
+        root, parity = uf.find(net)
+        first, first_parity = anchors.setdefault(root, (net, parity))
+        out[net] = (first, parity ^ first_parity)
+    return out
+
+
+class TestIncrementalHardParity:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_ops)
+    # removing an older net whose row count equals the newest batch's
+    @example([
+        ("batch", 1, [(2, ScenarioType.T1A, True, 1)]),
+        ("batch", 0, [(3, ScenarioType.T1A, True, 1)]),
+        ("remove", 1),
+    ])
+    def test_undo_and_removal_match_object_graph(self, ops):
+        """The SoA graph's undo-point rollback and lazy rebuild keep its
+        hard-parity union-find equal to the object graph's full rebuild:
+        the same batches close the same odd cycles at every step, and
+        both agree with a from-scratch parity check."""
+        obj = OverlayConstraintGraph()
+        soa = SoAOverlayConstraintGraph()
+        newest = None
+        odd = False
+        for op in ops:
+            offenders = []
+            if op[0] == "batch":
+                _, net, rows = op
+                batch = [
+                    DetectedScenario(0, net, other, t, tip, ov, _UNIT, _UNIT)
+                    for other, t, tip, ov in rows
+                    if other != net
+                ]
+                if not batch:
+                    continue
+                edges = [
+                    ConstraintEdge.from_scenario(
+                        sc.net_a, sc.net_b, sc.scenario, sc.a_is_tip_owner,
+                        sc.overlap,
+                    )
+                    for sc in batch
+                ]
+                got_obj = [(e.u, e.v, e.scenario) for e in obj.add_edges(edges)]
+                got_soa = [
+                    (sc.net_a, sc.net_b, sc.scenario)
+                    for sc in soa.add_scenarios(batch)
+                ]
+                assert got_soa == got_obj
+                offenders = got_obj
+                newest = net
+            elif op[0] == "undo":
+                if newest is None:
+                    continue
+                assert soa.remove_net(newest) == obj.remove_net(newest)
+                newest = None
+            else:
+                assert soa.remove_net(op[1]) == obj.remove_net(op[1])
+            # What the next rollback or rebuild starts from: the live hard
+            # rows in insertion order, and (when clean) a union-find that
+            # relates exactly what a fresh replay of those rows relates.
+            store = soa._store
+            assert [(store.us[r], store.vs[r]) for r in soa._hard_rows] == [
+                (e.u, e.v) for e in obj._hard_edges
+            ]
+            if not soa._uf_dirty:
+                replay = ParityUnionFind()
+                for e in obj._hard_edges:
+                    replay.union(e.u, e.v, e.parity)
+                assert _relation(soa._hard_uf) == _relation(replay)
+            now_odd = obj.has_hard_odd_cycle()
+            assert soa.has_hard_odd_cycle() == now_odd
+            if op[0] == "batch":
+                # A batch only adds edges: it leaves the graph odd iff it
+                # was odd already or the union-find rejected an edge.
+                assert now_odd == (odd or bool(offenders))
+            odd = now_odd
 
 
 cells = st.lists(
