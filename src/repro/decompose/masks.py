@@ -7,9 +7,11 @@ Pipeline, all in nm bitmaps:
    side boundaries so the spacer deposited on the assist protects that
    side. Assist material that would come closer than ``w_spacer`` to a
    SECOND target is clipped away (the spacer would eat into the feature).
-   Core shapes closer than ``d_core`` are *merged* (morphological closing
-   at ``d_core / 2``) — the paper's merge technique; the bridge material
-   later gets cut away, which is exactly where overlays appear.
+   Core shapes closer than ``d_core`` are *merged* — the paper's merge
+   technique: each pair of components whose boundary gap is below
+   ``d_core`` is bridged by the lens of pixels within ``gap + 1`` px of
+   both (distance transforms), repeated to a fixpoint. The bridge
+   material later gets cut away, which is exactly where overlays appear.
 2. **Spacer** — isotropic ``w_spacer`` sidewall around the core mask.
 3. **Cut mask** — everything that would print (not spacer) but is not a
    target, grown ``d_overlap`` into surrounding spacer for process margin
@@ -22,8 +24,12 @@ detection, and the decomposition verifier consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
+
+import numpy as np
+from scipy import ndimage
 
 from .. import obs
 from ..color import Color
@@ -119,32 +125,45 @@ def _merge_close_cores(
     bridging every component pair whose boundary distance is below
     ``d_core`` with the lens between them, iterated to a fixpoint (merges
     can cascade through assist chains).
-    """
-    import numpy as np
-    from scipy import ndimage
 
+    Each pass measures only pairs whose bounding boxes are closer than
+    ``d_core``, and builds each lens on crops around the two components;
+    both shortcuts are exact (docs/PERFORMANCE.md, "Mask synthesis").
+    """
     d_core_px = rules.d_core / resolution
+    # A lens pixel lies within reach = gap + 1 < d_core_px + 1 of both
+    # components, so per axis at most ceil(d_core_px) px from both boxes:
+    # boxes grown by ``pad`` hold every lens pixel.
+    pad = math.ceil(d_core_px) + 1
     data = core_raw.data.copy()
     eight = np.ones((3, 3), dtype=bool)
     for _ in range(8):  # fixpoint loop; real layouts converge in 1-2 passes
         labels, n = ndimage.label(data, structure=eight)
         if n <= 1:
             break
-        # Boundary pixels of each component; pixel boxes give exact
-        # boundary-to-boundary gaps (a pixel is a res x res nm square).
+        # Boundary pixels of each component, gathered inside its box;
+        # pixel boxes give exact boundary-to-boundary gaps (a pixel is a
+        # res x res nm square).
         eroded = ndimage.binary_erosion(data, structure=eight)
         boundary = data & ~eroded
+        boxes = ndimage.find_objects(labels)
+        lo = np.array([[s.start for s in box] for box in boxes])
+        hi = np.array([[s.stop - 1 for s in box] for box in boxes])
         coords = [
-            np.argwhere(boundary & (labels == i)) for i in range(1, n + 1)
+            np.argwhere(boundary[box] & (labels[box] == k + 1)) + lo[k]
+            for k, box in enumerate(boxes)
         ]
-        dts = None
+        crops = {}  # component -> (grown box, distance transform on it)
         merged_any = False
-        for i in range(n):
-            if coords[i].size == 0:
-                continue
-            for j in range(i + 1, n):
-                if coords[j].size == 0:
-                    continue
+        for i in range(n - 1):
+            # Per axis every pixel pair is at least the box separation
+            # apart, and the gap below rises with it: pairs whose boxes
+            # are already d_core apart cannot merge.
+            sep = np.maximum(
+                np.maximum(lo[i + 1 :] - hi[i], lo[i] - hi[i + 1 :]) - 1, 0
+            )
+            near = np.sqrt((sep * sep).sum(axis=1)) < d_core_px
+            for j in (np.flatnonzero(near) + i + 1).tolist():
                 p = coords[i][:, None, :].astype(np.float64)
                 q = coords[j][None, :, :].astype(np.float64)
                 gap_axes = np.maximum(np.abs(p - q) - 1.0, 0.0)
@@ -154,25 +173,50 @@ def _merge_close_cores(
                     continue
                 # Lens between the two components: pixels close to both
                 # (centre-distance transforms, reach covering the gap).
-                if dts is None:
-                    dts = {}
+                # A crop holds its whole component, so its distances
+                # equal the full-window ones.
                 for k in (i, j):
-                    if k not in dts:
-                        dts[k] = ndimage.distance_transform_edt(labels != k + 1)
+                    if k not in crops:
+                        crop = _grown(boxes[k], pad, data.shape)
+                        crops[k] = (
+                            crop,
+                            ndimage.distance_transform_edt(labels[crop] != k + 1),
+                        )
+                (crop_i, dt_i), (crop_j, dt_j) = crops[i], crops[j]
+                # Every lens pixel lies in both crops (see ``pad``).
+                both = tuple(
+                    slice(max(a.start, b.start), min(a.stop, b.stop))
+                    for a, b in zip(crop_i, crop_j)
+                )
                 reach = gap_px + 1.0
-                bridge = (dts[i] <= reach) & (dts[j] <= reach)
+                bridge = (dt_i[_local(both, crop_i)] <= reach) & (
+                    dt_j[_local(both, crop_j)] <= reach
+                )
                 if keepout is not None:
                     # Merged material keeps spacer clearance from second
                     # targets, like any other core material.
-                    bridge &= ~keepout.data
+                    bridge &= ~keepout.data[both]
                 if bridge.any():
-                    data |= bridge
+                    data[both] |= bridge
                     merged_any = True
         if not merged_any:
             break
     out = Bitmap(core_raw.window, core_raw.resolution)
     out.data = data
     return out
+
+
+def _grown(box: tuple, pad: int, shape: tuple) -> tuple:
+    """``box`` (slices) grown by ``pad`` pixels per side, clipped to ``shape``."""
+    return tuple(
+        slice(max(s.start - pad, 0), min(s.stop + pad, size))
+        for s, size in zip(box, shape)
+    )
+
+
+def _local(region: tuple, crop: tuple) -> tuple:
+    """``region`` (slices inside ``crop``) in ``crop``'s own coordinates."""
+    return tuple(slice(r.start - c.start, r.stop - c.start) for r, c in zip(region, crop))
 
 
 def synthesize_masks(

@@ -259,17 +259,11 @@ class RoutingGrid:
 
     def release_net(self, net_id: int) -> int:
         """Free every cell owned by ``net_id``; returns the number released."""
-        mask = self._occ == net_id
-        count = int(np.count_nonzero(mask))
-        if count and self._listeners:
-            changed = [
-                (int(l), int(x), int(y)) for l, x, y in np.argwhere(mask)
-            ]
-            self._occ[mask] = int(CellState.FREE)
-            self._notify_cells(changed)
-            return count
-        self._occ[mask] = int(CellState.FREE)
-        return count
+        cells = self._cells_owned_by(net_id)
+        self._occ[cells] = int(CellState.FREE)
+        if self._listeners and cells[0].size:
+            self._notify_cells(list(zip(*(axis.tolist() for axis in cells))))
+        return int(cells[0].size)
 
     # ------------------------------------------------------------------ #
     # Geometry lowering
@@ -295,9 +289,17 @@ class RoutingGrid:
 
     def cells_of_net(self, net_id: int) -> Iterator[tuple]:
         """Yield (layer, Point) for every cell owned by ``net_id``."""
-        coords = np.argwhere(self._occ == net_id)
-        for layer, x, y in coords:
-            yield int(layer), Point(int(x), int(y))
+        layers, xs, ys = (axis.tolist() for axis in self._cells_owned_by(net_id))
+        for layer, x, y in zip(layers, xs, ys):
+            yield layer, Point(x, y)
+
+    def _cells_owned_by(self, net_id: int) -> tuple:
+        """(layers, xs, ys) index arrays of ``net_id``'s cells, row-major.
+
+        ``np.argwhere`` on the 3-D grid costs ~10x more than a flat scan.
+        """
+        flat = np.flatnonzero(self._occ == net_id)
+        return np.unravel_index(flat, self._occ.shape)
 
     def blocked_cells(self, layer: int) -> int:
         return int(np.count_nonzero(self._occ[layer] == int(CellState.BLOCKED)))

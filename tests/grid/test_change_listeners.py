@@ -57,6 +57,15 @@ def test_release_net_reports_every_cell(grid, recorder):
     assert sorted(recorder.cells) == [(0, 0, 5), (0, 1, 5), (0, 2, 5)]
 
 
+def test_release_net_reports_cells_in_row_major_order(grid, recorder):
+    for layer, x, y in [(2, 1, 1), (0, 4, 0), (1, 0, 9), (0, 3, 7), (0, 3, 2)]:
+        grid.occupy(layer, Point(x, y), 9)
+    recorder.cells.clear()
+    assert grid.release_net(9) == 5
+    assert recorder.cells == [(0, 3, 2), (0, 3, 7), (0, 4, 0), (1, 0, 9), (2, 1, 1)]
+    assert list(grid.cells_of_net(9)) == []
+
+
 def test_release_net_of_absent_net_is_silent(grid, recorder):
     assert grid.release_net(42) == 0
     assert recorder.cells == []
