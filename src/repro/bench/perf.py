@@ -73,8 +73,8 @@ DEFAULT_SCALES: Dict[str, float] = {
 
 #: The bench samples the paper's suite at both ends: the fixed-pin family
 #: at three sizes (Test1-Test3 small/mid, Test5 large) plus the
-#: multi-candidate variant Test6, whose many tiny searches exercise the
-#: guidance size gate rather than the guided path.
+#: multi-candidate variant Test6, whose many tiny searches mostly finish
+#: before the guidance trigger.
 DEFAULT_WORKLOADS = ("Test1", "Test2", "Test3", "Test5", "Test6")
 
 #: Bench modes and the router configuration each one measures.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Tuple, Union
 
-from ..errors import NetlistError
+from ..errors import NetlistError, ReproError
 from ..geometry import Point
 from .net import Net, Pin
 from .netlist import Netlist
@@ -61,50 +61,58 @@ def _format_pin(pin: Pin) -> str:
     return f"L{pin.layer} {coords}"
 
 
+def _parse_block(line: str, raw: str):
+    from ..geometry import Rect
+
+    try:
+        _, layer_tag, coords = line.split(None, 2)
+        layer = -1 if layer_tag == "*" else int(layer_tag[1:])
+        xlo, ylo, xhi, yhi = (int(v) for v in coords.split(","))
+    except (ValueError, IndexError):
+        raise NetlistError(f"malformed BLOCK directive {raw!r}") from None
+    return layer, Rect(xlo, ylo, xhi, yhi)
+
+
+def _parse_net(net_id: int, line: str, raw: str) -> Net:
+    try:
+        name, rest = line.split(None, 1)
+        pin_texts = rest.split("->")
+        if len(pin_texts) < 2:
+            raise ValueError
+    except ValueError:
+        raise NetlistError(f"malformed net line {raw!r}") from None
+    pins = [_parse_pin(text) for text in pin_texts]
+    return Net(
+        net_id=net_id,
+        name=name,
+        source=pins[0],
+        target=pins[1],
+        taps=tuple(pins[2:]),
+    )
+
+
 def parse_design(text: str):
     """Parse a design file into ``(blockages, netlist)``.
 
     ``blockages`` is a list of ``(layer, Rect)`` with layer ``-1`` meaning
-    "every layer" (the ``BLOCK *`` form).
+    "every layer" (the ``BLOCK *`` form). Any error raised while parsing
+    a line — a bad coordinate, a degenerate rect, an invalid pin, a
+    duplicate net name — surfaces as a :class:`NetlistError` naming the
+    line number.
     """
-    from ..geometry import Rect
-
     netlist = Netlist()
     blockages = []
-    net_id = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.split(None, 1)[0].upper() == "BLOCK":
-            try:
-                _, layer_tag, coords = line.split(None, 2)
-                layer = -1 if layer_tag == "*" else int(layer_tag[1:])
-                xlo, ylo, xhi, yhi = (int(v) for v in coords.split(","))
-                blockages.append((layer, Rect(xlo, ylo, xhi, yhi)))
-            except (ValueError, IndexError):
-                raise NetlistError(
-                    f"line {lineno}: malformed BLOCK directive {raw!r}"
-                ) from None
-            continue
         try:
-            name, rest = line.split(None, 1)
-            pin_texts = rest.split("->")
-            if len(pin_texts) < 2:
-                raise ValueError
-        except ValueError:
-            raise NetlistError(f"line {lineno}: malformed net line {raw!r}") from None
-        pins = [_parse_pin(text) for text in pin_texts]
-        netlist.add(
-            Net(
-                net_id=net_id,
-                name=name,
-                source=pins[0],
-                target=pins[1],
-                taps=tuple(pins[2:]),
-            )
-        )
-        net_id += 1
+            if line.split(None, 1)[0].upper() == "BLOCK":
+                blockages.append(_parse_block(line, raw))
+            else:
+                netlist.add(_parse_net(len(netlist), line, raw))
+        except ReproError as exc:
+            raise NetlistError(f"line {lineno}: {exc}") from None
     return blockages, netlist
 
 

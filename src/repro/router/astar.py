@@ -51,9 +51,9 @@ from ..grid import CellState, Direction, RoutingGrid, Via
 from .cost import CostParams
 from .guidance import (
     AUTO_TRIGGER_EXPANSIONS,
-    GUIDANCE_MIN_CELLS,
     future_cost_map,
     prune_threshold,
+    resolve_backend,
 )
 from .kernel import resolve_kernel, search_kernel
 from .overlay_cache import OverlayCostCache, overlay_cost_grid
@@ -171,19 +171,17 @@ class AStarRouter:
         #: Future-cost corridor pruning: ``"off"``, ``"on"`` (map built
         #: up front for every fast search), or ``"auto"`` (a search is
         #: upgraded in place once it crosses ``guidance_trigger``
-        #: unguided expansions — small searches never pay for a map).
-        #: The reference path ignores this and stays the oracle.
+        #: unguided expansions — searches that finish sooner never pay
+        #: for a map). The reference path ignores this and stays the
+        #: oracle.
         self.guidance = guidance
         self.guidance_trigger = AUTO_TRIGGER_EXPANSIONS
-        #: ``"auto"`` never builds a map for windows below this many
-        #: cells — the unguided flood over such a window is cheaper than
-        #: the build. ``"on"`` ignores it (explicit opt-in).
-        self.guidance_min_cells = GUIDANCE_MIN_CELLS
         self.guidance_backend = "auto"
         #: Guidance maps built ahead of time on this engine's behalf
         #: (the parallel batch scheduler's batched CSR solves), keyed by
-        #: the same memo key ``activate_guidance`` computes. Consumed
-        #: (popped) on activation and accounted as this engine's builds.
+        #: ``(bounds, target bytes, penalty signature, backend)`` as
+        #: :meth:`_guidance_map` computes it. Consumed (popped) on
+        #: activation and accounted as this engine's builds.
         self.guidance_premaps: Optional[Dict] = None
         #: Net whose own cells are exempt from the inlined overlay probe.
         self.active_net = -1
@@ -193,10 +191,13 @@ class AStarRouter:
         #: the perf bench can report expansions/sec with observability off.
         self.total_searches = 0
         self.total_expansions = 0
-        #: Searches that activated a guidance map / maps actually built
-        #: (memo hits count as guided but not as builds).
+        #: Searches that activated a guidance map / maps built for them
+        #: (premaps included).
         self.total_guided_searches = 0
         self.total_guidance_builds = 0
+        #: Maps this engine solved itself, by ``guidance_builds_total``
+        #: solve label (premaps are counted where they are batched).
+        self.guidance_solves = {"bounded": 0, "full": 0}
         self._last_stats = (0, 0, 0)
         # Layer directions are immutable for a grid's lifetime — hoisted
         # out of the per-search setup.
@@ -303,11 +304,14 @@ class AStarRouter:
         n = num_layers * layer_stride
 
         is_target = bytearray(n)
+        target_idx: List[int] = []
         target_pts: List[Point] = []
         target_layers: List[int] = []
         for layer, pt in request.targets:
             if grid.in_bounds(layer, pt) and occ[layer, pt.x, pt.y] in (_FREE, net_id):
-                is_target[layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)] = 1
+                tidx = layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)
+                is_target[tidx] = 1
+                target_idx.append(tidx)
                 target_pts.append(pt)
                 target_layers.append(layer)
         if not target_pts:
@@ -382,12 +386,14 @@ class AStarRouter:
         parent = [-1] * n
         open_heap: List[Tuple[float, float, int, int]] = []
 
+        source_idx: List[int] = []
         for layer, pt in request.sources:
             if not grid.in_bounds(layer, pt):
                 continue
             if occ[layer, pt.x, pt.y] not in (_FREE, net_id):
                 continue
             idx = layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)
+            source_idx.append(idx)
             g = cost[idx]
             if g < best_g[idx]:
                 best_g[idx] = g
@@ -415,95 +421,38 @@ class AStarRouter:
         # encodes "no target reachable from any source": every entry
         # prunes and the search fails immediately with the same
         # ``"failed"`` outcome the exhausted unguided search reaches.
+        # "auto" upgrades mid-search once the expansion count proves the
+        # search is not trivially small; nothing before the trigger
+        # differs from an unguided run, so the switch is seamless.
         gmode = self.guidance
+        trigger = 0 if gmode == "on" else (
+            self.guidance_trigger if gmode == "auto" else -1
+        )
         gd = None
         thr = inf
-        if gmode == "on":
-            trigger = 0
-        elif gmode == "auto":
-            # Upgrade mid-search once the expansion count proves the
-            # search is not trivially small; nothing before the trigger
-            # differs from an unguided run, so the switch is seamless.
-            # Windows too small to amortize a map build never upgrade —
-            # even a fully flooded small window costs less than the solve.
-            if num_layers * wx * wy < self.guidance_min_cells:
-                trigger = -1
-            else:
-                trigger = self.guidance_trigger
-        else:
-            trigger = -1
 
         def activate_guidance():
-            passable_np = (occ_win == _FREE) | (occ_win == net_id)
-            tmask = (
-                np.frombuffer(bytes(is_target), dtype=np.uint8)
-                .reshape(num_layers, wx, wy)
-                .astype(bool)
+            # Fold the same per-cell extras the search pays (overlay
+            # grid + rip-up penalties) with identical float ops, so the
+            # map is exact for the costs the heap accumulates.
+            if cost_np is not None:
+                carr = np.array(cost_np, dtype=np.float64)
+            else:
+                carr = np.zeros((num_layers, wx, wy), dtype=np.float64)
+            if pen_map:
+                for (pl, px, py), amount in pen_map.items():
+                    if pl < num_layers and xlo <= px <= xhi and ylo <= py <= yhi:
+                        carr[pl, px - xlo, py - ylo] += amount
+            dflat, bound = self._guidance_map(
+                net_id, (xlo, xhi, ylo, yhi), occ_win, is_target,
+                carr.ravel(), best_g, target_idx, source_idx,
             )
-            bounds = (xlo, xhi, ylo, yhi)
-            cache = self._overlay_cache
-            memo = cache is not None and hasattr(cache, "guidance_lookup")
-            premaps = self.guidance_premaps
-            dflat = None
-            key = None
-            if memo or premaps:
-                pen_sig = tuple(sorted(pen_map.items())) if pen_map else None
-                key = (bounds, bytes(is_target), pen_sig, self.guidance_backend)
-            if memo:
-                dflat = cache.guidance_lookup(net_id, key)
-            if dflat is None and premaps:
-                pre = premaps.pop(key, None)
-                if pre is not None:
-                    # A map the batch scheduler built ahead of time on
-                    # this search's behalf: account it as this engine's
-                    # build so folded counters equal a sequential run's.
-                    self.total_guidance_builds += 1
-                    dflat = pre.ravel().tolist()
-                    if memo:
-                        cache.guidance_store(net_id, bounds, key, dflat)
             if dflat is None:
-                # Fold the same per-cell extras the search pays (overlay
-                # grid + rip-up penalties) with identical float ops, so
-                # the map is exact for the costs the heap accumulates.
-                if cost_np is not None:
-                    carr = np.array(cost_np, dtype=np.float64)
-                else:
-                    carr = np.zeros((num_layers, wx, wy), dtype=np.float64)
-                if pen_map:
-                    for (pl, px, py), amount in pen_map.items():
-                        if pl < num_layers and xlo <= px <= xhi and ylo <= py <= yhi:
-                            carr[pl, px - xlo, py - ylo] += amount
-                dmap = future_cost_map(
-                    passable_np,
-                    carr,
-                    horizontal,
-                    alpha,
-                    beta,
-                    params.wrong_way_factor,
-                    tmask,
-                    backend=self.guidance_backend,
-                )
-                if dmap is None:
-                    return None, inf  # degenerate window: stay unguided
-                self.total_guidance_builds += 1
-                # Flatten to a Python list: the prune checks do one
-                # scalar read per relaxation, and list indexing is ~3x
-                # cheaper than numpy scalar indexing from the loop.
-                dflat = dmap.ravel().tolist()
-                if memo:
-                    cache.guidance_store(net_id, bounds, key, dflat)
-            t = inf
-            for slayer, spt in request.sources:
-                if not grid.in_bounds(slayer, spt):
-                    continue
-                if occ[slayer, spt.x, spt.y] not in (_FREE, net_id):
-                    continue
-                sidx = slayer * layer_stride + (spt.x - xlo) * wy + (spt.y - ylo)
-                v = cost[sidx] + dflat[sidx]
-                if v < t:
-                    t = v
-            self.total_guided_searches += 1
-            return dflat, (prune_threshold(t) if t < inf else -inf)
+                return None, bound
+            # Flatten to a Python list: the prune checks do one scalar
+            # read per relaxation, and list indexing is ~3x cheaper than
+            # numpy scalar indexing from the loop.
+            return dflat.tolist(), bound
 
         if trigger == 0:
             gd, thr = activate_guidance()
@@ -627,6 +576,72 @@ class AStarRouter:
             cost=best_g[goal],
             expansions=expansions,
         )
+
+    def _guidance_map(
+        self,
+        net_id: int,
+        bounds: Bounds,
+        occ_win: np.ndarray,
+        is_target,
+        cost: np.ndarray,
+        best_g,
+        target_idx: Sequence[int],
+        source_idx: Sequence[int],
+    ) -> Tuple[Optional[np.ndarray], float]:
+        """Activate corridor guidance for a running search.
+
+        The one activation path of both inner loops (the list-based
+        fast path and :mod:`repro.router.kernel`). ``cost`` is the flat
+        folded cost array the search pays, ``best_g`` its g-scores so
+        far. Returns the flat float64 cost-to-go map and the corridor
+        bound ``thr``, or ``(None, inf)`` for a degenerate window (the
+        search stays unguided).
+
+        The cheapest ``best_g`` over ``target_idx`` is the cost of a path
+        already found, so the backward solve stops at its prune
+        threshold (see :mod:`repro.router.guidance`): every prune
+        decision equals the full map's. Premaps were solved in full,
+        which is equally valid.
+        """
+        num_layers, wx, wy = occ_win.shape
+        inf = float("inf")
+        dflat = None
+        premaps = self.guidance_premaps
+        if premaps:
+            pen_map = self._penalty_map
+            pen_sig = tuple(sorted(pen_map.items())) if pen_map else None
+            key = (bounds, bytes(is_target), pen_sig, self.guidance_backend)
+            pre = premaps.pop(key, None)
+            if pre is not None:
+                dflat = np.asarray(pre, dtype=np.float64).ravel()
+        if dflat is None:
+            # inf until a target has been pushed: then the solve is full.
+            limit = prune_threshold(min(best_g[t] for t in target_idx))
+            params = self.params
+            dmap = future_cost_map(
+                (occ_win == _FREE) | (occ_win == net_id),
+                cost.reshape(num_layers, wx, wy),
+                self._horizontal,
+                params.alpha,
+                params.beta,
+                params.wrong_way_factor,
+                np.frombuffer(is_target, dtype=np.uint8)
+                .reshape(num_layers, wx, wy)
+                .astype(bool),
+                backend=self.guidance_backend,
+                limit=limit,
+            )
+            if dmap is None:
+                return None, inf
+            dflat = dmap.ravel()
+            csgraph = resolve_backend(self.guidance_backend) == "csgraph"
+            solve = "bounded" if csgraph and limit < inf else "full"
+            self.guidance_solves[solve] += 1
+            obs.counter_inc("guidance_builds_total", solve=solve)
+        self.total_guidance_builds += 1
+        self.total_guided_searches += 1
+        t = float(min(cost[s] + dflat[s] for s in source_idx))
+        return dflat, (prune_threshold(t) if t < inf else -inf)
 
     # ------------------------------------------------------------------ #
     # Reference path: the executable specification
@@ -999,14 +1014,13 @@ class SearchSubproblem:
     #: guidance on or off either way; this only matches the *speed*).
     guidance: str = "off"
     guidance_trigger: int = AUTO_TRIGGER_EXPANSIONS
-    guidance_min_cells: int = GUIDANCE_MIN_CELLS
     #: Mirrors :attr:`AStarRouter.kernel` so workers run the same inner
     #: loop the live engine would (bit-identical either way; speed only).
     kernel: str = "python"
     #: Optional pre-built guidance map for the trunk search, computed by
     #: the batch scheduler's batched CSR solve: ``(key, flat_float64)``
-    #: with ``key`` the worker-side ``activate_guidance`` memo key. A
-    #: key mismatch just means the worker builds its own map.
+    #: with ``key`` the premap key :meth:`AStarRouter._guidance_map`
+    #: computes. A key mismatch just means the worker builds its own map.
     guidance_premap: Optional[Tuple[object, "object"]] = None
 
 
@@ -1163,7 +1177,6 @@ def solve_subproblem(sub: SearchSubproblem) -> SubproblemResult:
         kernel=sub.kernel,
     )
     engine.guidance_trigger = sub.guidance_trigger
-    engine.guidance_min_cells = sub.guidance_min_cells
     if sub.guidance_premap is not None:
         key, premap = sub.guidance_premap
         engine.guidance_premaps = {key: premap}
@@ -1221,6 +1234,10 @@ def solve_subproblem(sub: SearchSubproblem) -> SubproblemResult:
             ("astar_nodes_expanded_total", (), float(stat_totals[0])),
             ("astar_heap_pushes_total", (), float(stat_totals[1])),
             ("astar_heap_pops_total", (), float(stat_totals[2])),
+        ]
+        counters += [
+            ("guidance_builds_total", (("solve", solve),), float(n))
+            for solve, n in sorted(engine.guidance_solves.items())
         ]
         return {
             "spans": [("astar_search", search_spans[0], search_spans[1])],

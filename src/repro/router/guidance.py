@@ -23,6 +23,17 @@ bit-identical cost, only without expanding the off-corridor bulk.
 numpy map and the sequential Python g-accumulation cannot evict a
 cost-tied optimal entry.)
 
+The search only compares ``g + d`` with that bound, so the map need not
+be exact beyond it. When a target already holds a finite ``g`` at
+activation, ``ub = min g(target)`` is the cost of a real path, so
+``C* <= ub``, and the backward solve may stop at ``limit =
+prune_threshold(ub)``: cells with ``d <= limit`` get their exact
+distance, and cells beyond get ``inf`` — pruned either way, since
+``g >= 0`` and ``prune_threshold`` is monotone (``thr <= limit``). The
+optimal source lies inside the limit, so ``T`` is unchanged too. Only
+the csgraph backend honours ``limit``; the sweep backend always solves
+the whole window, which is still exact.
+
 Two backends build the same map:
 
 * ``csgraph`` (production, default when scipy is importable): the window
@@ -71,11 +82,6 @@ PRUNE_EPS = 1e-6
 #: Default number of unguided expansions after which ``guidance="auto"``
 #: switches the running search over to map-guided pruning.
 AUTO_TRIGGER_EXPANSIONS = 192
-
-#: Windows smaller than this (total cells, all layers) never activate
-#: guidance: the unguided flood over such a window costs less than the
-#: map build it would be pruned by.
-GUIDANCE_MIN_CELLS = 2048
 
 #: Window extents are padded up to multiples of this inside the csgraph
 #: backend so the CSR structure cache hits across similar windows.
@@ -223,6 +229,7 @@ def _csgraph_map(
     beta: float,
     wrong_way: float,
     target_mask: np.ndarray,
+    limit: float = _INF,
 ) -> np.ndarray:
     num_layers, wx, wy = passable.shape
     # Quantize the window shape so repeat searches share CSR skeletons.
@@ -260,7 +267,9 @@ def _csgraph_map(
         )
         struct.graph.data[struct.invalid_idx] = _INF
         targets = np.flatnonzero(tmask.ravel())
-        dist = _csg.dijkstra(struct.graph, indices=targets, min_only=True)
+        dist = _csg.dijkstra(
+            struct.graph, indices=targets, min_only=True, limit=limit
+        )
     dist = dist.reshape(num_layers, pwx, pwy)[:, :wx, :wy]
     dist[~passable] = _INF
     return dist
@@ -355,6 +364,14 @@ def _sweep_map(
 # ---------------------------------------------------------------------- #
 
 
+def resolve_backend(backend: str) -> str:
+    """The backend ``backend`` runs as: ``"auto"`` is ``"csgraph"`` when
+    scipy is importable and ``"sweep"`` otherwise."""
+    if backend == "auto":
+        return "csgraph" if HAVE_SCIPY else "sweep"
+    return backend
+
+
 def future_cost_map(
     passable: np.ndarray,
     cost: np.ndarray,
@@ -364,6 +381,7 @@ def future_cost_map(
     wrong_way: float,
     target_mask: np.ndarray,
     backend: str = "auto",
+    limit: float = _INF,
 ) -> Optional[np.ndarray]:
     """Exact cost-to-go of every window cell toward the target set.
 
@@ -373,17 +391,21 @@ def future_cost_map(
     and the target mask. Returns a float64 array of the same shape with
     ``inf`` for unreachable or impassable cells, or ``None`` when the
     window is degenerate (guidance simply stays off for that search).
+
+    A finite ``limit`` lets the csgraph backend stop the solve there:
+    every cell with ``d <= limit`` still gets its exact distance, cells
+    beyond get ``inf``. The sweep backend ignores it.
     """
     num_layers, wx, wy = passable.shape
     if wx < 2 or wy < 2 or not target_mask.any():
         return None
-    if backend == "auto":
-        backend = "csgraph" if HAVE_SCIPY else "sweep"
+    backend = resolve_backend(backend)
     if backend == "csgraph":
         if not HAVE_SCIPY:
             raise RuntimeError("csgraph guidance backend requires scipy")
         return _csgraph_map(
-            passable, cost, horizontal, alpha, beta, wrong_way, target_mask
+            passable, cost, horizontal, alpha, beta, wrong_way, target_mask,
+            limit,
         )
     if backend == "sweep":
         return _sweep_map(
@@ -478,18 +500,17 @@ def batched_future_cost_maps(
     batch win); singletons and degenerate windows fall through to the
     per-item path, and without scipy everything does. Entry ``i`` of the
     returned list is bit-identical to
-    ``future_cost_map(*items[i], ...)``.
+    ``future_cost_map(*items[i], ...)``. Every map built counts as one
+    full solve in ``guidance_builds_total``.
     """
     results: List[Optional[np.ndarray]] = [None] * len(items)
-    resolved = backend
-    if resolved == "auto":
-        resolved = "csgraph" if HAVE_SCIPY else "sweep"
-    if resolved != "csgraph":
+    if resolve_backend(backend) != "csgraph":
         for i, (passable, cost, tmask) in enumerate(items):
             results[i] = future_cost_map(
                 passable, cost, horizontal, alpha, beta, wrong_way, tmask,
                 backend=backend,
             )
+        _count_full_builds(results)
         return results
     groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for i, (passable, cost, tmask) in enumerate(items):
@@ -533,4 +554,11 @@ def batched_future_cost_maps(
             dist = dist_p[:, :wx, :wy].copy()
             dist[~passable] = _INF
             results[i] = dist
+    _count_full_builds(results)
     return results
+
+
+def _count_full_builds(results: Sequence[Optional[np.ndarray]]) -> None:
+    built = sum(dist is not None for dist in results)
+    if built:
+        obs.counter_inc("guidance_builds_total", built, solve="full")

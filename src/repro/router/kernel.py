@@ -38,7 +38,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..grid import CellState
-from .guidance import future_cost_map, prune_threshold
 from .overlay_cache import overlay_cost_grid
 
 try:  # numba is deliberately optional — never a hard dependency.
@@ -357,88 +356,6 @@ def _kernel_loop(
                    beta, x, y, txlo, txhi, tylo, tyhi, alpha)
 
 
-def _activate_guidance(
-    engine,
-    request,
-    occ,
-    occ_win,
-    is_target,
-    cost,
-    pen_map,
-    bounds,
-    num_layers,
-    wx,
-    wy,
-    layer_stride,
-    net_id,
-):
-    """Kernel-side mirror of the fast path's ``activate_guidance``.
-
-    Same memo key, same premap consumption, same counter increments and
-    the same threshold arithmetic — only the map is kept as a float64
-    array instead of being flattened to a Python list. The folded cost
-    array already equals the ``carr`` the fast path rebuilds (same
-    source grid, same penalty fold order), so the built map is
-    bit-identical.
-    """
-    xlo, xhi, ylo, yhi = bounds
-    grid = engine.grid
-    params = engine.params
-    cache = engine._overlay_cache
-    memo = cache is not None and hasattr(cache, "guidance_lookup")
-    premaps = engine.guidance_premaps
-    dflat = None
-    key = None
-    if memo or premaps:
-        pen_sig = tuple(sorted(pen_map.items())) if pen_map else None
-        key = (bounds, bytes(is_target), pen_sig, engine.guidance_backend)
-    if memo:
-        dflat = cache.guidance_lookup(net_id, key)
-        if dflat is not None:
-            dflat = np.asarray(dflat, dtype=np.float64)
-    if dflat is None and premaps:
-        pre = premaps.pop(key, None)
-        if pre is not None:
-            # A map built on this search's behalf by the batch scheduler:
-            # account it as this engine's build so folded counters equal
-            # a sequential run's.
-            engine.total_guidance_builds += 1
-            dflat = np.asarray(pre, dtype=np.float64).ravel()
-            if memo:
-                cache.guidance_store(net_id, bounds, key, dflat)
-    if dflat is None:
-        passable_np = (occ_win == _FREE) | (occ_win == net_id)
-        tmask = is_target.reshape(num_layers, wx, wy).astype(bool)
-        dmap = future_cost_map(
-            passable_np,
-            cost.reshape(num_layers, wx, wy),
-            engine._horizontal,
-            params.alpha,
-            params.beta,
-            params.wrong_way_factor,
-            tmask,
-            backend=engine.guidance_backend,
-        )
-        if dmap is None:
-            return None, _INF  # degenerate window: stay unguided
-        engine.total_guidance_builds += 1
-        dflat = dmap.ravel()
-        if memo:
-            cache.guidance_store(net_id, bounds, key, dflat)
-    t = _INF
-    for slayer, spt in request.sources:
-        if not grid.in_bounds(slayer, spt):
-            continue
-        if occ[slayer, spt.x, spt.y] not in (_FREE, net_id):
-            continue
-        sidx = slayer * layer_stride + (spt.x - xlo) * wy + (spt.y - ylo)
-        v = cost[sidx] + dflat[sidx]
-        if v < t:
-            t = v
-    engine.total_guided_searches += 1
-    return dflat, (prune_threshold(t) if t < _INF else -_INF)
-
-
 def search_kernel(
     engine, request, extra_margin: int = 0
 ) -> Optional[Tuple[List[Tuple[int, int, int]], float, int]]:
@@ -464,11 +381,14 @@ def search_kernel(
     n = num_layers * layer_stride
 
     is_target = np.zeros(n, dtype=np.uint8)
+    target_idx = []
     target_pts = []
     target_layers = []
     for layer, pt in request.targets:
         if grid.in_bounds(layer, pt) and occ[layer, pt.x, pt.y] in (_FREE, net_id):
-            is_target[layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)] = 1
+            tidx = layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)
+            is_target[tidx] = 1
+            target_idx.append(tidx)
             target_pts.append(pt)
             target_layers.append(layer)
     if not target_pts:
@@ -541,12 +461,14 @@ def search_kernel(
     scratch = np.empty(3, dtype=np.float64)
 
     counter = 0
+    source_idx = []
     for layer, pt in request.sources:
         if not grid.in_bounds(layer, pt):
             continue
         if occ[layer, pt.x, pt.y] not in (_FREE, net_id):
             continue
         idx = layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)
+        source_idx.append(idx)
         g = cost[idx]
         if g < best_g[idx]:
             best_g[idx] = g
@@ -569,25 +491,21 @@ def search_kernel(
 
     # Guidance trigger resolution — identical to the fast path.
     gmode = engine.guidance
-    if gmode == "on":
-        trigger = 0
-    elif gmode == "auto":
-        if num_layers * wx * wy < engine.guidance_min_cells:
-            trigger = -1
-        else:
-            trigger = engine.guidance_trigger
-    else:
-        trigger = -1
+    trigger = 0 if gmode == "on" else (
+        engine.guidance_trigger if gmode == "auto" else -1
+    )
 
     gd = np.empty(0, dtype=np.float64)
     has_gd = 0
     thr = _INF
-    bounds = (xlo, xhi, ylo, yhi)
 
     def activate():
-        return _activate_guidance(
-            engine, request, occ, occ_win, is_target, cost, pen_map,
-            bounds, num_layers, wx, wy, layer_stride, net_id,
+        # The folded cost array already equals the one the fast path
+        # folds at activation (same source grid, same penalty order),
+        # so the shared helper builds the bit-identical map.
+        return engine._guidance_map(
+            net_id, (xlo, xhi, ylo, yhi), occ_win, is_target, cost,
+            best_g, target_idx, source_idx,
         )
 
     if trigger == 0:

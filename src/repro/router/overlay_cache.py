@@ -29,11 +29,10 @@ The property tests pin all three together.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..grid import CellState, Direction, RoutingGrid
 
 Bounds = Tuple[int, int, int, int]  # xlo, xhi, ylo, yhi (inclusive)
@@ -140,23 +139,6 @@ class _Entry:
         self.pending: List[Tuple[int, int, int]] = []
 
 
-class _GuidanceEntry:
-    """One memoised future-cost map (see :mod:`repro.router.guidance`).
-
-    Unlike cost-grid entries, guidance maps are not repairable — one
-    changed cell can reroute the whole backward flow — so any occupancy
-    change that can reach the window (distance <= 2, same radius as the
-    overlay term) simply drops the entry.
-    """
-
-    __slots__ = ("bounds", "key", "dmap")
-
-    def __init__(self, bounds: Bounds, key: tuple, dmap: np.ndarray) -> None:
-        self.bounds = bounds
-        self.key = key
-        self.dmap = dmap
-
-
 class OverlayCostCache:
     """Per-net memo of Eq. (5) cost grids, kept fresh incrementally.
 
@@ -190,14 +172,10 @@ class OverlayCostCache:
             for l in range(grid.num_layers)
         ]
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
-        self._guidance: "OrderedDict[int, _GuidanceEntry]" = OrderedDict()
         # stats (plain ints; read by the perf bench and tests)
         self.hits = 0
         self.misses = 0
         self.repaired_cells = 0
-        self.guidance_hits = 0
-        self.guidance_misses = 0
-        self.guidance_invalidations = 0
         grid.add_change_listener(self)
 
     # ------------------------------------------------------------------ #
@@ -205,7 +183,7 @@ class OverlayCostCache:
     # ------------------------------------------------------------------ #
 
     def on_cells_changed(self, cells: Iterable[Tuple[int, int, int]]) -> None:
-        if not self._entries and not self._guidance:
+        if not self._entries:
             return
         for entry in self._entries.values():
             xlo, xhi, ylo, yhi = entry.bounds
@@ -216,25 +194,9 @@ class OverlayCostCache:
                 # so changes farther outside the window are irrelevant.
                 if xlo - 2 <= x <= xhi + 2 and ylo - 2 <= y <= yhi + 2:
                     pend.append(cell)
-        if self._guidance:
-            dead = []
-            for net_id, gent in self._guidance.items():
-                xlo, xhi, ylo, yhi = gent.bounds
-                for _, x, y in cells:
-                    if xlo - 2 <= x <= xhi + 2 and ylo - 2 <= y <= yhi + 2:
-                        dead.append(net_id)
-                        break
-            for net_id in dead:
-                del self._guidance[net_id]
-            if dead:
-                self.guidance_invalidations += len(dead)
-                obs.counter_inc(
-                    "guidance_cache_invalidations_total", len(dead)
-                )
 
     def on_grid_reset(self) -> None:
         self._entries.clear()
-        self._guidance.clear()
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -307,44 +269,9 @@ class OverlayCostCache:
     def invalidate_net(self, net_id: int) -> None:
         """Drop a net's entry outright (e.g. the net was re-identified)."""
         self._entries.pop(net_id, None)
-        self._guidance.pop(net_id, None)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._guidance.clear()
-
-    # ------------------------------------------------------------------ #
-    # Guidance-map memo (see repro.router.guidance)
-    # ------------------------------------------------------------------ #
-
-    def guidance_lookup(self, net_id: int, key: tuple):
-        """A memoised future-cost map, or None.
-
-        ``key`` captures everything the map depends on besides live
-        occupancy — window bounds, target set, rip-up penalty signature
-        and backend; occupancy staleness is handled by the change
-        listener dropping touched entries. Hits occur when the exact
-        search is re-run (budget-doubling retries, replayed attempts).
-        """
-        gent = self._guidance.get(net_id)
-        if gent is not None and gent.key == key:
-            self._guidance.move_to_end(net_id)
-            self.guidance_hits += 1
-            obs.counter_inc("guidance_cache_hits_total")
-            return gent.dmap
-        self.guidance_misses += 1
-        obs.counter_inc("guidance_cache_misses_total")
-        return None
-
-    def guidance_store(
-        self, net_id: int, bounds: Bounds, key: tuple, dmap
-    ) -> None:
-        # ``dmap`` is opaque to the cache — the engine stores the map
-        # pre-flattened (a plain list) so memo hits skip the conversion.
-        self._guidance[net_id] = _GuidanceEntry(bounds, key, dmap)
-        self._guidance.move_to_end(net_id)
-        while len(self._guidance) > self.max_entries:
-            self._guidance.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # Incremental repair

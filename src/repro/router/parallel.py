@@ -523,7 +523,6 @@ class ParallelRouter:
             overlay_bounds=overlay_bounds,
             guidance=engine.guidance,
             guidance_trigger=engine.guidance_trigger,
-            guidance_min_cells=engine.guidance_min_cells,
             kernel=engine.kernel,
         )
 
@@ -533,7 +532,7 @@ class ParallelRouter:
         With ``guidance="on"`` every worker's trunk search activates its
         map before the first pop, so the maps are known work at batch
         formation time. This replicates each worker's activation inputs
-        exactly — window, target filter, folded cost grid, memo key —
+        exactly — window, target filter, folded cost grid, premap key —
         off the frozen snapshots (``solve_subproblem`` never mutates
         them), solves all maps in one block-diagonal
         :func:`~repro.router.guidance.batched_future_cost_maps` call,
@@ -598,7 +597,7 @@ class ParallelRouter:
             else:
                 carr = np.zeros((num_layers, wx, wy), dtype=np.float64)
             # Worker engines carry no penalty_map and the default "auto"
-            # guidance backend — both enter the memo key.
+            # guidance backend — both enter the premap key.
             key = ((xlo, xhi, ylo, yhi), bytes(is_target), None, "auto")
             tmask = is_target.reshape(num_layers, wx, wy).astype(bool)
             items.append((passable, carr, tmask))
@@ -837,7 +836,6 @@ class ShardedRouter:
                         use_reference=bool(engine.use_reference),
                         guidance=engine.guidance,
                         guidance_trigger=engine.guidance_trigger,
-                        guidance_min_cells=engine.guidance_min_cells,
                         kernel=engine.kernel,
                     ),
                 )

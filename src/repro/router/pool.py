@@ -42,7 +42,6 @@ import numpy as np
 from ..geometry import Point
 from .astar import (
     AUTO_TRIGGER_EXPANSIONS,
-    GUIDANCE_MIN_CELLS,
     Bounds,
     SearchSubproblem,
     SubproblemResult,
@@ -221,7 +220,6 @@ class ShardStreamTask:
     use_reference: bool = False
     guidance: str = "off"
     guidance_trigger: int = AUTO_TRIGGER_EXPANSIONS
-    guidance_min_cells: int = GUIDANCE_MIN_CELLS
     kernel: str = "python"
 
 
@@ -281,7 +279,6 @@ def run_shard_stream(
             use_reference=task.use_reference,
             guidance=task.guidance,
             guidance_trigger=task.guidance_trigger,
-            guidance_min_cells=task.guidance_min_cells,
             kernel=task.kernel,
         )
         try:

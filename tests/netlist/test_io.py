@@ -5,7 +5,7 @@ import pytest
 from repro.errors import NetlistError
 from repro.geometry import Point
 from repro.netlist import read_netlist, write_netlist
-from repro.netlist.io import parse_netlist
+from repro.netlist.io import parse_design, parse_netlist, read_design
 
 
 SAMPLE = """
@@ -51,6 +51,33 @@ class TestParse:
     def test_bad_coordinate(self):
         with pytest.raises(NetlistError):
             parse_netlist("n0 L0 1.5,2 -> L0 3,4")
+
+
+class TestParseErrorsCarryTheLine:
+    """Every error raised while parsing a line — not only the line-shape
+    checks — becomes a NetlistError naming the line."""
+
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            ("BLOCK L0 5,5,1,1", 1, "degenerate rect"),
+            ("n0 L0 1,2 -> L0 9,2\nn1 L0 3,x -> L0 9,3", 2, "bad coordinate"),
+            ("n0 L-1 1,2 -> L0 9,2", 1, "layer must be >= 0"),
+            ("n0 L0 1,1;1,1 -> L0 3,3", 1, "duplicate pin candidates"),
+            ("a L0 1,1 -> L0 2,2\n\n# c\na L0 3,3 -> L0 4,4", 4, "duplicate net name"),
+            ("BLOCK L0 1,2", 1, "malformed BLOCK"),
+        ],
+    )
+    def test_parse_design(self, text, line, reason):
+        with pytest.raises(NetlistError, match=f"^line {line}: .*{reason}"):
+            parse_design(text)
+
+    def test_read_design_adds_the_path_to_block_errors(self, tmp_path):
+        path = tmp_path / "design.txt"
+        path.write_text("n0 L0 1,2 -> L0 9,2\nBLOCK L0 5,5,1,1\n")
+        with pytest.raises(NetlistError) as info:
+            read_design(path)
+        assert str(info.value).startswith(f"{path}: line 2: degenerate rect")
 
 
 class TestRoundTrip:

@@ -13,6 +13,10 @@ Both are pinned here against a scalar reference Dijkstra over the same
 window graph, for both backends (``csgraph`` and the pure-numpy
 ``sweep``), across randomized shapes, blockage masks, cost grids,
 direction assignments, and wrong-way settings.
+
+A third property covers the bounded solve: a map stopped at
+``limit = prune_threshold(ub)`` for any ``ub >= C*`` makes every prune
+decision the full map makes.
 """
 
 import heapq
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.router.guidance import (
@@ -242,3 +246,88 @@ def test_prune_threshold_pads_upward(total):
     # the pad stays tiny relative to any genuine cost difference
     # float cancellation in (thr - total) can add up to ~ulp(total)
     assert thr - total <= 2 * (PRUNE_EPS + 1e-9 * total)
+
+
+# ---------------------------------------------------------------------- #
+# the bounded solve: same source threshold, same prune decisions
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def searches(draw):
+    """A window with half-unit costs (exact float ties), targets, sources."""
+    passable, _, horizontal, alpha, beta, wrong_way, targets = draw(windows())
+    assume(targets.any())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    cost = rng.integers(0, 7, size=passable.shape) * 0.5
+    free = np.argwhere(passable)
+    count = min(len(free), draw(st.integers(min_value=1, max_value=3)))
+    sources = [tuple(row) for row in free[rng.choice(len(free), count, replace=False)]]
+    return passable, cost, horizontal, alpha, beta, wrong_way, targets, sources
+
+
+def _source_threshold(d, cost, sources):
+    return min(cost[s] + d[s] for s in sources)
+
+
+def _bounded_matches_full(full, bounded, cost, sources):
+    """Whether ``bounded`` makes every decision ``full`` makes: the same
+    source threshold ``T``, equal values wherever the full map is within
+    ``thr = prune_threshold(T)``, and values beyond ``thr`` elsewhere."""
+    t = _source_threshold(full, cost, sources)
+    if _source_threshold(bounded, cost, sources) != t:
+        return False
+    thr = prune_threshold(t)
+    inside = full <= thr
+    return bool(
+        np.array_equal(bounded[inside], full[inside])
+        and (bounded[~inside] > thr).all()
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    searches(),
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_bounded_map_keeps_every_prune_decision(backend, search, slack):
+    passable, cost, horizontal, alpha, beta, wrong_way, targets, sources = search
+    full = future_cost_map(
+        passable, cost, horizontal, alpha, beta, wrong_way, targets,
+        backend=backend,
+    )
+    c_star = _source_threshold(full, cost, sources)
+    assume(c_star < INF)
+    ub = c_star + slack  # the cost of some path no cheaper than optimal
+    bounded = future_cost_map(
+        passable, cost, horizontal, alpha, beta, wrong_way, targets,
+        backend=backend, limit=prune_threshold(ub),
+    )
+    assert _bounded_matches_full(full, bounded, cost, sources)
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="only csgraph honours the limit")
+def test_limit_below_the_threshold_breaks_the_property():
+    """The bound must come from a real path: stopping short of ``C*``
+    loses the optimal source, and the property above fails."""
+    passable = np.ones((1, 6, 2), dtype=bool)
+    cost = np.zeros(passable.shape)
+    targets = np.zeros(passable.shape, dtype=bool)
+    targets[0, 5, 0] = True
+    sources = [(0, 0, 0)]
+    args = (passable, cost, (True,), 1.0, 2.0, 0.0, targets)
+    full = future_cost_map(*args, backend="csgraph")
+    c_star = _source_threshold(full, cost, sources)
+    assert c_star == 5.0
+    assert _bounded_matches_full(
+        full,
+        future_cost_map(*args, backend="csgraph", limit=prune_threshold(c_star)),
+        cost,
+        sources,
+    )
+    short = future_cost_map(*args, backend="csgraph", limit=c_star - 1.0)
+    assert not _bounded_matches_full(full, short, cost, sources)

@@ -129,7 +129,6 @@ def test_guidance_trigger_is_bit_identical(instance, trigger):
     for engine in (py, kn):
         engine.guidance = "auto"
         engine.guidance_trigger = trigger
-        engine.guidance_min_cells = 0
     req = SearchRequest(net_id=7, sources=sources, targets=targets)
     _assert_identical(py, kn, req, margin)
     assert kn.total_guided_searches == py.total_guided_searches

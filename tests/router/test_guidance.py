@@ -6,19 +6,19 @@ paths, costs, and committed metrics as ``guidance="off"`` while expanding
 no more nodes. These tests pin that contract at the engine level (random
 occupancy, penalties, overlay terms, multi-pin requests) and end-to-end
 through ``SadpRouter.route_all`` on seeded Test1/Test6 instances, plus
-the memoization and invalidation behaviour of the guidance cache.
+the ``guidance_builds_total`` dispatch counter (bounded vs full solves).
 """
 
 import random
 
 import pytest
 
+from repro import obs
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
 from repro.router import AStarRouter, CostParams, SadpRouter, SearchRequest
 from repro.router.guidance import HAVE_SCIPY
-from repro.router.overlay_cache import OverlayCostCache
 
 
 def _random_occupancy(grid, rng, fill):
@@ -67,7 +67,6 @@ class TestEngineEquivalence:
         guided = AStarRouter(grid, params, guidance=mode, **kwargs)
         guided.guidance_backend = backend
         guided.guidance_trigger = 16  # make "auto" actually trip
-        guided.guidance_min_cells = 0  # windows here are under the size gate
         for net_id in (100, 101):
             plain.active_net = guided.active_net = net_id
             for _ in range(6):
@@ -152,80 +151,21 @@ class TestEngineEquivalence:
         assert engine.total_guidance_builds == 0
         assert engine.total_guided_searches == 0
 
-    def test_auto_size_gate_skips_tiny_windows(self):
-        """In auto mode, windows under ``guidance_min_cells`` never pay for
-        a map build — the search can't amortise it.  Explicit ``on`` is an
-        opt-in that bypasses the gate."""
+    def test_auto_guides_tiny_windows_once_the_trigger_fires(self):
+        """``"auto"`` has no window-size gate: a 3 x 16 x 16 window (768
+        cells) guides as soon as the search crosses the trigger, and the
+        result stays bit-identical to the unguided search."""
         req = SearchRequest(
             net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(14, 14))]
         )
         grid = RoutingGrid(16, 16)
+        plain = AStarRouter(grid, CostParams(), guidance="off")
         auto = AStarRouter(grid, CostParams(), guidance="auto")
-        auto.guidance_trigger = 0  # would trip immediately without the gate
-        assert auto.search(req) is not None
-        assert auto.total_guidance_builds == 0
-        assert auto.total_guided_searches == 0
-
-        grid = RoutingGrid(16, 16)
-        forced = AStarRouter(grid, CostParams(), guidance="on")
-        assert forced.search(req) is not None
-        assert forced.total_guided_searches > 0
-
-
-class TestGuidanceMemo:
-    def test_repeat_search_hits_the_memo(self):
-        grid = RoutingGrid(20, 20)
-        params = CostParams()
-        cache = OverlayCostCache(grid, params.gamma, params.delta_tip)
-        engine = AStarRouter(
-            grid, params, overlay_cache=cache, guidance="on"
-        )
-        engine.active_net = 5
-        req = SearchRequest(
-            net_id=5, sources=[(0, Point(2, 2))], targets=[(0, Point(15, 15))]
-        )
-        first = engine.search(req)
-        assert first is not None
-        assert cache.guidance_misses == 1
-        builds = engine.total_guidance_builds
-        second = engine.search(req)
-        assert second is not None
-        assert second.nodes == first.nodes
-        assert cache.guidance_hits == 1
-        assert engine.total_guidance_builds == builds  # served from memo
-
-    def test_occupancy_change_inside_window_invalidates(self):
-        grid = RoutingGrid(20, 20)
-        params = CostParams()
-        cache = OverlayCostCache(grid, params.gamma, params.delta_tip)
-        engine = AStarRouter(
-            grid, params, overlay_cache=cache, guidance="on"
-        )
-        engine.active_net = 5
-        req = SearchRequest(
-            net_id=5, sources=[(0, Point(2, 2))], targets=[(0, Point(15, 15))]
-        )
-        engine.search(req)
-        grid.occupy(0, Point(8, 8), 7)  # lands inside the search window
-        engine.search(req)
-        assert cache.guidance_hits == 0
-        assert cache.guidance_misses == 2
-
-    def test_far_away_change_keeps_the_entry(self):
-        grid = RoutingGrid(40, 40)
-        params = CostParams()
-        cache = OverlayCostCache(grid, params.gamma, params.delta_tip)
-        engine = AStarRouter(
-            grid, params, overlay_cache=cache, guidance="on"
-        )
-        engine.active_net = 5
-        req = SearchRequest(
-            net_id=5, sources=[(0, Point(2, 2))], targets=[(0, Point(8, 8))]
-        )
-        engine.search(req)
-        grid.occupy(0, Point(38, 38), 7)  # far outside the window + margin
-        engine.search(req)
-        assert cache.guidance_hits == 1
+        auto.guidance_trigger = 8
+        _assert_same_found(auto.search(req), plain.search(req))
+        assert plain._last_stats[0] > auto.guidance_trigger
+        assert auto.total_guided_searches == 1
+        assert auto.total_guidance_builds == 1
 
 
 @pytest.mark.parametrize(
@@ -244,7 +184,6 @@ def test_route_all_equivalence(circuit, scale):
         grid, nets = generate_benchmark(spec, scale=scale, seed=2014)
         router = SadpRouter(grid, nets, guidance=mode)
         router.engine.guidance_trigger = 32
-        router.engine.guidance_min_cells = 0  # scaled windows are tiny
         results[mode] = router.route_all()
         engines[mode] = router.engine
     base = results["off"]
@@ -262,6 +201,71 @@ def test_route_all_equivalence(circuit, scale):
         assert engines[mode].total_expansions <= engines["off"].total_expansions
         assert engines[mode].total_guided_searches > 0
     assert engines["off"].total_guided_searches == 0
+
+
+@pytest.mark.parametrize(
+    "circuit,scale,seed",
+    [("Test1", 0.15, 2014), ("Test1", 0.15, 201400), ("Test6", 0.12, 2014)],
+    ids=["Test1@0.15-2014", "Test1@0.15-201400", "Test6@0.12-2014"],
+)
+def test_default_auto_guides_small_designs(circuit, scale, seed):
+    """With the default trigger and no window-size gate, ``"auto"`` guides
+    the searches of a service-sized design and saves expansions, while
+    committing exactly what ``"off"`` commits after the same searches."""
+    spec = spec_by_name(circuit)
+    results = {}
+    engines = {}
+    for mode in ("off", "auto"):
+        grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
+        router = SadpRouter(grid, nets, guidance=mode)
+        results[mode] = router.route_all()
+        engines[mode] = router.engine
+    base, res = results["off"], results["auto"]
+    assert res.routes.keys() == base.routes.keys()
+    for net_id in base.routes:
+        a, b = res.routes[net_id], base.routes[net_id]
+        assert a.success == b.success, f"net {net_id} success diverged"
+        assert a.segments == b.segments, f"net {net_id} path diverged"
+        assert a.vias == b.vias, f"net {net_id} vias diverged"
+        assert a.ripups == b.ripups, f"net {net_id} ripups diverged"
+    assert res.overlay_units == base.overlay_units
+    assert res.total_wirelength == base.total_wirelength
+    auto, off = engines["auto"], engines["off"]
+    assert auto.total_searches == off.total_searches
+    assert auto.total_guided_searches > 0
+    assert auto.total_expansions < off.total_expansions
+
+
+class TestBuildCounter:
+    """``guidance_builds_total{solve=bounded|full}``: one increment per
+    built map, labelled by whether the backward solve stopped at the
+    best path already found."""
+
+    def test_route_records_bounded_solves(self):
+        spec = spec_by_name("Test1")
+        grid, nets = generate_benchmark(spec, scale=0.15, seed=2014)
+        with obs.session() as ob:
+            router = SadpRouter(grid, nets)
+            router.route_all()
+            bounded = ob.registry.value("guidance_builds_total", solve="bounded")
+            total = ob.registry.total("guidance_builds_total")
+        assert bounded > 0
+        assert total == router.engine.total_guidance_builds
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="bounded solves need csgraph")
+    def test_forced_activation_solves_the_full_window(self):
+        """Trigger 0 activates before any target holds a g-score, so
+        there is no bound yet and the whole window is solved."""
+        grid = RoutingGrid(20, 20)
+        engine = AStarRouter(grid, CostParams(), guidance="on")
+        req = SearchRequest(
+            net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(15, 12))]
+        )
+        with obs.session() as ob:
+            assert engine.search(req) is not None
+            full = ob.registry.value("guidance_builds_total", solve="full")
+            bounded = ob.registry.value("guidance_builds_total", solve="bounded")
+        assert (full, bounded) == (1.0, 0.0)
 
 
 def test_parallel_guided_matches_serial_guided():

@@ -1,13 +1,11 @@
-"""Batched guidance builds, worker premaps, and guidance-cache counters.
+"""Batched guidance builds and worker premaps.
 
 ``batched_future_cost_maps`` solves several windows' backward Dijkstra
 in one block-diagonal csgraph call; with no finite edge crossing block
 boundaries the distances are exactly the per-window ones, so the batch
 must be ``array_equal`` to one :func:`future_cost_map` per item. The
 parallel router pre-builds worker guidance maps through this batch path
-— another bit-identity, including the guided-search counters. The
-guidance memo in :class:`OverlayCostCache` reports hits, misses and
-invalidations both as plain attributes and as ``repro.obs`` counters.
+— another bit-identity, including the guided-search counters.
 """
 
 import random
@@ -17,11 +15,8 @@ import pytest
 
 from repro import obs
 from repro.bench.workloads import generate_benchmark, spec_by_name
-from repro.geometry import Point
-from repro.grid import RoutingGrid
 from repro.router import SadpRouter
 from repro.router.guidance import batched_future_cost_maps, future_cost_map
-from repro.router.overlay_cache import OverlayCostCache
 
 
 def _random_items(rng, count):
@@ -69,7 +64,8 @@ class TestBatchedBuilds:
 
     def test_same_shape_windows_share_one_call(self):
         """Same-shape windows group into one block-diagonal solve; the
-        obs counters record one batch covering all of them."""
+        obs counters record one batch covering all of them, and each map
+        as one full build."""
         rng = random.Random(3)
         shape = (2, 6, 6)
         items = []
@@ -86,9 +82,11 @@ class TestBatchedBuilds:
             )
             batches = ob.registry.total("guidance_batch_builds_total")
             maps = ob.registry.total("guidance_batched_maps_total")
+            builds = ob.registry.value("guidance_builds_total", solve="full")
         assert all(b is not None for b in batched)
         assert batches == 1.0
         assert maps == 4.0
+        assert builds == 4.0
 
 
 @pytest.mark.parametrize("kernel", ["python", "numba"])
@@ -122,49 +120,3 @@ def test_parallel_premaps_match_sequential(kernel):
     assert (
         par.engine.total_guidance_builds == seq.engine.total_guidance_builds
     )
-
-
-class TestGuidanceCacheCounters:
-    def _cache(self):
-        grid = RoutingGrid(16, 16)
-        return grid, OverlayCostCache(grid, 1.5, 0.5)
-
-    def test_hits_and_misses(self):
-        _, cache = self._cache()
-        key = ((0, 5, 0, 5), b"\x01", None, "auto")
-        with obs.session() as ob:
-            assert cache.guidance_lookup(1, key) is None
-            cache.guidance_store(1, (0, 5, 0, 5), key, [0.0])
-            assert cache.guidance_lookup(1, key) == [0.0]
-            assert cache.guidance_lookup(1, ("other",)) is None
-            hits = ob.registry.total("guidance_cache_hits_total")
-            misses = ob.registry.total("guidance_cache_misses_total")
-        assert cache.guidance_hits == 1 and hits == 1.0
-        assert cache.guidance_misses == 2 and misses == 2.0
-
-    def test_invalidations(self):
-        grid, cache = self._cache()
-        key = ((0, 5, 0, 5), b"\x01", None, "auto")
-        cache.guidance_store(1, (0, 5, 0, 5), key, [0.0])
-        cache.guidance_store(2, (8, 14, 8, 14), key, [0.0])
-        with obs.session() as ob:
-            grid.occupy(0, Point(3, 3), 9)  # reaches net 1's window only
-            invalidations = ob.registry.total(
-                "guidance_cache_invalidations_total"
-            )
-        assert cache.guidance_invalidations == 1
-        assert invalidations == 1.0
-        assert cache.guidance_lookup(2, key) is not None
-        assert cache.guidance_lookup(1, key) is None
-
-    def test_counters_reach_the_ledger_registry(self):
-        """End-to-end: a guidance="on" route records cache activity that
-        ``record_run`` will pick up generically from the registry."""
-        spec = spec_by_name("Test1")
-        grid, nets = generate_benchmark(spec, scale=0.12, seed=2014)
-        with obs.session() as ob:
-            SadpRouter(grid, nets, guidance="on").route_all()
-            names = {entry["metric"] for entry in ob.registry.snapshot()}
-            misses = ob.registry.total("guidance_cache_misses_total")
-        assert "guidance_cache_misses_total" in names
-        assert misses > 0

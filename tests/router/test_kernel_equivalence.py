@@ -157,7 +157,6 @@ class TestEngineEquivalence:
         grid = RoutingGrid(30, 30)
         py, kn = _engines(grid, CostParams(), guidance="auto")
         py.guidance_trigger = kn.guidance_trigger = 4
-        py.guidance_min_cells = kn.guidance_min_cells = 0
         req = SearchRequest(
             net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(25, 20))]
         )

@@ -23,6 +23,7 @@ _COUNTERS = (
     "astar_nodes_expanded_total",
     "astar_heap_pushes_total",
     "astar_heap_pops_total",
+    "guidance_builds_total",
 )
 
 
@@ -76,6 +77,31 @@ class TestDigestEquivalence:
         assert spans["astar_search"][1] > 0.0
         counters = {name: amount for name, _, amount in res.obs_digest["counters"]}
         assert counters["astar_nodes_expanded_total"] > 0
+
+    def test_digest_carries_guidance_builds(self):
+        """A worker's map builds reach the parent only through the
+        digest, labelled like the live counter."""
+        sub = SearchSubproblem(
+            net_id=0,
+            sources=[(0, Point(1, 2))],
+            targets=[(0, Point(8, 2))],
+            taps=[],
+            bounds=(0, 11, 0, 5),
+            occ=np.zeros((3, 12, 6), dtype=np.int32),
+            die_width=12,
+            die_height=6,
+            horizontal=[True, False, True],
+            params=CostParams(),
+            overlay_terms=None,
+            guidance="on",
+        )
+        res = solve_subproblem(sub)
+        builds = {
+            dict(labels)["solve"]: amount
+            for name, labels, amount in res.obs_digest["counters"]
+            if name == "guidance_builds_total"
+        }
+        assert builds == {"bounded": 0.0, "full": 1.0}
 
     def test_external_spans_marked_and_backdated(self):
         """Folded worker spans are synthetic: flagged ``external`` so no

@@ -174,6 +174,15 @@ class TestCli:
         assert "bad.txt" in err
         assert "line 2" in err
 
+    def test_route_degenerate_block_reports_path_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a L0 2,10 -> L0 20,10\nBLOCK L0 5,5,1,1\n")
+        rc = main(["route", str(bad), "--width", "30", "--height", "30"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "bad.txt: line 2: degenerate rect" in err
+        assert "Traceback" not in err
+
     def test_route_netlist_path_is_directory(self, tmp_path, capsys):
         rc = main(["route", str(tmp_path), "--width", "10", "--height", "10"])
         err = capsys.readouterr().err
