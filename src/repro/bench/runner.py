@@ -92,9 +92,6 @@ def run_cell(
     scale: float = 1.0,
     seed: int = 2014,
     store: Optional[Any] = None,
-    workers: int = 1,
-    shard: str = "auto",
-    kernel: str = "auto",
     router_options: Optional[Dict[str, Any]] = None,
 ) -> BenchRow:
     """Route one (circuit, router) table cell through the staged pipeline.
@@ -111,9 +108,6 @@ def run_cell(
         scale=scale,
         seed=seed,
         router=router,
-        workers=workers,
-        shard=shard,
-        kernel=kernel,
         router_options=dict(router_options) if router_options else None,
     )
     before = phase_totals()
@@ -131,17 +125,11 @@ def run_proposed(
     spec: BenchmarkSpec, scale: float = 1.0, seed: int = 2014, **router_kwargs
 ) -> BenchRow:
     """Route a benchmark with the proposed overlay-aware router."""
-    workers = router_kwargs.pop("workers", 1)
-    shard = router_kwargs.pop("shard", "auto")
-    kernel = router_kwargs.pop("kernel", "auto")
     return run_cell(
         spec,
         router="ours",
         scale=scale,
         seed=seed,
-        workers=workers,
-        shard=shard,
-        kernel=kernel,
         router_options=router_kwargs or None,
     )
 
@@ -197,7 +185,6 @@ def run_matrix(
     scale: float = 1.0,
     seed: int = 2014,
     store: Optional[Any] = None,
-    workers: int = 1,
 ) -> List[BenchRow]:
     """Every (circuit, router) cell, sharing one artifact store so each
     circuit's design/grid artifacts are generated once."""
@@ -205,7 +192,7 @@ def run_matrix(
 
     shared = store if store is not None else MemoryStore()
     return [
-        run_cell(spec, router=router, scale=scale, seed=seed, store=shared, workers=workers)
+        run_cell(spec, router=router, scale=scale, seed=seed, store=shared)
         for spec in specs
         for router in routers
     ]

@@ -7,6 +7,9 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from ..errors import NetlistError
 from .net import Net
 
+#: Strategies :meth:`Netlist.ordered_for_routing` accepts.
+ROUTING_ORDERS = ("hpwl", "hpwl_desc", "id", "random")
+
 
 class Netlist:
     """An ordered collection of uniquely-named, uniquely-numbered nets."""

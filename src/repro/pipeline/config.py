@@ -2,7 +2,7 @@
 
 A :class:`PipelineConfig` pins down everything a run depends on — the
 design source (a netlist file or a paper benchmark instance), grid
-dimensions, layer stack, worker count, overlay cost weights, and the
+dimensions, layer stack, overlay cost weights, and the
 bitmap resolution of the decomposition engine. Stages declare which
 *slice* of the config they depend on (see ``stages.py``), and only that
 slice enters their content hash, so changing e.g. ``bitmap_resolution``
@@ -12,9 +12,10 @@ invalidates decompose/verify but leaves routing artifacts valid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, ClassVar, Dict, Optional
 
-from ..errors import PipelineError
+from ..errors import PipelineError, ReproError
+from ..netlist.netlist import ROUTING_ORDERS
 from ..router.cost import CostParams
 from ..units import DEFAULT_BITMAP_RESOLUTION_NM
 from .store import default_cache_dir
@@ -32,16 +33,15 @@ class PipelineConfig:
     benchmark name, ``Test1``..``Test10``, instantiated at ``scale`` with
     ``seed``).
 
-    ``workers``, ``guidance``, ``shard`` and ``kernel`` deliberately do
-    **not** enter any stage hash: parallel batch routing and
-    region-sharded routing are bit-identical to sequential routing (see
-    ``repro.router.parallel``), guided search is bit-identical to
-    unguided search (see ``repro.router.guidance``), and the compiled
-    search kernel is bit-identical to the interpreted fast path (see
-    ``repro.router.kernel``), so the same design routed with different
-    worker counts, shard modes, guidance modes or kernels shares one
-    routing artifact.
+    ``guidance`` deliberately does **not** enter any stage hash: guided
+    search is bit-identical to unguided search (see
+    ``repro.router.guidance``), so the same design routed with different
+    guidance modes shares one routing artifact.
     """
+
+    #: Routing runs in one process, one net at a time. Not a field:
+    #: ``perfbench/run.py`` reads it, and nothing sets it.
+    workers: ClassVar[int] = 1
 
     # --- design source ------------------------------------------------- #
     netlist: Optional[str] = None
@@ -56,10 +56,7 @@ class PipelineConfig:
 
     # --- routing ------------------------------------------------------- #
     router: str = "ours"
-    workers: Any = 1
     guidance: str = "auto"
-    shard: str = "auto"
-    kernel: str = "auto"
     order: str = "hpwl"
     alpha: float = 1.0
     beta: float = 1.0
@@ -88,10 +85,28 @@ class PipelineConfig:
                 "netlist designs need explicit grid dimensions "
                 "(width and height, in tracks)"
             )
-        if self.circuit is not None and not 0.0 < self.scale <= 1.0:
-            raise PipelineError(f"scale must be in (0, 1], got {self.scale}")
-        if self.num_layers <= 0:
-            raise PipelineError(f"need at least one layer, got {self.num_layers}")
+        if self.circuit is not None:
+            from ..bench.workloads import spec_by_name
+
+            try:
+                spec_by_name(str(self.circuit))
+            except ReproError:
+                raise PipelineError(
+                    f"unknown circuit {self.circuit!r}; choose from "
+                    "Test1..Test10"
+                ) from None
+            if not 0.0 < self.scale <= 1.0:
+                raise PipelineError(f"scale must be in (0, 1], got {self.scale}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if value is not None and (not _is_int(value) or value <= 0):
+                raise PipelineError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        if not _is_int(self.num_layers) or self.num_layers <= 0:
+            raise PipelineError(
+                f"num_layers must be a positive integer, got {self.num_layers!r}"
+            )
         if self.router not in KNOWN_ROUTERS:
             raise PipelineError(
                 f"unknown router {self.router!r}; choose from {KNOWN_ROUTERS}"
@@ -104,14 +119,9 @@ class PipelineConfig:
             raise PipelineError(
                 f"guidance must be 'off', 'auto' or 'on', got {self.guidance!r}"
             )
-        if self.shard not in ("off", "auto", "on"):
+        if self.order not in ROUTING_ORDERS:
             raise PipelineError(
-                f"shard must be 'off', 'auto' or 'on', got {self.shard!r}"
-            )
-        if self.kernel not in ("python", "auto", "numba"):
-            raise PipelineError(
-                f"kernel must be 'python', 'auto' or 'numba', "
-                f"got {self.kernel!r}"
+                f"unknown order {self.order!r}; choose from {ROUTING_ORDERS}"
             )
 
     def cost_params(self) -> CostParams:
@@ -170,3 +180,7 @@ class PipelineConfig:
         """A copy targeting a different router variant (shares every
         upstream artifact of the same design)."""
         return replace(self, router=router, **overrides)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

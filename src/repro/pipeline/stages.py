@@ -188,10 +188,7 @@ class RouteStage(Stage):
             kwargs: Dict[str, Any] = {
                 "params": config.cost_params(),
                 "order": config.order,
-                "workers": config.workers,
                 "guidance": config.guidance,
-                "shard": config.shard,
-                "kernel": config.kernel,
             }
             kwargs.update(options)
             router = SadpRouter(grid, netlist, **kwargs)

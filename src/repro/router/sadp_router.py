@@ -39,13 +39,7 @@ from ..core.cut_conflict import CriticalCut
 from ..geometry import Point, Segment
 from ..grid import CellState, Direction, RoutingGrid
 from ..netlist import Net, Netlist
-from .astar import (
-    AStarRouter,
-    PrecomputedAttempt,
-    SearchRequest,
-    SearchResult,
-    extend_with_taps,
-)
+from .astar import AStarRouter, SearchRequest, SearchResult, extend_with_taps
 from .cost import CostParams, PAPER_PARAMS
 from .overlay_cache import OverlayCostCache
 from .result import NetRoute, RoutingResult
@@ -63,11 +57,7 @@ class SadpRouter:
         enable_t2b_penalty: bool = True,
         enable_merge: bool = True,
         order: str = "hpwl",
-        workers=1,
-        executor: str = "process",
         guidance: str = "auto",
-        shard: str = "auto",
-        kernel: str = "auto",
         core: str = "vector",
     ) -> None:
         self.grid = grid
@@ -77,36 +67,12 @@ class SadpRouter:
         self.enable_t2b_penalty = enable_t2b_penalty
         #: Net-ordering strategy (see Netlist.ordered_for_routing).
         self.order = order
-        #: Parallel batch routing: number of workers for the speculative
-        #: attempt-0 searches (1 = the plain sequential flow) and the
-        #: executor kind ("process" | "thread" | "serial"). Bit-identical
-        #: to sequential for every value — see repro.router.parallel.
-        #: ``workers="auto"`` predicts the batched-net fraction from the
-        #: scheduler before routing and picks serial or parallel per run.
-        self.workers = workers if workers == "auto" else max(1, int(workers))
-        self.executor = executor
         #: Future-cost corridor guidance for the A* fast path
         #: ("off" | "auto" | "on") — bit-identical results for every
         #: value; see repro.router.guidance.
         if guidance not in ("off", "auto", "on"):
             raise ValueError(f"unknown guidance mode: {guidance!r}")
         self.guidance = guidance
-        #: Region-sharded routing ("off" | "auto" | "on") — with multiple
-        #: workers, "auto" prefers the active shard decomposition over
-        #: the passive batch scheduler whenever the shard plan clears the
-        #: engagement bar; "on" forces it (minimal 2x2 tiling if needed);
-        #: "off" keeps the PR-3 batch path. Bit-identical results for
-        #: every value — see repro.router.sharding.
-        if shard not in ("off", "auto", "on"):
-            raise ValueError(f"unknown shard mode: {shard!r}")
-        self.shard = shard
-        #: A* inner-loop implementation ("python" | "auto" | "numba") —
-        #: "auto" runs the compiled kernel exactly when numba is
-        #: importable and the plain fast path otherwise. Bit-identical
-        #: results for every value — see repro.router.kernel.
-        if kernel not in ("python", "auto", "numba"):
-            raise ValueError(f"unknown kernel mode: {kernel!r}")
-        self.kernel = kernel
         #: Constraint-engine backend ("vector" | "object") — "vector" runs
         #: the SoA edge store, batched scenario detection, and vectorized
         #: coloring; "object" is the bit-exact per-object reference path.
@@ -114,14 +80,9 @@ class SadpRouter:
         if core not in ("vector", "object"):
             raise ValueError(f"unknown core backend: {core!r}")
         self.core = core
-        #: ShardPlan computed by :meth:`_resolve_workers` when the run
-        #: goes sharded (reused by dispatch to avoid re-planning).
-        self._shard_plan = None
-        #: ParallelStats of the last route_all (None for sequential runs).
+        #: Always None: routing runs in this process, one net at a time.
+        #: Kept because ``perfbench/run.py`` reads it.
         self.parallel_stats = None
-        #: ``workers="auto"`` rationale dict (the ``parallel_decision``
-        #: trace attributes); None until :meth:`_resolve_workers` runs.
-        self._auto_rationale = None
         #: Ablation knob for contribution 1: with the merge technique
         #: disabled, abutting tips (type 1-b) cannot be merged-and-cut —
         #: every 1-b scenario forces a rip-up, as in the trim process.
@@ -163,7 +124,6 @@ class SadpRouter:
             ),
             overlay_cache=self.overlay_cache,
             guidance=guidance,
-            kernel=kernel,
         )
         self._reserve_pins()
 
@@ -240,50 +200,8 @@ class SadpRouter:
 
     def _route_all(self) -> RoutingResult:
         result = RoutingResult()
-        ordered = list(self.netlist.ordered_for_routing(self.order))
-        workers, mode, auto_choice = self._resolve_workers(ordered)
-        if mode == "sharded" and len(ordered) > 1:
-            from .parallel import ShardedRouter
-
-            runner = ShardedRouter(
-                self,
-                workers=workers,
-                plan=self._shard_plan,
-                executor=self.executor,
-            )
-            if auto_choice is not None:
-                runner.stats.auto_decision = auto_choice[0]
-                runner.stats.predicted_interior_fraction = auto_choice[1]
-            runner.stats.decision_trace = self._auto_rationale or {}
-            runner.route(ordered, result)
-            self.parallel_stats = runner.stats
-        elif mode == "batch" and workers > 1 and len(ordered) > 1:
-            from .parallel import ParallelRouter
-
-            runner = ParallelRouter(
-                self, workers=workers, executor=self.executor
-            )
-            if auto_choice is not None:
-                runner.stats.auto_decision = auto_choice[0]
-                runner.stats.predicted_batched_fraction = auto_choice[1]
-                runner.stats.decision_trace = self._auto_rationale or {}
-            runner.route(ordered, result)
-            self.parallel_stats = runner.stats
-        else:
-            if auto_choice is not None:
-                from .parallel import ParallelStats, emit_decision_event
-
-                self.parallel_stats = ParallelStats(
-                    workers=1,
-                    executor="serial",
-                    mode="serial",
-                    auto_decision=auto_choice[0],
-                    predicted_batched_fraction=auto_choice[1],
-                    decision_trace=self._auto_rationale or {},
-                )
-                emit_decision_event(self.parallel_stats.decision_trace)
-            for net in ordered:
-                result.routes[net.net_id] = self.route_net(net)
+        for net in self.netlist.ordered_for_routing(self.order):
+            result.routes[net.net_id] = self.route_net(net)
         result.routes.update(self._evicted_routes)
         self._evicted_routes.clear()
         self._rescue_pass(result)
@@ -329,136 +247,11 @@ class SadpRouter:
         result.color_flips = self._flip_count
         return result
 
-    def _resolve_workers(self, ordered: Sequence[Net]):
-        """Concrete worker count, parallel mode, and the auto decision.
-
-        Returns ``(workers, mode, auto_choice)`` where ``mode`` is
-        ``"sharded"`` (region decomposition, repro.router.sharding) or
-        ``"batch"`` (PR-3 halo-disjoint batching; also the label for the
-        plain sequential flow when ``workers`` resolves to 1), and
-        ``auto_choice`` is ``None`` for explicit worker settings or
-        ``(decision, predicted_fraction)`` for ``workers="auto"``.
-
-        ``workers="auto"`` dry-runs the shard planner first — the active
-        decomposition engages whenever the plan clears the interior-net
-        bar (:func:`~repro.router.sharding.should_shard`) — and only then
-        the batch scheduler; when neither predicts enough off-main-process
-        work, the run stays serial. Both dry-runs are pure geometry over
-        pin windows and their evidence lands in ``_auto_rationale``.
-        """
-        if self.workers != "auto":
-            self._auto_rationale = None
-            workers = self.workers
-            if self.shard == "off" or len(ordered) < 2 or (
-                workers <= 1 and self.shard != "on"
-            ):
-                return workers, "batch", None
-            from .sharding import plan_shards, should_shard
-
-            plan = plan_shards(
-                ordered,
-                self.params.search_margin,
-                self.grid.width,
-                self.grid.height,
-                force=(self.shard == "on"),
-            )
-            if self.shard == "on" or should_shard(plan):
-                self._shard_plan = plan
-                return workers, "sharded", None
-            return workers, "batch", None
-        import os
-
-        from .parallel import (
-            AUTO_MIN_BATCHED_FRACTION,
-            BatchScheduler,
-            predict_batch_plan,
-        )
-        from .sharding import (
-            SHARD_MIN_INTERIOR_FRACTION,
-            SHARD_MIN_INTERIOR_NETS,
-            plan_shards,
-            should_shard,
-        )
-
-        workers = min(4, os.cpu_count() or 1)
-        if workers < 2 or len(ordered) < 2:
-            self._auto_rationale = {
-                "decision": "serial",
-                "predicted_batched_fraction": 0.0,
-                "threshold": AUTO_MIN_BATCHED_FRACTION,
-                "nets": len(ordered),
-                "workers_considered": workers,
-                "reason": (
-                    "single-core host" if workers < 2 else "netlist too small"
-                ),
-            }
-            return 1, "batch", ("serial", 0.0)
-        splan = plan_shards(
-            ordered,
-            self.params.search_margin,
-            self.grid.width,
-            self.grid.height,
-        )
-        shard_info = {
-            "shard_min_interior_fraction": SHARD_MIN_INTERIOR_FRACTION,
-            "shard_min_interior_nets": SHARD_MIN_INTERIOR_NETS,
-            **{f"shard_{k}": v for k, v in splan.to_dict().items()},
-        }
-        if self.shard != "off" and should_shard(splan):
-            fraction = splan.interior_fraction
-            self._auto_rationale = {
-                "decision": "sharded",
-                "workers_considered": workers,
-                "reason": (
-                    f"predicted interior fraction {fraction:.3f} >= "
-                    f"{SHARD_MIN_INTERIOR_FRACTION} with "
-                    f"{splan.interior_nets} interior nets >= "
-                    f"{SHARD_MIN_INTERIOR_NETS}"
-                ),
-                **shard_info,
-            }
-            self._shard_plan = splan
-            return workers, "sharded", ("sharded", fraction)
-        scheduler = BatchScheduler(
-            self.params,
-            self.grid.rules,
-            self.grid.width,
-            self.grid.height,
-            max_batch=max(2 * workers, 2),
-            lookahead=max(8 * workers, 16),
-        )
-        plan = predict_batch_plan(scheduler, ordered)
-        fraction = plan.batched_fraction
-        decision = (
-            "serial" if fraction < AUTO_MIN_BATCHED_FRACTION else "parallel"
-        )
-        self._auto_rationale = {
-            "decision": decision,
-            "threshold": AUTO_MIN_BATCHED_FRACTION,
-            "workers_considered": workers,
-            "reason": (
-                f"predicted batched fraction {fraction:.3f} "
-                f"{'<' if decision == 'serial' else '>='} threshold "
-                f"{AUTO_MIN_BATCHED_FRACTION}; shard plan below its "
-                "engagement bar"
-                if self.shard != "off"
-                else f"predicted batched fraction {fraction:.3f} "
-                f"{'<' if decision == 'serial' else '>='} threshold "
-                f"{AUTO_MIN_BATCHED_FRACTION}; sharding disabled"
-            ),
-            **shard_info,
-            **plan.to_dict(),
-        }
-        if decision == "serial":
-            return 1, "batch", ("serial", fraction)
-        return workers, "batch", ("parallel", fraction)
-
     def route_net(
         self,
         net: Net,
         preserve_penalties: bool = False,
         allow_chain: bool = True,
-        precomputed: Optional[PrecomputedAttempt] = None,
     ) -> NetRoute:
         """Route one net with the rip-up & reroute loop of Fig. 19.
 
@@ -466,17 +259,12 @@ class SadpRouter:
         specific committed neighbour (typically a pin-adjacent trap), a
         depth-one *chained* rip-up evicts that neighbour, routes this net,
         and reroutes the evicted one.
-
-        ``precomputed`` injects a speculative attempt-0 search outcome
-        (from the parallel batch router) consumed in place of the loop's
-        first search; every later attempt, commit and rip-up decision
-        runs unchanged on the live grid.
         """
         ob = obs.get_active()
         if ob is None:
-            return self._route_net(net, preserve_penalties, allow_chain, precomputed)
+            return self._route_net(net, preserve_penalties, allow_chain)
         with ob.tracer.span("route_net", net_id=net.net_id) as sp:
-            route = self._route_net(net, preserve_penalties, allow_chain, precomputed)
+            route = self._route_net(net, preserve_penalties, allow_chain)
         sp.attrs["success"] = route.success
         sp.attrs["ripups"] = route.ripups
         ob.registry.histogram("route_net_seconds").observe(sp.duration_s)
@@ -490,7 +278,6 @@ class SadpRouter:
         net: Net,
         preserve_penalties: bool = False,
         allow_chain: bool = True,
-        precomputed: Optional[PrecomputedAttempt] = None,
     ) -> NetRoute:
         route = NetRoute(net_id=net.net_id)
         self._active_net = net.net_id
@@ -510,19 +297,11 @@ class SadpRouter:
                 # Last chance: open the window wide (capped — on big dies
                 # a whole-grid window makes failing nets very expensive).
                 margin = min(max(self.grid.width, self.grid.height), 48)
-            if attempt == 0 and precomputed is not None:
-                # Speculative attempt-0 from the batch router, computed
-                # off a verified-fresh snapshot: exactly what the search
-                # below would have returned, so consume it in its place.
-                found = precomputed.found
-                outcome = precomputed.outcome
-            else:
-                found = self.engine.search(request, extra_margin=margin)
-                if found is not None and net.taps:
-                    found = self._connect_taps(net, found, margin)
-                outcome = self.engine.last_outcome
+            found = self.engine.search(request, extra_margin=margin)
+            if found is not None and net.taps:
+                found = self._connect_taps(net, found, margin)
             if found is None:
-                if outcome == "budget_exhausted":
+                if self.engine.last_outcome == "budget_exhausted":
                     # The search ran out of budget, not of reachable
                     # cells: the next attempt's wider window needs a
                     # bigger budget, and penalising cells would steer
@@ -547,11 +326,7 @@ class SadpRouter:
     def _connect_taps(
         self, net: Net, trunk: SearchResult, margin: int
     ) -> Optional[SearchResult]:
-        """Steiner extension on the live engine; see ``extend_with_taps``.
-
-        The tree-growing loop itself is shared with the parallel
-        workers' snapshot solver, so the two paths cannot drift apart.
-        """
+        """Steiner extension on the live engine; see ``extend_with_taps``."""
         return extend_with_taps(
             lambda request: self.engine.search(request, extra_margin=margin),
             net.net_id,

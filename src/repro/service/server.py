@@ -40,23 +40,22 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..obs.prom import to_prometheus
-from ..pipeline import ALL_STAGES, ArtifactStore, default_cache_dir
+from ..pipeline import ALL_STAGES, ArtifactStore, PipelineConfig, default_cache_dir
 from .jobs import JobRegistry, ServiceError, dumps_event
 from .quotas import TenantQuotas
 from .worker import InlineWorkerPool, WorkerPool
 
 #: Submission keys forwarded into :class:`PipelineConfig` verbatim.
-_CONFIG_PASSTHROUGH = (
-    "router",
-    "workers",
-    "guidance",
-    "shard",
-    "kernel",
-    "order",
-    "num_layers",
+_CONFIG_PASSTHROUGH = ("router", "guidance", "order", "num_layers")
+
+#: Every key a submission body may carry.
+_SUBMISSION_KEYS = frozenset(
+    ("design_text", "width", "height", "circuit", "scale", "seed", "targets", "tenant")
+    + _CONFIG_PASSTHROUGH
 )
 
 _EVENT_POLL_S = 0.05
@@ -141,50 +140,21 @@ class RoutingService:
 
     def submit(self, payload: Dict[str, Any], tenant: str = "") -> Dict[str, Any]:
         """Validate a submission, admit it against the tenant quota, and
-        queue the job; returns the initial job snapshot."""
+        queue the job; returns the initial job snapshot.
+
+        Any invalid body raises a 400 :class:`ServiceError` before the
+        job takes a queue slot."""
         if not isinstance(payload, dict):
             raise ServiceError("submission body must be a JSON object")
+        unknown = sorted(set(payload) - _SUBMISSION_KEYS)
+        if unknown:
+            raise ServiceError(f"unknown submission keys {unknown}")
         tenant = str(payload.get("tenant") or tenant or "anon")
-        config: Dict[str, Any] = {"cache_dir": self.cache_dir}
-        for key in _CONFIG_PASSTHROUGH:
-            if key in payload:
-                config[key] = payload[key]
-        if payload.get("design_text") is not None:
-            width, height = payload.get("width"), payload.get("height")
-            if not width or not height:
-                raise ServiceError(
-                    "design_text submissions need width and height (tracks)"
-                )
-            spooled = self.registry.spool_design(str(payload["design_text"]))
-            config.update(
-                netlist=str(spooled), width=int(width), height=int(height)
-            )
-            design_label = f"design:{spooled.stem}"
-        elif payload.get("circuit"):
-            config.update(
-                circuit=str(payload["circuit"]),
-                scale=float(payload.get("scale", 0.15)),
-                seed=int(payload.get("seed", 2014)),
-            )
-            design_label = (
-                f"{config['circuit']}@{config['scale']}/seed{config['seed']}"
-            )
-        else:
-            raise ServiceError(
-                "submission needs design_text (+width/height) or circuit"
-            )
-        targets = payload.get("targets")
-        if targets is not None:
-            targets = [str(t) for t in targets]
-            unknown = set(targets) - set(ALL_STAGES)
-            if unknown:
-                raise ServiceError(f"unknown stages {sorted(unknown)}")
-        # Validate the config before burning a queue slot.
-        from ..pipeline import PipelineConfig
-
         try:
-            PipelineConfig(**config).validate()
-        except TypeError as exc:
+            config, design_label, targets = self._job_config(payload)
+        except ServiceError:
+            raise
+        except (ReproError, TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"bad submission: {exc}") from None
         reason = self.quotas.try_acquire(tenant)
         if reason is not None:
@@ -202,6 +172,46 @@ class RoutingService:
         }
         self.pool.submit(task)
         return job.snapshot()
+
+    def _job_config(self, payload: Dict[str, Any]):
+        """The job's validated ``(config, design label, targets)``."""
+        config: Dict[str, Any] = {"cache_dir": self.cache_dir}
+        for key in _CONFIG_PASSTHROUGH:
+            if key in payload:
+                config[key] = payload[key]
+        if payload.get("design_text") is not None:
+            width, height = payload.get("width"), payload.get("height")
+            if not width or not height:
+                raise ServiceError(
+                    "design_text submissions need width and height (tracks)"
+                )
+            config.update(width=int(width), height=int(height))
+            spooled = self.registry.spool_design(str(payload["design_text"]))
+            config["netlist"] = str(spooled)
+            design_label = f"design:{spooled.stem}"
+        elif payload.get("circuit"):
+            config.update(
+                circuit=str(payload["circuit"]),
+                scale=float(payload.get("scale", 0.15)),
+                seed=int(payload.get("seed", 2014)),
+            )
+            design_label = (
+                f"{config['circuit']}@{config['scale']}/seed{config['seed']}"
+            )
+        else:
+            raise ServiceError(
+                "submission needs design_text (+width/height) or circuit"
+            )
+        targets = payload.get("targets")
+        if targets is not None:
+            if not isinstance(targets, list):
+                raise ServiceError("targets must be a list of stage names")
+            targets = [str(t) for t in targets]
+            unknown = set(targets) - set(ALL_STAGES)
+            if unknown:
+                raise ServiceError(f"unknown stages {sorted(unknown)}")
+        PipelineConfig(**config).validate()
+        return config, design_label, targets
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing

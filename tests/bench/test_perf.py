@@ -9,13 +9,9 @@ from repro.bench.perf import (
     check_against_baseline,
     check_core_equivalence,
     check_guidance_equivalence,
-    check_kernel_equivalence,
-    check_parallel_equivalence,
-    full_tier_skip_reason,
     render_phase_table,
     run_perf,
 )
-from repro.router.kernel import kernel_backend_name
 from repro.bench.runner import BenchRow, append_rows_json, rows_to_json
 
 
@@ -136,151 +132,6 @@ class TestPhaseSplit:
         assert len(render_phase_table(payload).splitlines()) == 2
 
 
-class TestKernelBench:
-    @pytest.fixture(scope="class")
-    def payload(self):
-        return run_perf(
-            workloads=["Test1"],
-            scales={"Test1": 0.06},
-            rounds=1,
-            include_reference=False,
-            include_kernel=True,
-            include_phases=False,
-            verbose=False,
-        )
-
-    def test_kernel_row_fields(self, payload):
-        (wl,) = payload["workloads"]
-        kern = wl["kernel"]
-        assert kern["route_all_s"] > 0
-        assert kern["kernel_backend"] == kernel_backend_name()
-        assert "kernel_speedup" in wl
-        summary = payload["summary"]
-        assert summary["kernel_backend"] == kernel_backend_name()
-        if kernel_backend_name() == "interpreted":
-            # The fallback's ratio times CPython against CPython —
-            # recorded as an explicit null so trend lines on numba-free
-            # hosts are not polluted by a meaningless series.
-            assert wl["kernel_speedup"] is None
-            assert "geomean_kernel_speedup" not in summary
-        else:
-            assert wl["kernel_speedup"] > 0
-            assert "geomean_kernel_speedup" in summary
-
-    def test_kernel_matches_guided_bit_for_bit(self, payload):
-        (wl,) = payload["workloads"]
-        kern, guided = wl["kernel"], wl["guided"]
-        for metric in ("routability_pct", "overlay_units", "searches", "expansions"):
-            assert kern[metric] == guided[metric]
-        assert check_kernel_equivalence(payload) == []
-
-    def test_gate_catches_mismatch(self):
-        payload = {
-            "workloads": [
-                {
-                    "circuit": "Test1",
-                    "fast": {},
-                    "guided": {
-                        "routability_pct": 100.0,
-                        "overlay_units": 4.0,
-                        "searches": 50,
-                        "expansions": 1000,
-                    },
-                    "kernel": {
-                        "routability_pct": 100.0,
-                        "overlay_units": 5.0,
-                        "searches": 50,
-                        "expansions": 1100,
-                    },
-                }
-            ]
-        }
-        problems = check_kernel_equivalence(payload)
-        assert len(problems) == 2  # overlay + expansions diverged
-
-    def test_gate_passes_without_kernel_sample(self):
-        payload = {"workloads": [{"circuit": "Test1", "fast": {}}]}
-        assert check_kernel_equivalence(payload) == []
-
-    def test_gate_falls_back_to_fast_sample(self):
-        payload = {
-            "workloads": [
-                {
-                    "circuit": "Test1",
-                    "fast": {
-                        "routability_pct": 100.0,
-                        "overlay_units": 4.0,
-                        "searches": 50,
-                    },
-                    "kernel": {
-                        "routability_pct": 100.0,
-                        "overlay_units": 4.0,
-                        "searches": 50,
-                        # expansions may differ from *unguided* fast —
-                        # the kernel runs guided; not compared here
-                        "expansions": 900,
-                    },
-                }
-            ]
-        }
-        assert check_kernel_equivalence(payload) == []
-
-
-class TestParallelBench:
-    def test_parallel_mode_fields_and_equivalence(self):
-        payload = run_perf(
-            workloads=["Test1"],
-            scales={"Test1": 0.06},
-            rounds=1,
-            include_reference=False,
-            include_phases=False,
-            workers=2,
-            executor="thread",
-            verbose=False,
-        )
-        assert payload["config"]["workers"] == 2
-        (wl,) = payload["workloads"]
-        assert wl["parallel"]["route_all_s"] > 0
-        assert "parallel_speedup" in wl
-        stats = wl["parallel_stats"]
-        assert stats["workers"] == 2
-        for key in ("batches", "mean_batch_size", "fallbacks"):
-            assert key in stats
-        assert check_parallel_equivalence(payload) == []
-
-    def test_workers_auto_records_decision(self):
-        payload = run_perf(
-            workloads=["Test1"],
-            scales={"Test1": 0.06},
-            rounds=1,
-            include_reference=False,
-            include_guidance=False,
-            include_phases=False,
-            workers="auto",
-            executor="thread",
-            verbose=False,
-        )
-        assert payload["config"]["workers"] == "auto"
-        (wl,) = payload["workloads"]
-        stats = wl["parallel_stats"]
-        assert stats["auto_decision"] in ("serial", "parallel")
-        assert 0.0 <= stats["predicted_batched_fraction"] <= 1.0
-        assert check_parallel_equivalence(payload) == []
-
-    def test_equivalence_gate_catches_mismatch(self):
-        payload = {
-            "workloads": [
-                {
-                    "circuit": "Test1",
-                    "fast": {"routability_pct": 100.0, "overlay_units": 4.0},
-                    "parallel": {"routability_pct": 98.0, "overlay_units": 5.0},
-                }
-            ]
-        }
-        problems = check_parallel_equivalence(payload)
-        assert len(problems) == 2
-
-
 class TestGuidanceGate:
     def test_gate_catches_metric_and_expansion_mismatch(self):
         payload = {
@@ -344,53 +195,6 @@ class TestCoreEquivalenceGate:
     def test_passes_without_reference_sample(self):
         payload = {"workloads": [{"circuit": "Test1", "fast": {}}]}
         assert check_core_equivalence(payload) == []
-
-
-class TestFullTierSkip:
-    def _payload(self, reasons):
-        return {
-            "tiers": {
-                "full": {
-                    "workloads": [
-                        {
-                            "circuit": f"Test{i}",
-                            "parallel_stats": {
-                                "decision_trace": {"reason": r}
-                            },
-                        }
-                        for i, r in enumerate(reasons)
-                    ]
-                }
-            }
-        }
-
-    def test_single_core_host_skips(self):
-        payload = self._payload(["single-core host", "single-core host"])
-        assert full_tier_skip_reason(payload) == "single-core host"
-
-    def test_any_other_reason_runs_the_gate(self):
-        payload = self._payload(["single-core host", "netlist too small"])
-        assert full_tier_skip_reason(payload) is None
-
-    def test_probe_reason_counts(self):
-        payload = {
-            "tiers": {
-                "full": {
-                    "workloads": [
-                        {
-                            "circuit": "Test5",
-                            "auto_decision_probe": {
-                                "reason": "single-core host"
-                            },
-                        }
-                    ]
-                }
-            }
-        }
-        assert full_tier_skip_reason(payload) == "single-core host"
-
-    def test_no_full_tier_means_no_skip(self):
-        assert full_tier_skip_reason({"workloads": []}) is None
 
 
 class TestRegressionGate:

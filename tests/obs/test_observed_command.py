@@ -62,20 +62,6 @@ class TestLedgerRecording:
         assert record.command == "bench"
         assert record.workload == "Test1@0.1"
 
-    def test_auto_workers_decision_lands_in_record(
-        self, tmp_path, monkeypatch
-    ):
-        ledger_dir = tmp_path / "runs"
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
-        assert main(
-            ["bench", "Test1", "--scale", "0.1", "--workers", "auto"]
-        ) == 0
-        with Ledger(ledger_dir) as led:
-            record = led.history()[0]
-        assert record.parallel_decision is not None
-        assert record.parallel_decision["decision"] in ("serial", "parallel")
-        assert "reason" in record.parallel_decision
-
 
 class TestObsSubcommands:
     def _two_runs(self, netlist_file, ledger_dir, monkeypatch):
@@ -128,6 +114,41 @@ class TestObsSubcommands:
             led.record(b)
         assert main(["obs", "diff", a.run_id, b.run_id, "--gate"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_records_with_a_parallel_decision_still_load(
+        self, netlist_file, tmp_path, monkeypatch, capsys
+    ):
+        """Ledgers written while parallel routing existed carry a
+        ``parallel_decision`` key; history and diff still read them."""
+        ledger_dir = tmp_path / "runs"
+        ledger_dir.mkdir()
+        stored = {
+            "schema": 1,
+            "run_id": "r20260101-000000-abcdef",
+            "ts": 1767225600.0,
+            "command": "route",
+            "workload": netlist_file,
+            "config_hash": "0123456789abcdef",
+            "outcome": "ok",
+            "wall_s": 0.5,
+            "phases": {"search": 0.2},
+            "counters": {"nets_routed_total": 2.0},
+            "resources": {"peak_rss_mb": 100.0},
+            "provenance": {"repro": "0.1.0"},
+            "meta": {"config": {"workers": 1, "shard": "auto"}},
+            "parallel_decision": {"decision": "serial", "reason": "tiny"},
+        }
+        (ledger_dir / "records.jsonl").write_text(json.dumps(stored) + "\n")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
+        assert _route(netlist_file) == 0
+        capsys.readouterr()  # drain the route command's own output
+        assert main(["obs", "history"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert len(listed) == 2
+        assert listed[1].startswith(stored["run_id"])
+        new_id = listed[0].split()[0]
+        assert main(["obs", "diff", stored["run_id"], new_id]) == 0
+        assert "verdict:" in capsys.readouterr().out
 
     def test_show_dumps_record_json(self, netlist_file, tmp_path, monkeypatch, capsys):
         (run_a, _) = self._two_runs(netlist_file, tmp_path / "runs", monkeypatch)

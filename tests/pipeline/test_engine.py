@@ -53,25 +53,6 @@ class TestCaching:
         )
         assert second.artifacts["routing"].hash != first.artifacts["routing"].hash
 
-    def test_workers_do_not_change_hashes(self, tmp_path):
-        first = Pipeline(_config(tmp_path, workers=1)).run()
-        second = Pipeline(_config(tmp_path, workers=2)).run()
-        assert second.executed_count == 0
-        assert second.artifacts["routing"].hash == first.artifacts["routing"].hash
-
-    def test_kernel_does_not_change_hashes(self, tmp_path):
-        """The compiled kernel is bit-identical to the python path, so
-        ``kernel`` stays out of every stage hash — all three modes share
-        one routing artifact."""
-        first = Pipeline(_config(tmp_path, kernel="python")).run()
-        for mode in ("auto", "numba"):
-            again = Pipeline(_config(tmp_path, kernel=mode)).run()
-            assert again.executed_count == 0
-            assert (
-                again.artifacts["routing"].hash
-                == first.artifacts["routing"].hash
-            )
-
     def test_memory_store_isolated_per_instance(self, tmp_path):
         config = _config(tmp_path)
         a = Pipeline(config, store=MemoryStore()).run(targets=("route",))
@@ -169,6 +150,32 @@ class TestValidation:
             Pipeline(
                 PipelineConfig(circuit="Test1", router="magic", cache_dir=str(tmp_path))
             )
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(order="bogus"), "unknown order"),
+            (dict(circuit="Test99"), "unknown circuit"),
+            (dict(num_layers=1.5), "num_layers must be a positive integer"),
+            (dict(num_layers=True), "num_layers must be a positive integer"),
+            (
+                dict(circuit=None, netlist="a.txt", width=-5, height=16),
+                "width must be a positive integer",
+            ),
+            (
+                dict(circuit=None, netlist="a.txt", width=16, height=0),
+                "height must be a positive integer",
+            ),
+        ],
+    )
+    def test_bad_field_rejected(self, tmp_path, overrides, match):
+        with pytest.raises(PipelineError, match=match):
+            _config(tmp_path, **overrides).validate()
+
+    def test_removed_knobs_are_not_fields(self, tmp_path):
+        for knob in ("workers", "shard", "kernel"):
+            with pytest.raises(TypeError):
+                _config(tmp_path, **{knob: 1})
 
     def test_duplicate_producer_rejected(self, tmp_path):
         class Dup(Stage):

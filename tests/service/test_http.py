@@ -1,11 +1,32 @@
 """HTTP API behaviour against an embedded inline-worker service."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.prom import validate_prometheus_text
 from repro.service import RoutingService, ServiceClient, ServiceError
 
 DESIGN = "n0 L0 1,2 -> L0 9,2\nn1 L0 4,4 -> L0 4,11\n"
+
+#: Submission bodies that must be refused with a 400 before they take a
+#: queue slot, by what is wrong with them.
+BAD_BODIES = {
+    "scale not a number": {"circuit": "Test1", "scale": "abc"},
+    "seed not a number": {"circuit": "Test1", "seed": "x"},
+    "width not a number": {"design_text": DESIGN, "width": "w", "height": 16},
+    "router not a name": {"circuit": "Test1", "router": 5},
+    "guidance not a mode": {"circuit": "Test1", "guidance": 3},
+    "scale out of range": {"circuit": "Test1", "scale": 1e9},
+    "unknown order": {"circuit": "Test1", "order": "bogus"},
+    "unknown circuit": {"circuit": "Test99"},
+    "fractional num_layers": {"circuit": "Test1", "num_layers": 1.5},
+    "negative width": {"design_text": DESIGN, "width": -5, "height": 16},
+    "targets not a list": {"circuit": "Test1", "targets": "route"},
+    "removed kernel knob": {"circuit": "Test1", "kernel": "cuda"},
+    "removed shard knob": {"circuit": "Test1", "shard": "maybe"},
+    "removed workers knob": {"circuit": "Test1", "workers": 12},
+}
 
 
 class TestValidation:
@@ -46,6 +67,104 @@ class TestValidation:
     def test_method_not_allowed(self, client):
         status, _ = client._request("DELETE", "/jobs")
         assert status == 405
+
+
+class TestSubmissionValidation:
+    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=BAD_BODIES.keys())
+    def test_bad_body_is_a_400_and_takes_no_slot(self, client, body):
+        with pytest.raises(ServiceError) as err:
+            client.submit(body)
+        assert err.value.status == 400
+        assert client.jobs() == []
+
+    @pytest.mark.parametrize("key", ["workers", "shard", "kernel", "alpha"])
+    def test_unknown_key_is_named(self, client, key):
+        with pytest.raises(ServiceError) as err:
+            client.submit({"circuit": "Test1", key: 1})
+        assert err.value.status == 400
+        assert f"unknown submission keys ['{key}']" in str(err.value)
+
+    def test_every_known_key_is_admitted(self, holding_service):
+        body = {
+            "circuit": "test6",
+            "scale": 0.1,
+            "seed": 7,
+            "targets": ["route"],
+            "tenant": "t",
+            "router": "gao-pan",
+            "guidance": "off",
+            "order": "random",
+            "num_layers": 2,
+        }
+        snap = ServiceClient(holding_service.url).submit(body)
+        assert snap["status"] == "queued"
+
+
+class _HoldingPool:
+    """A worker pool that queues tasks and never runs them."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def start(self):
+        return self
+
+    def submit(self, task):
+        self.tasks.append(task)
+
+    def stop(self):
+        pass
+
+
+@pytest.fixture(scope="module")
+def holding_service(tmp_path_factory):
+    """A live HTTP front-end whose admitted jobs never run, so random
+    bodies cannot start real routing work."""
+    svc = RoutingService(
+        port=0,
+        workers=0,
+        cache_dir=str(tmp_path_factory.mktemp("holding")),
+        max_active_per_tenant=10**9,
+        ledger=False,
+    )
+    svc.pool = _HoldingPool()
+    svc.start_background()
+    yield svc
+    svc.stop()
+
+
+_SUBMISSION_KEYS = (
+    "design_text", "width", "height", "circuit", "scale", "seed", "targets",
+    "tenant", "router", "guidance", "order", "num_layers",
+)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(
+        [DESIGN, "Test1", "test6", "Test99", "ours", "du", "hpwl", "id",
+         "off", "on", "route", "report", "0.1", "16"]
+    ),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_bodies = st.dictionaries(
+    st.sampled_from(_SUBMISSION_KEYS) | st.text(max_size=6),
+    _json_values,
+    max_size=6,
+) | _json_values
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=_bodies)
+def test_no_submission_body_gets_a_500(holding_service, body):
+    status, raw = ServiceClient(holding_service.url)._request(
+        "POST", "/jobs", body
+    )
+    assert status == 202 or 400 <= status < 500, raw
 
 
 class TestJobFlow:
