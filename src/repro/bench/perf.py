@@ -22,11 +22,12 @@ end and per core-engine phase), not absolute wall times, so a baseline
 recorded on one machine is meaningful on any runner: the ratio cancels
 machine speed, and the tolerance absorbs runner noise.
 
-The ``reference`` mode pins both slow paths — the dict-based A* *and*
-the object-per-edge constraint-graph/coloring/commit core — while every
-other mode runs the vectorized SoA core, so the headline speedup is the
-full old-vs-new A/B and ``core_phase_speedup`` isolates the core
-engine's share (graph+flip+commit) of it.
+The ``reference`` mode routes with
+:func:`repro.router.reference.reference_router` — the dict-based A*, the
+object scenario detector and the object-per-edge constraint graph —
+while every other mode runs the production router, so the headline
+speedup is the full oracle-vs-production A/B and ``core_phase_speedup``
+isolates the core engine's share (graph+flip+commit) of it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .. import obs
 from ..obs.export import phase_totals
 from ..obs.provenance import collect_provenance
 from ..router import SadpRouter
+from ..router.reference import reference_router
 from .workloads import generate_benchmark, spec_by_name
 
 #: Schema of one tier's flat payload (what :func:`run_perf` returns).
@@ -72,16 +74,15 @@ DEFAULT_SCALES: Dict[str, float] = {
 DEFAULT_WORKLOADS = ("Test1", "Test2", "Test3", "Test5", "Test6")
 
 #: Bench modes and the router configuration each one measures.
-#: ``fast`` is the unguided flat-array path (the guidance-off side of the
-#: A/B); ``guided`` enables the future-cost corridor maps. ``core`` picks
-#: the constraint-graph/coloring/commit engine: ``reference`` keeps the
-#: object-per-edge implementation so the A/B measures the vectorized SoA
-#: engine (everything else) against it; :func:`check_core_equivalence`
-#: gates their bit-identity.
+#: ``reference`` routes on the oracles (:func:`reference_router`), so the
+#: A/B measures the production router against them;
+#: :func:`check_core_equivalence` gates their bit-identity. ``fast`` is
+#: the unguided production router (the guidance-off side of the A/B);
+#: ``guided`` enables the future-cost corridor maps.
 _MODE_CONFIG = {
-    "reference": dict(use_reference=True, guidance="off", core="object"),
-    "fast": dict(use_reference=False, guidance="off", core="vector"),
-    "guided": dict(use_reference=False, guidance="auto", core="vector"),
+    "reference": dict(guidance="off"),
+    "fast": dict(guidance="off"),
+    "guided": dict(guidance="auto"),
 }
 
 #: Phases owned by the core engine (the A* search phase is shared).
@@ -245,10 +246,8 @@ def _make_router(circuit: str, scale: float, seed: int, mode: str) -> SadpRouter
     """A fresh router instance configured for one bench mode."""
     spec = spec_by_name(circuit)
     grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-    cfg = _MODE_CONFIG[mode]
-    router = SadpRouter(grid, nets, guidance=cfg["guidance"], core=cfg["core"])
-    router.engine.use_reference = cfg["use_reference"]
-    return router
+    build = reference_router if mode == "reference" else SadpRouter
+    return build(grid, nets, **_MODE_CONFIG[mode])
 
 
 def _run_once(circuit: str, scale: float, seed: int, mode: str) -> _Run:
@@ -535,12 +534,13 @@ def check_guidance_equivalence(payload: dict) -> List[str]:
 def check_core_equivalence(payload: dict) -> List[str]:
     """Bit-identity gate for the vectorized core engine.
 
-    The ``reference`` sample runs the object-per-edge constraint
-    graph/coloring/commit engine (``core="object"``); every other mode
-    runs the SoA vector engine. The rewrite is a pure representation
-    change, so the committed result must be exactly identical — any
-    routability or overlay drift means the vector engine changed a
-    decision, not just its speed. Returns problems (empty = pass).
+    The ``reference`` sample runs on the oracles (the object-per-edge
+    constraint graph/coloring/commit engine and the dict A*, see
+    :func:`reference_router`); every other mode runs the SoA vector
+    engine. The rewrite is a pure representation change, so the
+    committed result must be exactly identical — any routability or
+    overlay drift means the vector engine changed a decision, not just
+    its speed. Returns problems (empty = pass).
     """
     problems: List[str] = []
     for tier, flat in iter_tier_payloads(payload):

@@ -10,18 +10,12 @@ from .scenarios import (
     SCENARIO_RULES,
     scenario_for_relation,
 )
-from .scenario_detect import (
-    DetectedScenario,
-    ScenarioDetector,
-    ShapeRecord,
-    VectorScenarioDetector,
-    make_detector,
-)
+from .scenario_detect import DetectedScenario, ShapeRecord, VectorScenarioDetector
 from .edges import ConstraintEdge, EdgeKind
 from .edge_store import EdgeStore
 from .odd_cycle import ParityUnionFind
 from .constraint_graph import OverlayConstraintGraph
-from .constraint_graph_soa import SoAOverlayConstraintGraph, make_constraint_graph
+from .constraint_graph_soa import SoAOverlayConstraintGraph
 from .pseudo_color import pseudo_color
 from .color_flip import flip_colors, optimal_tree_coloring
 from .cut_conflict import CutConflict, CutConflictChecker
@@ -36,17 +30,14 @@ __all__ = [
     "SCENARIO_RULES",
     "scenario_for_relation",
     "DetectedScenario",
-    "ScenarioDetector",
     "ShapeRecord",
     "VectorScenarioDetector",
-    "make_detector",
     "ConstraintEdge",
     "EdgeKind",
     "EdgeStore",
     "ParityUnionFind",
     "OverlayConstraintGraph",
     "SoAOverlayConstraintGraph",
-    "make_constraint_graph",
     "pseudo_color",
     "flip_colors",
     "optimal_tree_coloring",

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..color import Color
 from .edges import ConstraintEdge, EdgeKind
 from .odd_cycle import ParityUnionFind
 from .scenarios import HARD
+
+if TYPE_CHECKING:
+    from .scenario_detect import DetectedScenario
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,15 @@ class Evaluation:
 
 
 class OverlayConstraintGraph:
-    """Multigraph of constraint edges with incremental hard-cycle checking."""
+    """Multigraph of constraint edges with incremental hard-cycle checking.
+
+    One object per edge: the readable form of the graph, and the base of
+    the router's :class:`~repro.core.constraint_graph_soa.
+    SoAOverlayConstraintGraph`, which shares its vertex, stamp and
+    union-find bookkeeping. Production never instantiates it; the tests
+    and :func:`repro.router.reference.reference_router` use it as the
+    oracle.
+    """
 
     def __init__(self) -> None:
         self._edges: List[ConstraintEdge] = []
@@ -146,6 +157,20 @@ class OverlayConstraintGraph:
         if ob is not None:
             self._flush_uf_stats(ob)
         return offenders
+
+    def add_scenarios(
+        self, scenarios: Sequence["DetectedScenario"]
+    ) -> List["DetectedScenario"]:
+        """Insert one edge per detected scenario; returns the scenarios
+        whose hard edges closed odd cycles (in insertion order)."""
+        edges = [
+            ConstraintEdge.from_scenario(
+                sc.net_a, sc.net_b, sc.scenario, sc.a_is_tip_owner, sc.overlap
+            )
+            for sc in scenarios
+        ]
+        scenario_of = {id(edge): sc for edge, sc in zip(edges, scenarios)}
+        return [scenario_of[id(edge)] for edge in self.add_edges(edges)]
 
     def remove_net(self, net_id: int) -> int:
         """Remove a net and its incident edges; returns edges removed.
@@ -277,6 +302,32 @@ class OverlayConstraintGraph:
             total += edge.pair_cost(cu, cv)
         return total
 
+    def incident_dp_totals(
+        self, net_id: int, coloring: Dict[int, Color]
+    ) -> Tuple[float, float]:
+        """(total CORE, total SECOND) DP cost of coloring one net.
+
+        For each candidate color of ``net_id``, sums the DP cost
+        (physical overlay + cut-conflict veto) over its incident edges
+        with neighbours at their current colors (missing -> CORE). A
+        total that reaches HARD stops early: costs are non-negative, so
+        it stays HARD.
+        """
+        totals = []
+        for color in (Color.CORE, Color.SECOND):
+            total = 0.0
+            for edge in self._incident.get(net_id, ()):
+                if edge.u == net_id and edge.v == net_id:
+                    continue  # self-loops cannot occur, but stay safe
+                if edge.u == net_id:
+                    total += edge.dp_cost(color, coloring.get(edge.v, Color.CORE))
+                else:
+                    total += edge.dp_cost(coloring.get(edge.u, Color.CORE), color)
+                if total >= HARD:
+                    break
+            totals.append(total)
+        return totals[0], totals[1]
+
     # ------------------------------------------------------------------ #
     # Components
     # ------------------------------------------------------------------ #
@@ -331,9 +382,9 @@ class OverlayConstraintGraph:
 
         Returns the contracted unit graph, or ``None`` when the
         component's hard edges are inconsistent. The SoA backend
-        overrides this with a vectorized equivalent; flip_colors calls
-        through this hook so both backends share the downstream
-        spanning-forest + DP machinery.
+        overrides this with a contraction straight from its row lists;
+        flip_colors calls through this hook so both backends share the
+        downstream spanning-forest + DP machinery.
         """
         from .color_flip import _contract
 

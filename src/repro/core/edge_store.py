@@ -1,15 +1,16 @@
 """Structure-of-arrays storage for constraint edges.
 
 :class:`EdgeStore` keeps the columns of every scenario edge — endpoints,
-kind, parity, the 4-vector cost/cut-risk matrices (ALL_PAIRS order), and
-overlap — as typed numpy arrays instead of per-object
-:class:`~repro.core.edges.ConstraintEdge` instances. Batch appends build
-whole edge blocks from precomputed per-(scenario, tip-owner) tables, and
-the store exposes a reusable CSR adjacency over its live rows for
-vectorized traversals (hard-edge parity checks, component sweeps).
+scenario, kind, parity, overlap, and the 4-vector cost/cut-risk/DP
+matrices (ALL_PAIRS order) — as parallel Python lists instead of
+per-object :class:`~repro.core.edges.ConstraintEdge` instances. Appends
+fill rows from per-(scenario, tip-owner) tables built once at import.
+The router's commits append a handful of rows and its queries read a
+handful of incident rows, and at that size plain list indexing is the
+cheapest representation.
 
-The store is the backing of the SoA constraint-graph backend
-(:class:`~repro.core.constraint_graph_soa.SoAOverlayConstraintGraph`);
+The store is the backing of
+:class:`~repro.core.constraint_graph_soa.SoAOverlayConstraintGraph`;
 rows materialise back into bit-identical ``ConstraintEdge`` objects on
 demand, so object-consuming callers (reports, tests, the brute-force
 oracle) keep working unchanged.
@@ -17,9 +18,7 @@ oracle) keep working unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from ..color import ALL_PAIRS
 from .edges import _KIND_BY_SCENARIO, CUT_VETO, ConstraintEdge, EdgeKind
@@ -31,167 +30,87 @@ SCENARIO_INDEX: Dict[ScenarioType, int] = {s: i for i, s in enumerate(SCENARIO_O
 KIND_ORDER: Tuple[EdgeKind, ...] = tuple(EdgeKind)
 KIND_INDEX: Dict[EdgeKind, int] = {k: i for i, k in enumerate(KIND_ORDER)}
 
-HARD_DIFF_CODE = KIND_INDEX[EdgeKind.HARD_DIFF]
-HARD_SAME_CODE = KIND_INDEX[EdgeKind.HARD_SAME]
+#: Per-kind-code hardness.
+KIND_IS_HARD: List[bool] = [k.is_hard for k in KIND_ORDER]
 
-#: Per-kind-code hardness lookup (faster than ``np.isin`` on the tiny
-#: per-commit batches the router produces).
-KIND_IS_HARD = np.array([k.is_hard for k in KIND_ORDER], dtype=bool)
+Cost4 = Tuple[float, float, float, float]
+Risk4 = Tuple[bool, bool, bool, bool]
+
+_INF = float("inf")
+
+
+def _dp4(cost: Cost4, risk: Risk4) -> Cost4:
+    """DP cost: physical cost plus CUT_VETO on every risky finite pair."""
+    return tuple(  # type: ignore[return-value]
+        c + CUT_VETO if (r and c != _INF) else c for c, r in zip(cost, risk)
+    )
 
 
 def _build_tables():
-    """Fold Table II + orientation into dense lookup tables.
+    """Fold Table II + orientation into per-scenario lookup tables.
 
-    ``cost[s, tip, p]`` / ``risk[s, tip, p]`` give the base cost and
-    cut-risk flag of scenario ``s`` for color pair ``p`` (ALL_PAIRS
-    order) with ``tip`` = 1 when A is the tip-owner — exactly what
-    :func:`~repro.core.scenarios.oriented_cost` computes per call, minus
-    the overlap scaling (applied at append time).
+    ``cost[s][tip]`` / ``risk[s][tip]`` / ``dp[s][tip]`` give the base
+    cost, cut-risk flag and DP cost of scenario ``s`` for each color pair
+    (ALL_PAIRS order) with ``tip`` = 1 when A is the tip-owner — exactly
+    what :func:`~repro.core.scenarios.oriented_cost` computes per call,
+    minus the overlap scaling (applied at append time).
     """
-    n = len(SCENARIO_ORDER)
-    cost = np.zeros((n, 2, 4), dtype=np.float64)
-    risk = np.zeros((n, 2, 4), dtype=bool)
-    scales = np.zeros(n, dtype=bool)
-    kind = np.zeros(n, dtype=np.int8)
-    parity = np.full(n, -1, dtype=np.int8)
-    for i, stype in enumerate(SCENARIO_ORDER):
+    cost, risk, dp, scales, kind, parity = [], [], [], [], [], []
+    for stype in SCENARIO_ORDER:
         rule = SCENARIO_RULES[stype]
+        per_tip = []
         for tip in (0, 1):
-            for k, pair in enumerate(ALL_PAIRS):
-                effective = pair if tip else pair.swapped
-                cost[i, tip, k] = rule.cost[effective]
-                risk[i, tip, k] = effective in rule.cut_risk
-        scales[i] = rule.scales_with_overlap
+            pairs = [pair if tip else pair.swapped for pair in ALL_PAIRS]
+            per_tip.append(
+                (
+                    tuple(float(rule.cost[p]) for p in pairs),
+                    tuple(p in rule.cut_risk for p in pairs),
+                )
+            )
+        cost.append([c4 for c4, _ in per_tip])
+        risk.append([r4 for _, r4 in per_tip])
+        dp.append([_dp4(c4, r4) for c4, r4 in per_tip])
+        scales.append(rule.scales_with_overlap)
         ekind = _KIND_BY_SCENARIO[stype]
-        kind[i] = KIND_INDEX[ekind]
+        kind.append(KIND_INDEX[ekind])
         if ekind is EdgeKind.HARD_DIFF:
-            parity[i] = 1
+            parity.append(1)
         elif ekind is EdgeKind.HARD_SAME:
-            parity[i] = 0
-    return cost, risk, scales, kind, parity
+            parity.append(0)
+        else:
+            parity.append(-1)
+    return cost, risk, dp, scales, kind, parity
 
 
-SCEN_COST, SCEN_RISK, SCEN_SCALES, SCEN_KIND, SCEN_PARITY = _build_tables()
-
-#: DP cost table (physical + CUT_VETO on risky finite entries) for
-#: overlap == 1 — precomputing it collapses ``ConstraintEdge.dp_cost``
-#: into a table read. Overlap-scaled rows recompute at append time.
-SCEN_DP = SCEN_COST.copy()
-_finite = ~np.isinf(SCEN_DP)
-SCEN_DP[_finite] += CUT_VETO * SCEN_RISK[_finite]
-del _finite
-
-# Python-native twins of the tables for the scalar (small-batch) append
-# path: nested-list indexing is ~10x cheaper than numpy scalar reads.
-_SCEN_COST_PY = [[tuple(t) for t in s] for s in SCEN_COST.tolist()]
-_SCEN_RISK_PY = [[tuple(t) for t in s] for s in SCEN_RISK.tolist()]
-_SCEN_DP_PY = [[tuple(t) for t in s] for s in SCEN_DP.tolist()]
-_SCEN_SCALES_PY = SCEN_SCALES.tolist()
-_SCEN_KIND_PY = SCEN_KIND.tolist()
-_SCEN_PARITY_PY = SCEN_PARITY.tolist()
-
-#: Batch size below which append/query paths run as plain Python loops
-#: over the store's mirror lists — numpy's per-call overhead beats its
-#: throughput gain under this point.
-SMALL_BATCH = 32
+SCEN_COST, SCEN_RISK, SCEN_DP, SCEN_SCALES, SCEN_KIND, SCEN_PARITY = _build_tables()
 
 
 class EdgeStore:
-    """Columnar edge storage with incident row lists and a cached CSR.
+    """Columnar edge storage with incident row lists.
 
-    Rows are append-only; removal marks rows dead (``alive`` mask) and
-    drops them from the incident lists, which preserves the surviving
-    rows' relative order exactly like the object path's order-preserving
-    list filters.
+    Rows are append-only; removal marks rows dead (``alive``) and drops
+    them from the incident lists, which preserves the surviving rows'
+    relative order exactly like the object path's order-preserving list
+    filters.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
-        self._cap = max(16, capacity)
-        self.u = np.empty(self._cap, dtype=np.int64)
-        self.v = np.empty(self._cap, dtype=np.int64)
-        self.scenario = np.empty(self._cap, dtype=np.int16)
-        self.kind = np.empty(self._cap, dtype=np.int8)
-        self.parity = np.empty(self._cap, dtype=np.int8)
-        self.overlap = np.empty(self._cap, dtype=np.int64)
-        self.cost = np.empty((self._cap, 4), dtype=np.float64)
-        self.risk = np.zeros((self._cap, 4), dtype=bool)
-        #: DP cost (physical + CUT_VETO on risky finite pairs) — computed
-        #: once per row at append instead of per dp_cost() query.
-        self.dp = np.empty((self._cap, 4), dtype=np.float64)
-        self.alive = np.zeros(self._cap, dtype=bool)
-        # Python mirrors of the scalar-read columns. The router's commits
-        # produce batches of a handful of edges and queries of a handful
-        # of incident rows; plain list indexing serves those ~10x faster
-        # than numpy scalar extraction, while the arrays above serve the
-        # genuinely wide operations (evaluate, CSR, contraction).
+    def __init__(self) -> None:
         self.us: List[int] = []
         self.vs: List[int] = []
+        self.scens: List[int] = []
         self.kinds: List[int] = []
         self.pars: List[int] = []
-        self.scens: List[int] = []
         self.ovrs: List[int] = []
-        self.cost4: List[Tuple[float, float, float, float]] = []
-        self.risk4: List[Tuple[bool, bool, bool, bool]] = []
-        self.dp4: List[Tuple[float, float, float, float]] = []
-        #: Rows below this watermark are materialized in the numpy
-        #: columns; scalar appends only touch the mirrors and the arrays
-        #: catch up in bulk (:meth:`_sync`) when a wide consumer needs
-        #: them.
-        self._synced = 0
-        #: Rows ever allocated (live + dead).
-        self.size = 0
+        self.cost4: List[Cost4] = []
+        self.risk4: List[Risk4] = []
+        #: DP cost (physical + CUT_VETO on risky finite pairs) — computed
+        #: once per row at append instead of per query.
+        self.dp4: List[Cost4] = []
+        self.alive: List[bool] = []
         #: Live-row count.
         self.live = 0
         #: net id -> incident live rows in insertion order.
         self.incident: Dict[int, List[int]] = {}
-        #: Bumped on every mutation; invalidates the CSR cache.
-        self.stamp = 0
-        self._csr_cache: Dict[str, Tuple[int, tuple]] = {}
-
-    # ------------------------------------------------------------------ #
-    # Growth / append
-    # ------------------------------------------------------------------ #
-
-    def _grow(self, need: int) -> None:
-        cap = self._cap
-        while cap < self.size + need:
-            cap *= 2
-        if cap == self._cap:
-            return
-        for name in ("u", "v", "scenario", "kind", "parity", "overlap", "alive"):
-            old = getattr(self, name)
-            fresh = np.zeros(cap, dtype=old.dtype) if name == "alive" else np.empty(
-                cap, dtype=old.dtype
-            )
-            fresh[: self.size] = old[: self.size]
-            setattr(self, name, fresh)
-        for name in ("cost", "risk", "dp"):
-            old = getattr(self, name)
-            fresh = np.empty((cap, 4), dtype=old.dtype)
-            fresh[: self.size] = old[: self.size]
-            setattr(self, name, fresh)
-        self._cap = cap
-
-    def _sync(self) -> None:
-        """Bring the numpy columns up to date with the mirror lists.
-
-        One slice assignment per column regardless of how many scalar
-        appends happened since the last wide read.
-        """
-        k = self._synced
-        n = self.size
-        if k == n:
-            return
-        self.u[k:n] = self.us[k:n]
-        self.v[k:n] = self.vs[k:n]
-        self.scenario[k:n] = self.scens[k:n]
-        self.kind[k:n] = self.kinds[k:n]
-        self.parity[k:n] = self.pars[k:n]
-        self.overlap[k:n] = self.ovrs[k:n]
-        self.cost[k:n] = self.cost4[k:n]
-        self.risk[k:n] = self.risk4[k:n]
-        self.dp[k:n] = self.dp4[k:n]
-        self._synced = n
 
     def append_scenarios(
         self,
@@ -205,137 +124,42 @@ class EdgeStore:
 
         The cost/risk/dp columns come from the precomputed per-(scenario,
         tip) tables — the batch equivalent of ``ConstraintEdge.
-        from_scenario`` per instance. Small batches (the router's typical
-        per-commit case) fill rows with a plain Python loop; wide batches
-        gather from the numpy tables.
+        from_scenario`` per instance.
         """
         n = len(us)
-        hi = self.size + n
-        if n == 0:
-            return range(self.size, self.size)
-        self._grow(n)
-        lo = self.size
-        if n < SMALL_BATCH:
-            inf = float("inf")
-            for i in range(n):
-                s = scodes[i]
-                t = 1 if tips[i] else 0
-                ovr = overlaps[i]
-                if ovr < 1:
-                    ovr = 1
-                c4 = _SCEN_COST_PY[s][t]
-                r4 = _SCEN_RISK_PY[s][t]
-                if _SCEN_SCALES_PY[s] and ovr != 1:
-                    # inf * k == inf and the finite entries are small
-                    # ints, so the multiply is exact (== oriented_cost).
-                    c4 = tuple(c * ovr for c in c4)
-                    d4 = tuple(
-                        c + CUT_VETO if (r and c != inf) else c
-                        for c, r in zip(c4, r4)
-                    )
-                else:
-                    d4 = _SCEN_DP_PY[s][t]
-                self.us.append(us[i])
-                self.vs.append(vs[i])
-                self.scens.append(s)
-                self.kinds.append(_SCEN_KIND_PY[s])
-                self.pars.append(_SCEN_PARITY_PY[s])
-                self.ovrs.append(ovr)
-                self.cost4.append(c4)
-                self.risk4.append(r4)
-                self.dp4.append(d4)
-        else:
-            self._sync()
-            sc = np.asarray(scodes, dtype=np.int16)
-            tip = np.asarray(tips, dtype=np.int64)
-            ov = np.maximum(np.asarray(overlaps, dtype=np.int64), 1)
-            self.u[lo:hi] = np.asarray(us, dtype=np.int64)
-            self.v[lo:hi] = np.asarray(vs, dtype=np.int64)
-            self.scenario[lo:hi] = sc
-            kinds = SCEN_KIND[sc]
-            pars = SCEN_PARITY[sc]
-            self.kind[lo:hi] = kinds
-            self.parity[lo:hi] = pars
-            self.overlap[lo:hi] = ov
-            cost = SCEN_COST[sc, tip].copy()
-            scale = np.where(SCEN_SCALES[sc], ov, 1)
-            # inf * k == inf and the finite entries are small ints, so the
-            # multiply is exact and matches oriented_cost bit-for-bit.
-            cost *= scale[:, None].astype(np.float64)
-            self.cost[lo:hi] = cost
-            risk = SCEN_RISK[sc, tip]
-            self.risk[lo:hi] = risk
-            dp = cost.copy()
-            finite = ~np.isinf(dp)
-            dp[finite] += CUT_VETO * risk[finite]
-            self.dp[lo:hi] = dp
-            self.us.extend(int(x) for x in us)
-            self.vs.extend(int(x) for x in vs)
-            self.scens.extend(sc.tolist())
-            self.kinds.extend(kinds.tolist())
-            self.pars.extend(pars.tolist())
-            self.ovrs.extend(ov.tolist())
-            self.cost4.extend(map(tuple, cost.tolist()))
-            self.risk4.extend(map(tuple, risk.tolist()))
-            self.dp4.extend(map(tuple, dp.tolist()))
-            self._synced = hi
-        self.alive[lo:hi] = True
-        self.size = hi
+        lo = len(self.us)
+        for i in range(n):
+            s = scodes[i]
+            t = 1 if tips[i] else 0
+            ovr = overlaps[i]
+            if ovr < 1:
+                ovr = 1
+            c4 = SCEN_COST[s][t]
+            r4 = SCEN_RISK[s][t]
+            if SCEN_SCALES[s] and ovr != 1:
+                # inf * k == inf and the finite entries are small ints, so
+                # the multiply is exact (== oriented_cost).
+                c4 = tuple(c * ovr for c in c4)
+                d4 = _dp4(c4, r4)
+            else:
+                d4 = SCEN_DP[s][t]
+            self.us.append(us[i])
+            self.vs.append(vs[i])
+            self.scens.append(s)
+            self.kinds.append(SCEN_KIND[s])
+            self.pars.append(SCEN_PARITY[s])
+            self.ovrs.append(ovr)
+            self.cost4.append(c4)
+            self.risk4.append(r4)
+            self.dp4.append(d4)
+        self.alive.extend([True] * n)
         self.live += n
-        self.stamp += 1
-        return range(lo, hi)
-
-    def append_edge(self, edge: ConstraintEdge) -> int:
-        """Append one already-built edge object (compat path)."""
-        self._grow(1)
-        self._sync()
-        row = self.size
-        self.u[row] = edge.u
-        self.v[row] = edge.v
-        self.scenario[row] = SCENARIO_INDEX[edge.scenario]
-        kcode = KIND_INDEX[edge.kind]
-        self.kind[row] = kcode
-        if edge.kind is EdgeKind.HARD_DIFF:
-            par = 1
-        elif edge.kind is EdgeKind.HARD_SAME:
-            par = 0
-        else:
-            par = -1
-        self.parity[row] = par
-        self.overlap[row] = edge.overlap
-        cost = tuple(edge.cost)
-        risk = tuple(edge.cut_risk)
-        inf = float("inf")
-        dp = tuple(
-            c + CUT_VETO if (r and c != inf) else c for c, r in zip(cost, risk)
-        )
-        self.cost[row] = cost
-        self.risk[row] = risk
-        self.dp[row] = dp
-        self.alive[row] = True
-        self.us.append(edge.u)
-        self.vs.append(edge.v)
-        self.scens.append(SCENARIO_INDEX[edge.scenario])
-        self.kinds.append(kcode)
-        self.pars.append(par)
-        self.ovrs.append(edge.overlap)
-        self.cost4.append(cost)
-        self.risk4.append(risk)
-        self.dp4.append(dp)
-        self.size += 1
-        self.live += 1
-        self.stamp += 1
-        self._synced = self.size
-        return row
+        return range(lo, lo + n)
 
     def link(self, row: int) -> None:
         """Register ``row`` on both endpoints' incident lists."""
         self.incident.setdefault(self.us[row], []).append(row)
         self.incident.setdefault(self.vs[row], []).append(row)
-
-    # ------------------------------------------------------------------ #
-    # Removal
-    # ------------------------------------------------------------------ #
 
     def kill_net(self, net_id: int) -> List[int]:
         """Drop every row incident to ``net_id``; returns the dead rows."""
@@ -343,11 +167,11 @@ class EdgeStore:
         if not rows:
             return rows
         doomed = set(rows)
-        self.alive[np.asarray(rows, dtype=np.int64)] = False
-        self.live -= len(rows)
+        alive = self.alive
         us = self.us
         vs = self.vs
         for row in rows:
+            alive[row] = False
             other = vs[row] if us[row] == net_id else us[row]
             lst = self.incident.get(other)
             if lst is not None:
@@ -356,21 +180,12 @@ class EdgeStore:
                     self.incident[other] = kept
                 else:
                     del self.incident[other]
-        self.stamp += 1
+        self.live -= len(rows)
         return rows
 
-    # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
-
-    def live_rows(self) -> np.ndarray:
+    def live_rows(self) -> List[int]:
         """Live rows in insertion order (== the object path's edge order)."""
-        return np.flatnonzero(self.alive[: self.size])
-
-    def dp_cost(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), 4) DP cost: physical + CUT_VETO on risky pairs."""
-        self._sync()
-        return self.dp[rows]
+        return [row for row, ok in enumerate(self.alive) if ok]
 
     def materialize(self, row: int) -> ConstraintEdge:
         """Rebuild the bit-identical ConstraintEdge object of one row."""
@@ -379,108 +194,10 @@ class EdgeStore:
             v=self.vs[row],
             scenario=SCENARIO_ORDER[self.scens[row]],
             kind=KIND_ORDER[self.kinds[row]],
-            cost=tuple(float(c) for c in self.cost4[row]),
-            cut_risk=tuple(bool(r) for r in self.risk4[row]),
-            overlap=int(self.ovrs[row]),
+            cost=self.cost4[row],
+            cut_risk=self.risk4[row],
+            overlap=self.ovrs[row],
         )
 
     def materialize_many(self, rows) -> List[ConstraintEdge]:
-        return [self.materialize(int(r)) for r in rows]
-
-    # ------------------------------------------------------------------ #
-    # CSR adjacency
-    # ------------------------------------------------------------------ #
-
-    def csr(self, hard_only: bool = False):
-        """Reusable CSR adjacency over the live rows.
-
-        Returns ``(nodes, indptr, targets, parities)``: ``nodes`` is the
-        sorted distinct endpoint array, ``indptr``/``targets`` the usual
-        CSR pair over *compacted* node indices (each edge appears in both
-        directions), and ``parities`` the per-entry edge parity (only
-        meaningful with ``hard_only``). Cached until the next mutation.
-        """
-        key = "hard" if hard_only else "all"
-        cached = self._csr_cache.get(key)
-        if cached is not None and cached[0] == self.stamp:
-            return cached[1]
-        self._sync()
-        rows = self.live_rows()
-        if hard_only and rows.size:
-            kinds = self.kind[rows]
-            rows = rows[(kinds == HARD_DIFF_CODE) | (kinds == HARD_SAME_CODE)]
-        us = self.u[rows]
-        vs = self.v[rows]
-        nodes = np.unique(np.concatenate((us, vs))) if rows.size else np.empty(
-            0, dtype=np.int64
-        )
-        src = np.concatenate((np.searchsorted(nodes, us), np.searchsorted(nodes, vs)))
-        dst = np.concatenate((np.searchsorted(nodes, vs), np.searchsorted(nodes, us)))
-        par = (
-            np.concatenate((self.parity[rows], self.parity[rows]))
-            if rows.size
-            else np.empty(0, dtype=np.int8)
-        )
-        order = np.argsort(src, kind="stable")
-        targets = dst[order]
-        parities = par[order]
-        counts = np.bincount(src, minlength=nodes.size)
-        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        result = (nodes, indptr, targets, parities)
-        self._csr_cache[key] = (self.stamp, result)
-        return result
-
-    def hard_parity_consistent(self) -> bool:
-        """Two-colorability of the live hard edges via CSR BFS.
-
-        Vectorized frontier sweep: propagates parities level by level and
-        fails iff some edge closes an odd cycle — the numpy equivalent of
-        replaying every hard edge through a fresh parity union-find.
-        """
-        nodes, indptr, targets, parities = self.csr(hard_only=True)
-        n = nodes.size
-        if n == 0:
-            return True
-        color = np.full(n, -1, dtype=np.int8)
-        for start in range(n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            frontier = np.array([start], dtype=np.int64)
-            while frontier.size:
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                # Gather all outgoing CSR entries of the frontier at once.
-                offsets = np.repeat(starts, counts) + (
-                    np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                )
-                srcs = np.repeat(frontier, counts)
-                dsts = targets[offsets]
-                want = color[srcs] ^ parities[offsets]
-                known = color[dsts] >= 0
-                if np.any(color[dsts[known]] != want[known]):
-                    return False
-                fresh = ~known
-                if not np.any(fresh):
-                    break
-                order = np.argsort(dsts[fresh], kind="stable")
-                df = dsts[fresh][order]
-                wf = want[fresh][order]
-                group_starts = np.concatenate(
-                    ([0], np.flatnonzero(np.diff(df)) + 1)
-                )
-                # All same-level assignments of one node must agree;
-                # disagreement is an odd cycle through the frontier.
-                if np.any(
-                    np.minimum.reduceat(wf, group_starts)
-                    != np.maximum.reduceat(wf, group_starts)
-                ):
-                    return False
-                uniq = df[group_starts]
-                color[uniq] = wf[group_starts]
-                frontier = uniq
-        return True
+        return [self.materialize(r) for r in rows]

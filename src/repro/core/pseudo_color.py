@@ -9,11 +9,10 @@ coloring only has to be locally sensible and O(degree).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..color import Color
 from .constraint_graph import OverlayConstraintGraph
-from .scenarios import HARD
 
 
 def pseudo_color(
@@ -29,37 +28,7 @@ def pseudo_color(
 
     The chosen color is also written into ``coloring``.
     """
-    totals = getattr(graph, "incident_dp_totals", None)
-    if totals is not None:
-        # SoA backend: both color totals in one vector pass. The scalar
-        # loop below picks CORE first and replaces it only on a strictly
-        # cheaper SECOND, so the tie-break is `<` on the SECOND total.
-        # (The scalar loop's early break at HARD cannot change totals:
-        # costs are non-negative, so a total that reached inf stays inf.)
-        core_total, second_total = totals(net_id, coloring)
-        best = Color.SECOND if second_total < core_total else Color.CORE
-        coloring[net_id] = best
-        return best
-
-    best_color: Optional[Color] = None
-    best_cost = HARD
-    for color in (Color.CORE, Color.SECOND):
-        total = 0.0
-        for edge in graph.edges_of(net_id):
-            if edge.u == net_id and edge.v == net_id:
-                continue  # self-loops cannot occur, but stay safe
-            if edge.u == net_id:
-                other_color = coloring.get(edge.v, Color.CORE)
-                cost = edge.dp_cost(color, other_color)
-            else:
-                other_color = coloring.get(edge.u, Color.CORE)
-                cost = edge.dp_cost(other_color, color)
-            total += cost
-            if total >= HARD:
-                break
-        if best_color is None or total < best_cost:
-            best_color = color
-            best_cost = total
-    assert best_color is not None
-    coloring[net_id] = best_color
-    return best_color
+    core_total, second_total = graph.incident_dp_totals(net_id, coloring)
+    best = Color.SECOND if second_total < core_total else Color.CORE
+    coloring[net_id] = best
+    return best

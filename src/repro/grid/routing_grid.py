@@ -159,92 +159,44 @@ class RoutingGrid:
             self._notify_cells(((layer, p.x, p.y),))
 
     def occupy_many(self, cells: Iterable, net_id: int) -> None:
-        """Occupy many ``(layer, x, y)`` cells with one owner check and one
-        change notification.
+        """Occupy many ``(layer, x, y)`` cells with one change notification.
 
         Equivalent to calling :meth:`occupy` per cell in order — including
         the duplicate/already-owned skip and the error raised on a foreign
-        owner — but the happy path validates and writes in bulk and
-        notifies listeners once with the changed cells in order. Any
-        out-of-bounds or conflicting cell falls back to the sequential
-        loop, which reproduces the exact partial-write-then-raise
-        behaviour of the scalar path.
+        owner or an out-of-bounds cell, after the cells before it were
+        written — but listeners hear once, with the changed cells in
+        order.
         """
         if net_id < 0:
             raise GridError(f"net ids must be non-negative, got {net_id}")
-        cells = list(cells)
-        if not cells:
-            return
-        if len(cells) < 48:
-            # Typical commits touch a couple dozen cells; a direct loop
-            # beats the array conversion + masked writes at that size.
-            occ = self._occ
-            free = int(CellState.FREE)
-            num_layers, width, height = self.num_layers, self.width, self.height
-            changed: List = []
-            try:
-                for layer, x, y in cells:
-                    if not (
-                        0 <= layer < num_layers and 0 <= x < width and 0 <= y < height
-                    ):
-                        raise GridError(
-                            f"({layer}, {Point(int(x), int(y))}) outside "
-                            f"{num_layers}x{width}x{height} grid"
-                        )
-                    owner = occ[layer, x, y]
-                    if owner == free:
-                        occ[layer, x, y] = net_id
-                        changed.append((layer, x, y))
-                    elif owner != net_id:
-                        raise GridError(
-                            f"cell ({layer}, {Point(int(x), int(y))}) "
-                            f"already owned by net {owner}"
-                        )
-            finally:
-                # On a mid-batch error listeners still must hear about
-                # the cells already written (the scalar loop notifies as
-                # it goes; one batched notification is equivalent).
-                if changed and self._listeners:
-                    self._notify_cells(changed)
-            return
-        arr = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        ls, xs, ys = arr[:, 0], arr[:, 1], arr[:, 2]
-        in_bounds = (
-            (ls >= 0)
-            & (ls < self.num_layers)
-            & (xs >= 0)
-            & (xs < self.width)
-            & (ys >= 0)
-            & (ys < self.height)
-        )
-        if not in_bounds.all():
-            for layer, x, y in arr:
-                self.occupy(int(layer), Point(int(x), int(y)), net_id)
-            return
-        # First occurrence per cell: a repeated cell writes and notifies
-        # only once in the scalar loop (the second visit sees owner ==
-        # net_id and skips), so deduplicate before reading owners.
-        packed = (ls * self.width + xs) * self.height + ys
-        first = np.unique(packed, return_index=True)[1]
-        if first.size != packed.size:
-            first.sort()
-            arr = arr[first]
-            ls, xs, ys = arr[:, 0], arr[:, 1], arr[:, 2]
-        owners = self._occ[ls, xs, ys]
-        conflict = (owners != int(CellState.FREE)) & (owners != net_id)
-        if conflict.any():
-            for layer, x, y in arr:
-                self.occupy(int(layer), Point(int(x), int(y)), net_id)
-            return
-        fresh = owners != net_id
-        if not fresh.any():
-            return
-        changed = arr[fresh]
-        self._occ[changed[:, 0], changed[:, 1], changed[:, 2]] = net_id
-        if self._listeners:
-            self._notify_cells(
-                [(int(l), int(x), int(y)) for l, x, y in changed]
-            )
+        occ = self._occ
+        free = int(CellState.FREE)
+        num_layers, width, height = self.num_layers, self.width, self.height
+        changed: List = []
+        try:
+            for layer, x, y in cells:
+                if not (
+                    0 <= layer < num_layers and 0 <= x < width and 0 <= y < height
+                ):
+                    raise GridError(
+                        f"({layer}, {Point(int(x), int(y))}) outside "
+                        f"{num_layers}x{width}x{height} grid"
+                    )
+                owner = occ[layer, x, y]
+                if owner == free:
+                    occ[layer, x, y] = net_id
+                    changed.append((layer, x, y))
+                elif owner != net_id:
+                    raise GridError(
+                        f"cell ({layer}, {Point(int(x), int(y))}) "
+                        f"already owned by net {owner}"
+                    )
+        finally:
+            # On a mid-batch error listeners still must hear about the
+            # cells already written (the scalar loop notifies as it goes;
+            # one batched notification is equivalent).
+            if changed and self._listeners:
+                self._notify_cells(changed)
 
     def occupy_segment(self, seg: Segment, net_id: int) -> None:
         for p in seg.points():

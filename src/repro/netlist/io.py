@@ -123,15 +123,21 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def read_design_text(path: Union[str, Path]) -> str:
-    """Read a design file's raw text with actionable errors.
+    """Read a design file's raw text (UTF-8) with actionable errors.
 
-    Missing or unreadable files raise a :class:`NetlistError` naming the
-    path instead of surfacing a raw ``OSError`` traceback; parse errors
-    raised downstream already carry the offending line number.
+    Missing, unreadable or non-UTF-8 files raise a :class:`NetlistError`
+    naming the path (and, for a decode error, the byte offset) instead of
+    surfacing a raw traceback; parse errors raised downstream already
+    carry the offending line number.
     """
     path = Path(path)
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NetlistError(
+            f"netlist file {path} is not UTF-8 text: "
+            f"invalid byte at offset {exc.start}"
+        ) from None
     except FileNotFoundError:
         raise NetlistError(f"netlist file not found: {path}") from None
     except IsADirectoryError:

@@ -9,28 +9,23 @@ multi-source / multi-target.
 The per-cell cost implements Eq. (5): wirelength, via count, the type 2-b
 penalty, plus transient rip-up penalties injected by the outer loop.
 
-Performance notes — this loop dominates the router's runtime, so it has
-two implementations that are *exactly* path- and cost-equivalent:
+Performance notes — this loop dominates the router's runtime. The search
+(:meth:`AStarRouter._search_fast`) maps every window cell to a flat
+integer index and keeps g-scores, parents, passability, targets and the
+per-cell cost in flat arrays. Heap entries are 4-tuples ``(f, g,
+tiebreak, idx)``; the inner loop does list reads instead of tuple
+hashing, dict probes and numpy scalar indexing. The Eq. (5) overlay grid
+is served by an :class:`OverlayCostCache` when one is attached, and the
+sparse rip-up ``penalty_map`` is folded into the flat cost array once per
+search. The original dict-based search with generic per-cell callbacks
+is the executable specification; it lives in
+:mod:`repro.router.reference`, and the tests assert both produce
+identical node sequences and costs.
 
-* the **fast path** (:meth:`AStarRouter._search_fast`, the default) maps
-  every window cell to a flat integer index and keeps g-scores, parents,
-  passability, targets and the per-cell cost in flat arrays. Heap entries
-  are 4-tuples ``(f, g, tiebreak, idx)``; the inner loop does list reads
-  instead of tuple hashing, dict probes and numpy scalar indexing. The
-  Eq. (5) overlay grid is served by an :class:`OverlayCostCache` when one
-  is attached, and the sparse rip-up ``penalty_map`` is folded into the
-  flat cost array once per search;
-* the **reference path** (:meth:`AStarRouter._search_reference`) is the
-  original dict-based implementation. It is kept as the executable
-  specification — the equivalence tests assert both produce identical
-  node sequences and costs — and is selected automatically whenever the
-  generic per-cell callbacks (``overlay_cost`` / ``penalty``) are in use,
-  or explicitly via ``use_reference=True``.
-
-The fast path optionally prunes its open list against an exact
+The search optionally prunes its open list against an exact
 future-cost map (:mod:`repro.router.guidance`, the ``guidance`` knob):
 off-corridor heap entries are discarded without changing the surviving
-search, so results stay bit-identical to the unguided fast path while
+search, so results stay bit-identical to the unguided search while
 large searches expand a fraction of the window.
 """
 
@@ -48,12 +43,7 @@ from ..errors import RoutingError
 from ..geometry import Point, Segment, points_to_segments
 from ..grid import CellState, Direction, RoutingGrid, Via
 from .cost import CostParams
-from .guidance import (
-    AUTO_TRIGGER_EXPANSIONS,
-    future_cost_map,
-    prune_threshold,
-    resolve_backend,
-)
+from .guidance import AUTO_TRIGGER_EXPANSIONS, future_cost_map, prune_threshold
 from .overlay_cache import OverlayCostCache, overlay_cost_grid
 
 #: A search-space node: (layer, x, y).
@@ -112,17 +102,14 @@ class SearchResult:
 class AStarRouter:
     """The inner search engine; stateless apart from grid references.
 
-    Cost hooks, in order of preference:
+    Cost hooks:
 
     * ``penalty_map`` — a ``{(layer, x, y): cost}`` dict folded into the
       flat cost array once per search (the rip-up penalties; cheap);
     * ``overlay_terms=(gamma, delta_tip)`` — enables the Eq. (5)
       overlay grid against ``active_net`` (set per routed net);
     * ``overlay_cache`` — an :class:`OverlayCostCache` serving the
-      Eq. (5) grid from memo instead of recomputing it per search;
-    * ``overlay_cost`` / ``penalty`` — optional generic per-cell
-      callbacks. These route the search through the reference
-      implementation (slower; used by tests and experiments).
+      Eq. (5) grid from memo instead of recomputing it per search.
 
     After every :meth:`search`, :attr:`last_outcome` reports ``"found"``,
     ``"failed"`` (exhausted the window — the target is unreachable), or
@@ -135,32 +122,23 @@ class AStarRouter:
         self,
         grid: RoutingGrid,
         params: CostParams,
-        overlay_cost: Optional[Callable[[int, Point], float]] = None,
-        penalty: Optional[Callable[[int, Point], float]] = None,
         penalty_map: Optional[Dict[Tuple[int, int, int], float]] = None,
         overlay_terms: Optional[Tuple[float, float]] = None,
         overlay_cache: Optional[OverlayCostCache] = None,
-        use_reference: bool = False,
         guidance: str = "off",
     ) -> None:
         self.grid = grid
         self.params = params
-        self._overlay_cb = overlay_cost
-        self._penalty_cb = penalty
         self._penalty_map = penalty_map
         self._overlay_terms = overlay_terms
         self._overlay_cache = overlay_cache
-        #: Force the dict-based reference implementation.
-        self.use_reference = use_reference
         #: Future-cost corridor pruning: ``"off"``, ``"on"`` (map built
-        #: up front for every fast search), or ``"auto"`` (a search is
+        #: up front for every search), or ``"auto"`` (a search is
         #: upgraded in place once it crosses ``guidance_trigger``
         #: unguided expansions — searches that finish sooner never pay
-        #: for a map). The reference path ignores this and stays the
-        #: oracle.
+        #: for a map).
         self.guidance = guidance
         self.guidance_trigger = AUTO_TRIGGER_EXPANSIONS
-        self.guidance_backend = "auto"
         #: Net whose own cells are exempt from the inlined overlay probe.
         self.active_net = -1
         #: Outcome of the most recent search (see class docstring).
@@ -214,14 +192,7 @@ class AStarRouter:
     ) -> Optional[SearchResult]:
         self._last_stats = (0, 0, 0)
         self.last_outcome = "failed"
-        if (
-            self.use_reference
-            or self._overlay_cb is not None
-            or self._penalty_cb is not None
-        ):
-            result = self._search_reference(request, extra_margin)
-        else:
-            result = self._search_fast(request, extra_margin)
+        result = self._search_fast(request, extra_margin)
         self.total_searches += 1
         self.total_expansions += self._last_stats[0]
         if result is not None:
@@ -229,7 +200,7 @@ class AStarRouter:
         return result
 
     # ------------------------------------------------------------------ #
-    # Fast path: flat-index search state
+    # The search body: flat-index search state
     # ------------------------------------------------------------------ #
 
     def _search_fast(
@@ -558,244 +529,21 @@ class AStarRouter:
             np.frombuffer(is_target, dtype=np.uint8)
             .reshape(num_layers, wx, wy)
             .astype(bool),
-            backend=self.guidance_backend,
             limit=limit,
         )
         if dmap is None:
             return None, inf
         dflat = dmap.ravel()
-        csgraph = resolve_backend(self.guidance_backend) == "csgraph"
-        solve = "bounded" if csgraph and limit < inf else "full"
-        obs.counter_inc("guidance_builds_total", solve=solve)
+        obs.counter_inc(
+            "guidance_builds_total", solve="bounded" if limit < inf else "full"
+        )
         self.total_guided_searches += 1
         t = float(min(cost[s] + dflat[s] for s in source_idx))
         return dflat, (prune_threshold(t) if t < inf else -inf)
 
     # ------------------------------------------------------------------ #
-    # Reference path: the executable specification
-    # ------------------------------------------------------------------ #
-
-    def _search_reference(
-        self, request: SearchRequest, extra_margin: int = 0
-    ) -> Optional[SearchResult]:
-        grid = self.grid
-        params = self.params
-        net_id = request.net_id
-        occ = grid._occ
-        num_layers = occ.shape[0]
-
-        xlo, xhi, ylo, yhi = self._window(request, extra_margin)
-        targets = set()
-        target_pts: List[Point] = []
-        for layer, pt in request.targets:
-            if grid.in_bounds(layer, pt) and occ[layer, pt.x, pt.y] in (_FREE, net_id):
-                targets.add((layer, pt.x, pt.y))
-                target_pts.append(pt)
-        if not targets:
-            return None
-
-        txlo = min(p.x for p in target_pts)
-        txhi = max(p.x for p in target_pts)
-        tylo = min(p.y for p in target_pts)
-        tyhi = max(p.y for p in target_pts)
-        alpha = params.alpha
-        beta = params.beta
-        wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
-        use_inline = self._overlay_terms is not None
-        pen_map = self._penalty_map
-        overlay_cb = self._overlay_cb
-        penalty_cb = self._penalty_cb
-        horizontal = self._horizontal
-
-        # Precompute the Eq. (5) overlay term over the window: occupancy
-        # is frozen during one net's search, so the 2-b / tip-abutment
-        # probes vectorise into a few numpy shifts. The reference path
-        # always recomputes from scratch — it is the ground truth the
-        # cached fast path is checked against.
-        cost_grid = None
-        if use_inline:
-            cost_grid = self._overlay_cost_grid(
-                occ, horizontal, (xlo, xhi, ylo, yhi), self.active_net
-            )
-
-        have_pen = pen_map is not None
-        have_cbs = overlay_cb is not None or penalty_cb is not None
-
-        def cell_cost(layer: int, x: int, y: int) -> float:
-            cost = 0.0
-            if have_pen and pen_map:
-                cost += pen_map.get((layer, x, y), 0.0)
-            if cost_grid is not None:
-                cost += cost_grid[layer, x - xlo, y - ylo]
-            if have_cbs:
-                if overlay_cb is not None:
-                    cost += overlay_cb(layer, Point(x, y))
-                if penalty_cb is not None:
-                    cost += penalty_cb(layer, Point(x, y))
-            return cost
-
-        # Admissible via lower bound for the heuristic: moving across a
-        # layer's preferred direction requires reaching a layer of the
-        # other orientation (and possibly coming back for the target).
-        all_targets_horizontal = all(horizontal[l] for l, _, _ in targets)
-        all_targets_vertical = all(not horizontal[l] for l, _, _ in targets)
-
-        def via_bound(layer: int, dx: int, dy: int) -> float:
-            if wrong_way:
-                # Wrong-way jogs cross directions without vias; the via
-                # lower bound would overestimate and break admissibility.
-                return 0.0
-            extra = 0
-            if dy > 0:
-                if horizontal[layer]:
-                    extra += 1
-                if all_targets_horizontal:
-                    extra += 1 if horizontal[layer] else 0
-            if dx > 0:
-                if not horizontal[layer]:
-                    extra += 1
-                if all_targets_vertical:
-                    extra += 1 if not horizontal[layer] else 0
-            return beta * extra
-
-        counter = itertools.count()
-        best_g: Dict[Node, float] = {}
-        parent: Dict[Node, Optional[Node]] = {}
-        open_heap: List[Tuple[float, float, int, int, int, int]] = []
-
-        for layer, pt in request.sources:
-            if not grid.in_bounds(layer, pt):
-                continue
-            if occ[layer, pt.x, pt.y] not in (_FREE, net_id):
-                continue
-            node = (layer, pt.x, pt.y)
-            g = cell_cost(layer, pt.x, pt.y)
-            if node not in best_g or g < best_g[node]:
-                best_g[node] = g
-                parent[node] = None
-                dx = txlo - pt.x if pt.x < txlo else (pt.x - txhi if pt.x > txhi else 0)
-                dy = tylo - pt.y if pt.y < tylo else (pt.y - tyhi if pt.y > tyhi else 0)
-                heapq.heappush(
-                    open_heap,
-                    (
-                        g + alpha * (dx + dy) + via_bound(layer, dx, dy),
-                        g,
-                        next(counter),
-                        layer,
-                        pt.x,
-                        pt.y,
-                    ),
-                )
-        if not open_heap:
-            return None
-
-        expansions = 0
-        pops = 0
-        goal: Optional[Node] = None
-        push = heapq.heappush
-        pop = heapq.heappop
-        inf = float("inf")
-        while open_heap:
-            f, g, _, layer, x, y = pop(open_heap)
-            pops += 1
-            node = (layer, x, y)
-            if g > best_g.get(node, inf):
-                continue
-            if node in targets:
-                goal = node
-                break
-            expansions += 1
-            if expansions > request.max_expansions:
-                self._last_stats = (expansions, next(counter), pops)
-                self.last_outcome = "budget_exhausted"
-                return None
-
-            # In-layer steps: the preferred direction at cost alpha, and —
-            # when enabled — wrong-way jogs at alpha * wrong_way_factor.
-            if horizontal[layer]:
-                steps = ((x - 1, y, alpha), (x + 1, y, alpha))
-                if wrong_way:
-                    steps += ((x, y - 1, wrong_way), (x, y + 1, wrong_way))
-            else:
-                steps = ((x, y - 1, alpha), (x, y + 1, alpha))
-                if wrong_way:
-                    steps += ((x - 1, y, wrong_way), (x + 1, y, wrong_way))
-            for nx, ny, step_cost in steps:
-                if not (xlo <= nx <= xhi and ylo <= ny <= yhi):
-                    continue
-                owner = occ[layer, nx, ny]
-                if owner != _FREE and owner != net_id:
-                    continue
-                ng = g + step_cost + cell_cost(layer, nx, ny)
-                nxt = (layer, nx, ny)
-                if ng < best_g.get(nxt, inf):
-                    best_g[nxt] = ng
-                    parent[nxt] = node
-                    dx = txlo - nx if nx < txlo else (nx - txhi if nx > txhi else 0)
-                    dy = tylo - ny if ny < tylo else (ny - tyhi if ny > tyhi else 0)
-                    push(
-                        open_heap,
-                        (
-                            ng + alpha * (dx + dy) + via_bound(layer, dx, dy),
-                            ng,
-                            next(counter),
-                            layer,
-                            nx,
-                            ny,
-                        ),
-                    )
-
-            # Via moves.
-            for nl in (layer - 1, layer + 1):
-                if not 0 <= nl < num_layers:
-                    continue
-                owner = occ[nl, x, y]
-                if owner != _FREE and owner != net_id:
-                    continue
-                ng = g + beta + cell_cost(nl, x, y)
-                nxt = (nl, x, y)
-                if ng < best_g.get(nxt, inf):
-                    best_g[nxt] = ng
-                    parent[nxt] = node
-                    dx = txlo - x if x < txlo else (x - txhi if x > txhi else 0)
-                    dy = tylo - y if y < tylo else (y - tyhi if y > tyhi else 0)
-                    push(
-                        open_heap,
-                        (
-                            ng + alpha * (dx + dy) + via_bound(nl, dx, dy),
-                            ng,
-                            next(counter),
-                            nl,
-                            x,
-                            y,
-                        ),
-                    )
-
-        self._last_stats = (expansions, next(counter), pops)
-        if goal is None:
-            return None
-        nodes = self._backtrace(parent, goal)
-        segments, vias = self._lower(nodes)
-        return SearchResult(
-            nodes=nodes,
-            segments=segments,
-            vias=vias,
-            cost=best_g[goal],
-            expansions=expansions,
-        )
-
-    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _overlay_cost_grid(self, occ, horizontal, bounds, own: int):
-        """Vectorised Eq. (5) overlay term over the search window.
-
-        Thin wrapper over :func:`repro.router.overlay_cache.overlay_cost_grid`
-        (kept as a method for the tests and experiments that call it).
-        """
-        gamma, delta_tip = self._overlay_terms
-        return overlay_cost_grid(occ, horizontal, bounds, own, gamma, delta_tip)
 
     def _window(
         self, request: SearchRequest, extra_margin: int
@@ -807,14 +555,6 @@ class AStarRouter:
             self.grid.width,
             self.grid.height,
         )
-
-    @staticmethod
-    def _backtrace(parent: Dict[Node, Optional[Node]], goal: Node) -> List[Node]:
-        nodes = [goal]
-        while parent[nodes[-1]] is not None:
-            nodes.append(parent[nodes[-1]])  # type: ignore[arg-type]
-        nodes.reverse()
-        return nodes
 
     @staticmethod
     def _lower(nodes: List[Node]) -> Tuple[List[Segment], List[Via]]:

@@ -10,7 +10,7 @@ computed backward from the targets over the frozen window, so it is an
 admissible **and** consistent heuristic by construction (it is the true
 remaining cost, which trivially satisfies ``d(u) <= w(u, v) + d(v)``).
 
-The fast A* path uses the map as a **corridor bound** rather than as a
+The A* search uses the map as a **corridor bound** rather than as a
 replacement ordering heuristic: with ``T = min_src(g_src + d(src))``
 (which equals the optimal path cost ``C*``), any heap entry whose
 ``g + d > T`` can never lie on the path A* will return, and — because
@@ -30,28 +30,18 @@ activation, ``ub = min g(target)`` is the cost of a real path, so
 prune_threshold(ub)``: cells with ``d <= limit`` get their exact
 distance, and cells beyond get ``inf`` — pruned either way, since
 ``g >= 0`` and ``prune_threshold`` is monotone (``thr <= limit``). The
-optimal source lies inside the limit, so ``T`` is unchanged too. Only
-the csgraph backend honours ``limit``; the sweep backend always solves
-the whole window, which is still exact.
+optimal source lies inside the limit, so ``T`` is unchanged too.
 
-Two backends build the same map:
-
-* ``csgraph`` (production, default when scipy is importable): the window
-  graph is assembled as a fixed-slot CSR matrix with fully vectorized
-  numpy index arithmetic — per-cell in-edges are ``[via down, in-layer
-  back, in-layer forward, via up]`` (plus the two wrong-way slots when
-  enabled), invalid slots carry ``inf`` which ``scipy.sparse.csgraph``
-  treats as a non-edge — and one multi-source ``dijkstra(min_only=True)``
-  from the target cells solves it in C. Structures (indices/indptr/step
-  tables) are LRU-cached per window shape so repeat searches only pay
-  the data fill.
-* ``sweep`` (pure numpy, the executable specification): iterated
-  backward Bellman–Ford relaxation where each round closes every grid
-  line with a binary-lifting min-plus prefix scan along the layer's
-  travel axes and couples layers through a vectorized via relaxation,
-  until a fixpoint. The fixpoint of the full relaxation operator is the
-  exact distance, so both backends agree; the property tests pin them
-  to each other and to a scalar reference Dijkstra.
+Construction: the window graph is assembled as a fixed-slot CSR matrix
+with fully vectorized numpy index arithmetic — per-cell in-edges are
+``[via down, in-layer back, in-layer forward, via up]`` (plus the two
+wrong-way slots when enabled), invalid slots carry ``inf`` which
+``scipy.sparse.csgraph`` treats as a non-edge — and one multi-source
+``dijkstra(min_only=True)`` from the target cells solves it in C.
+Structures (indices/indptr/step tables) are LRU-cached per window shape
+so repeat searches only pay the data fill. The property tests pin the
+map to a scalar reference Dijkstra and to an independent pure-numpy
+Bellman–Ford sweep.
 """
 
 from __future__ import annotations
@@ -61,16 +51,8 @@ from collections import OrderedDict
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # scipy is an install-time dependency, but keep the import soft so
-    # the sweep backend can serve minimal environments.
-    import scipy.sparse as _sp
-    import scipy.sparse.csgraph as _csg
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    _sp = _csg = None
-    HAVE_SCIPY = False
+import scipy.sparse as _sp
+import scipy.sparse.csgraph as _csg
 
 #: Slack added to the corridor bound: far above accumulated float64
 #: summation-order noise (~1e-10 on realistic path costs), far below any
@@ -81,8 +63,8 @@ PRUNE_EPS = 1e-6
 #: switches the running search over to map-guided pruning.
 AUTO_TRIGGER_EXPANSIONS = 192
 
-#: Window extents are padded up to multiples of this inside the csgraph
-#: backend so the CSR structure cache hits across similar windows.
+#: Window extents are padded up to multiples of this so the CSR
+#: structure cache hits across similar windows.
 #: Padded cells are impassable (``inf`` entry cost), so the map restricted
 #: to the real window is exact.
 _SHAPE_PAD = 8
@@ -96,7 +78,7 @@ def prune_threshold(total: float) -> float:
 
 
 # ---------------------------------------------------------------------- #
-# csgraph backend
+# CSR construction
 # ---------------------------------------------------------------------- #
 
 
@@ -219,7 +201,7 @@ def _structure_for(
     return struct
 
 
-def _csgraph_map(
+def future_cost_map(
     passable: np.ndarray,
     cost: np.ndarray,
     horizontal: Sequence[bool],
@@ -228,8 +210,23 @@ def _csgraph_map(
     wrong_way: float,
     target_mask: np.ndarray,
     limit: float = _INF,
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
+    """Exact cost-to-go of every window cell toward the target set.
+
+    Parameters mirror the search's folded state: ``passable`` (bool
+    array, layers x wx x wy), ``cost`` (the folded Eq. (5) + penalty
+    grid), the per-layer direction table, the CostParams step weights,
+    and the target mask. Returns a float64 array of the same shape with
+    ``inf`` for unreachable or impassable cells, or ``None`` when the
+    window is degenerate (guidance simply stays off for that search).
+
+    A finite ``limit`` stops the solve there: every cell with
+    ``d <= limit`` still gets its exact distance, cells beyond get
+    ``inf``.
+    """
     num_layers, wx, wy = passable.shape
+    if wx < 2 or wy < 2 or not target_mask.any():
+        return None
     # Quantize the window shape so repeat searches share CSR skeletons.
     # Padding cells are impassable: their entry cost is inf, csgraph sees
     # no edges through them, and the slice back to the real extent is
@@ -271,142 +268,3 @@ def _csgraph_map(
     dist = dist.reshape(num_layers, pwx, pwy)[:, :wx, :wy]
     dist[~passable] = _INF
     return dist
-
-
-# ---------------------------------------------------------------------- #
-# sweep backend
-# ---------------------------------------------------------------------- #
-
-
-def _lift_scan(D: np.ndarray, W: np.ndarray, axis: int) -> np.ndarray:
-    """Exact 1D min-plus closure along ``axis`` by binary lifting.
-
-    ``W[cell]`` is the cost of *entering* the cell while travelling along
-    the axis (``inf`` blocks). Both directions are scanned from the same
-    input (a non-negative-cost 1D shortest path never reverses), and the
-    per-hop weight tables double each pass, so ``ceil(log2(n))`` passes
-    close lines of any length.
-    """
-    Dm = np.moveaxis(D, axis, -1)
-    Wm = np.moveaxis(W, axis, -1)
-    n = Dm.shape[-1]
-    fwd = Dm.copy()
-    gain = np.full_like(Wm, _INF)
-    gain[..., 1:] = Wm[..., :-1]
-    bwd = Dm.copy()
-    gain_b = np.full_like(Wm, _INF)
-    gain_b[..., :-1] = Wm[..., 1:]
-    span = 1
-    while span < n:
-        shifted = np.full_like(fwd, _INF)
-        shifted[..., span:] = fwd[..., :-span]
-        np.minimum(fwd, shifted + gain, out=fwd)
-        g_shift = np.full_like(gain, _INF)
-        g_shift[..., span:] = gain[..., :-span]
-        gain = gain + g_shift
-
-        shifted_b = np.full_like(bwd, _INF)
-        shifted_b[..., :-span] = bwd[..., span:]
-        np.minimum(bwd, shifted_b + gain_b, out=bwd)
-        gb_shift = np.full_like(gain_b, _INF)
-        gb_shift[..., :-span] = gain_b[..., span:]
-        gain_b = gain_b + gb_shift
-        span *= 2
-    return np.moveaxis(np.minimum(fwd, bwd), -1, axis)
-
-
-def _sweep_map(
-    passable: np.ndarray,
-    cost: np.ndarray,
-    horizontal: Sequence[bool],
-    alpha: float,
-    beta: float,
-    wrong_way: float,
-    target_mask: np.ndarray,
-    max_iters: int = 64,
-) -> Optional[np.ndarray]:
-    num_layers, wx, wy = passable.shape
-    hl = np.asarray(horizontal[:num_layers], dtype=bool)[:, None, None]
-    entry = np.where(passable, cost, _INF)
-    ww = alpha * wrong_way if wrong_way else _INF
-    step_x = np.where(hl, alpha, ww)
-    step_y = np.where(hl, ww, alpha)
-    D = np.full(passable.shape, _INF, dtype=np.float64)
-    D[target_mask] = 0.0
-    Wx = entry + step_x
-    Wy = entry + step_y
-    Wv = entry + beta  # cost of entering each cell through a via
-    for iteration in range(max_iters):
-        prev = D
-        D = _lift_scan(D, Wx, axis=1)
-        D[~passable] = _INF
-        D[target_mask] = 0.0
-        D = _lift_scan(D, Wy, axis=2)
-        D[~passable] = _INF
-        D[target_mask] = 0.0
-        # d(u) = d(v) + beta + cost(v): the forward search pays the cost
-        # of the cell it *enters*, i.e. the via's far end.
-        via = np.full_like(D, _INF)
-        via[:-1] = D[1:] + Wv[1:]
-        via[1:] = np.minimum(via[1:], D[:-1] + Wv[:-1])
-        D = np.minimum(D, via)
-        D[~passable] = _INF
-        D[target_mask] = 0.0
-        if np.array_equal(D, prev):
-            return D
-    return None  # did not converge; caller routes unguided
-
-
-# ---------------------------------------------------------------------- #
-# public entry point
-# ---------------------------------------------------------------------- #
-
-
-def resolve_backend(backend: str) -> str:
-    """The backend ``backend`` runs as: ``"auto"`` is ``"csgraph"`` when
-    scipy is importable and ``"sweep"`` otherwise."""
-    if backend == "auto":
-        return "csgraph" if HAVE_SCIPY else "sweep"
-    return backend
-
-
-def future_cost_map(
-    passable: np.ndarray,
-    cost: np.ndarray,
-    horizontal: Sequence[bool],
-    alpha: float,
-    beta: float,
-    wrong_way: float,
-    target_mask: np.ndarray,
-    backend: str = "auto",
-    limit: float = _INF,
-) -> Optional[np.ndarray]:
-    """Exact cost-to-go of every window cell toward the target set.
-
-    Parameters mirror the fast search's folded state: ``passable`` (bool
-    array, layers x wx x wy), ``cost`` (the folded Eq. (5) + penalty
-    grid), the per-layer direction table, the CostParams step weights,
-    and the target mask. Returns a float64 array of the same shape with
-    ``inf`` for unreachable or impassable cells, or ``None`` when the
-    window is degenerate (guidance simply stays off for that search).
-
-    A finite ``limit`` lets the csgraph backend stop the solve there:
-    every cell with ``d <= limit`` still gets its exact distance, cells
-    beyond get ``inf``. The sweep backend ignores it.
-    """
-    num_layers, wx, wy = passable.shape
-    if wx < 2 or wy < 2 or not target_mask.any():
-        return None
-    backend = resolve_backend(backend)
-    if backend == "csgraph":
-        if not HAVE_SCIPY:
-            raise RuntimeError("csgraph guidance backend requires scipy")
-        return _csgraph_map(
-            passable, cost, horizontal, alpha, beta, wrong_way, target_mask,
-            limit,
-        )
-    if backend == "sweep":
-        return _sweep_map(
-            passable, cost, horizontal, alpha, beta, wrong_way, target_mask
-        )
-    raise ValueError(f"unknown guidance backend: {backend!r}")

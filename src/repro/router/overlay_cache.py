@@ -22,8 +22,9 @@ numpy work.
 Exactness contract: the cached grid is bit-identical to a fresh
 :func:`overlay_cost_grid` of the same window (the scalar repair probe
 replays the vectorised arithmetic in the same operation order), which in
-turn matches the brute-force per-cell ``SadpRouter._overlay_probe``.
-The property tests pin all three together.
+turn matches the brute-force per-cell oracle
+:func:`repro.router.reference.overlay_probe`. The property tests pin all
+three together.
 """
 
 from __future__ import annotations

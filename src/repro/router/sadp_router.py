@@ -24,20 +24,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .. import obs
 from ..color import Color
 from ..core import (
-    ConstraintEdge,
     CutConflictChecker,
     DetectedScenario,
     OverlayConstraintGraph,
-    ScenarioDetector,
     ScenarioType,
+    SoAOverlayConstraintGraph,
+    VectorScenarioDetector,
     flip_colors,
-    make_constraint_graph,
-    make_detector,
     pseudo_color,
 )
 from ..core.cut_conflict import CriticalCut
 from ..geometry import Point, Segment
-from ..grid import CellState, Direction, RoutingGrid
+from ..grid import RoutingGrid
 from ..netlist import Net, Netlist
 from .astar import AStarRouter, SearchRequest, SearchResult, extend_with_taps
 from .cost import CostParams, PAPER_PARAMS
@@ -73,12 +71,15 @@ class SadpRouter:
         if guidance not in ("off", "auto", "on"):
             raise ValueError(f"unknown guidance mode: {guidance!r}")
         self.guidance = guidance
-        #: Constraint-engine backend ("vector" | "object") — "vector" runs
-        #: the SoA edge store, batched scenario detection, and vectorized
-        #: coloring; "object" is the bit-exact per-object reference path.
-        #: Results are identical for both values (gated in CI).
-        if core not in ("vector", "object"):
-            raise ValueError(f"unknown core backend: {core!r}")
+        #: Constraint-engine backend: "vector" (the SoA edge store and the
+        #: vector scenario detector) is the only one. Kept because
+        #: ``perfbench/run.py`` reads it.
+        if core != "vector":
+            raise ValueError(
+                f"unknown core backend: {core!r} (only 'vector' routes; "
+                "use repro.router.reference.reference_router for the "
+                "object oracles)"
+            )
         self.core = core
         #: Always None: routing runs in this process, one net at a time.
         #: Kept because ``perfbench/run.py`` reads it.
@@ -88,11 +89,9 @@ class SadpRouter:
         #: every 1-b scenario forces a rip-up, as in the trim process.
         self.enable_merge = enable_merge
 
-        detector_backend = "vector" if core == "vector" else "object"
-        graph_backend = "soa" if core == "vector" else "object"
-        self.detector = make_detector(grid.num_layers, backend=detector_backend)
+        self.detector = VectorScenarioDetector(grid.num_layers)
         self.graphs: List[OverlayConstraintGraph] = [
-            make_constraint_graph(graph_backend) for _ in range(grid.num_layers)
+            SoAOverlayConstraintGraph() for _ in range(grid.num_layers)
         ]
         self.colorings: List[Dict[int, Color]] = [
             {} for _ in range(grid.num_layers)
@@ -101,7 +100,6 @@ class SadpRouter:
         self._scenarios_by_net: Dict[int, List[DetectedScenario]] = {}
         self._penalties: Dict[Tuple[int, int, int], float] = {}
         self._flip_count = 0
-        self._active_net = -1
         self._blockers: Set[int] = set()
         self._committed: Set[int] = set()
         self._evicted_routes: Dict[int, NetRoute] = {}
@@ -144,40 +142,6 @@ class SadpRouter:
                         self.grid.occupy(pin.layer, p, net.net_id)
                         cells.append((pin.layer, p))
             self._pin_cells[net.net_id] = cells
-
-    # ------------------------------------------------------------------ #
-    # Cost probes
-    # ------------------------------------------------------------------ #
-
-    def _overlay_probe(self, layer: int, pt: Point) -> float:
-        """Eq. (5)'s overlay term for occupying ``pt``: ``gamma`` when it
-        creates a type 2-b scenario (tip-to-tip at track distance 2 along
-        the preferred direction) with another net, plus the soft
-        ``delta_tip`` for a direct tip abutment (see CostParams)."""
-        grid = self.grid
-        if grid.layer_direction(layer) is Direction.HORIZONTAL:
-            ahead = ((pt.x + 2, pt.y, pt.x + 1, pt.y), (pt.x - 2, pt.y, pt.x - 1, pt.y))
-        else:
-            ahead = ((pt.x, pt.y + 2, pt.x, pt.y + 1), (pt.x, pt.y - 2, pt.x, pt.y - 1))
-        cost = 0.0
-        own = self._active_net
-        for fx, fy, mx, my in ahead:
-            far = Point(fx, fy)
-            mid = Point(mx, my)
-            if not grid.in_bounds(layer, mid):
-                continue
-            mid_owner = grid.owner(layer, mid)
-            if mid_owner >= 0 and mid_owner != own:
-                cost += self.params.delta_tip  # abutting tip (type 1-b)
-                continue
-            if (
-                mid_owner == int(CellState.FREE)
-                and grid.in_bounds(layer, far)
-                and grid.owner(layer, far) >= 0
-                and grid.owner(layer, far) != own
-            ):
-                cost += self.params.gamma  # type 2-b
-        return cost
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -280,7 +244,6 @@ class SadpRouter:
         allow_chain: bool = True,
     ) -> NetRoute:
         route = NetRoute(net_id=net.net_id)
-        self._active_net = net.net_id
         self.engine.active_net = net.net_id
         if not preserve_penalties:
             self._penalties.clear()
@@ -372,17 +335,9 @@ class SadpRouter:
     def _commit_inner(
         self, net_id: int, found: SearchResult, route: NetRoute
     ) -> bool:
-        use_vector = self.core == "vector"
-        if use_vector:
-            # One validated bulk write + one change notification for the
-            # whole path instead of a per-cell occupy/notify loop.
-            self.grid.occupy_many(found.nodes, net_id)
-        else:
-            for layer, x, y in found.nodes:
-                self.grid.occupy(layer, Point(x, y), net_id)
+        # One change notification for the whole path.
+        self.grid.occupy_many(found.nodes, net_id)
 
-        edges_by_layer: Dict[int, List[ConstraintEdge]] = {}
-        scenario_of_edge: Dict[int, DetectedScenario] = {}
         scenarios_by_layer: Dict[int, List[DetectedScenario]] = {}
         merge_violations: List[DetectedScenario] = []
         with obs.span("ocg_update", net_id=net_id):
@@ -394,16 +349,7 @@ class SadpRouter:
                     # pair is undecomposable, so the net must reroute.
                     merge_violations.append(sc)
                     continue
-                if use_vector:
-                    # SoA graphs build edge rows from the scenarios in one
-                    # table gather — no per-object ConstraintEdge needed.
-                    scenarios_by_layer.setdefault(sc.layer, []).append(sc)
-                    continue
-                edge = ConstraintEdge.from_scenario(
-                    sc.net_a, sc.net_b, sc.scenario, sc.a_is_tip_owner, sc.overlap
-                )
-                edges_by_layer.setdefault(sc.layer, []).append(edge)
-                scenario_of_edge[id(edge)] = sc
+                scenarios_by_layer.setdefault(sc.layer, []).append(sc)
         if merge_violations:
             cells = [(sc.layer, sc.rect_a) for sc in merge_violations]
             for sc in merge_violations:
@@ -412,13 +358,8 @@ class SadpRouter:
             return False
         offender_scs: List[DetectedScenario] = []
         with obs.span("ocg_update", net_id=net_id):
-            if use_vector:
-                for layer, scs in scenarios_by_layer.items():
-                    offender_scs.extend(self.graphs[layer].add_scenarios(scs))
-            else:
-                for layer, edges in edges_by_layer.items():
-                    for edge in self.graphs[layer].add_edges(edges):
-                        offender_scs.append(scenario_of_edge[id(edge)])
+            for layer, scs in scenarios_by_layer.items():
+                offender_scs.extend(self.graphs[layer].add_scenarios(scs))
             for layer in self._net_layers(found.segments):
                 self.graphs[layer].add_vertex(net_id)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ScenarioDetector, ScenarioType
+from repro.core import ScenarioType
+from repro.core.reference import ScenarioDetector
 from repro.geometry import Point, Segment
 
 

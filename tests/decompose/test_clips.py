@@ -3,7 +3,8 @@
 import pytest
 
 from repro.color import ALL_PAIRS, ColorPair
-from repro.core import ScenarioDetector, ScenarioType
+from repro.core import ScenarioType
+from repro.core.reference import ScenarioDetector
 from repro.decompose import scenario_clip
 from repro.geometry import Point, Segment
 from repro.rules import DesignRules

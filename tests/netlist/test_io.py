@@ -1,8 +1,10 @@
 """Unit tests for netlist text I/O."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import NetlistError
+from repro.errors import NetlistError, ReproError
 from repro.geometry import Point
 from repro.netlist import read_netlist, write_netlist
 from repro.netlist.io import parse_design, parse_netlist, read_design
@@ -91,3 +93,41 @@ class TestRoundTrip:
             twin = back.by_name(net.name)
             assert twin.source == net.source
             assert twin.target == net.target
+
+
+#: Tokens of the design format, so fuzzed files get past the first word.
+_TOKENS = ["a", "n0", "L0", "L1", "L-1", "1,2", "3,x", "4,4;5,5", "->",
+           "BLOCK", "5,5,1,1", "0,0,9,9", "#", ";", ",", "-1", " ", "\t"]
+
+design_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=120).map(lambda text: text.encode("utf-8")),
+    st.lists(
+        st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join),
+        max_size=5,
+    ).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "design.nets"
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_bytes)
+def test_read_design_raises_only_repro_errors(fuzz_path, data):
+    """Any file content either parses or fails with a ReproError — never
+    a raw exception (decode errors included)."""
+    fuzz_path.write_bytes(data)
+    try:
+        read_design(fuzz_path)
+    except ReproError:
+        pass
+
+
+def test_non_utf8_file_names_path_and_offset(tmp_path):
+    path = tmp_path / "latin1.nets"
+    path.write_bytes("a L0 1,2 -> L0 9,2 # caf\xe9\n".encode("latin-1"))
+    with pytest.raises(NetlistError, match=r"latin1\.nets.*offset 24"):
+        read_design(path)

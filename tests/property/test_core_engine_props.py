@@ -2,10 +2,10 @@
 
 The SoA constraint graph, the batch edge store, the vector scenario
 detector, and the bulk grid writes are all pure representation changes:
-on any input they must reproduce the object-per-edge reference exactly.
-These tests drive randomized inputs through both implementations —
-forcing the scalar *and* the wide numpy paths of each — and assert
-bit-identical outcomes.
+on any input they must reproduce the object-per-edge oracles
+(:mod:`repro.core.reference`, the object constraint graph, per-cell
+``occupy``) exactly. These tests drive randomized inputs through both
+and assert bit-identical outcomes.
 """
 
 import numpy as np
@@ -13,19 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.color import ALL_PAIRS
 from repro.core import (
     ConstraintEdge,
     EdgeStore,
     OverlayConstraintGraph,
-    ScenarioDetector,
     ScenarioType,
     SoAOverlayConstraintGraph,
     VectorScenarioDetector,
 )
-from repro.core import constraint_graph_soa, scenario_detect
 from repro.core.color_flip import brute_force_coloring, flip_colors
 from repro.core.edge_store import SCENARIO_ORDER
 from repro.core.odd_cycle import ParityUnionFind
+from repro.core.reference import ScenarioDetector
 from repro.core.scenario_detect import DetectedScenario
 from repro.errors import ColoringError, GridError
 from repro.geometry import Point, Rect, Segment
@@ -56,18 +56,19 @@ graph_edges = st.lists(
 )
 
 
+_UNIT = Rect(0, 0, 1, 1)
+
+
 def _build_pair(edges):
-    """The same random edge set in both graph implementations."""
+    """The same random scenario batch in both graph implementations."""
+    batch = [
+        DetectedScenario(0, u, v, t, tip, ov, _UNIT, _UNIT)
+        for u, v, t, tip, ov in edges
+    ]
     obj = OverlayConstraintGraph()
     soa = SoAOverlayConstraintGraph()
-    obj_off = obj.add_edges(
-        ConstraintEdge.from_scenario(u, v, t, tip, ov)
-        for u, v, t, tip, ov in edges
-    )
-    soa_off = soa.add_edges(
-        ConstraintEdge.from_scenario(u, v, t, tip, ov)
-        for u, v, t, tip, ov in edges
-    )
+    obj_off = obj.add_scenarios(batch)
+    soa_off = soa.add_scenarios(batch)
     return obj, soa, obj_off, soa_off
 
 
@@ -88,7 +89,7 @@ class TestVectorFlipEquivalence:
         exact coloring, and on graphs of <= 10 units never beats (and on
         forests exactly matches) the brute-force optimum."""
         obj, soa, obj_off, soa_off = _build_pair(edges)
-        assert [(e.u, e.v) for e in soa_off] == [(e.u, e.v) for e in obj_off]
+        assert soa_off == obj_off
         if obj_off:
             with pytest.raises(ColoringError):
                 flip_colors(soa)
@@ -100,25 +101,6 @@ class TestVectorFlipEquivalence:
         _, best = brute_force_coloring(soa, sorted(soa.vertices))
         assert total >= best
         assert total == _dp_total(obj, obj_colors)
-
-    @settings(max_examples=50, deadline=None)
-    @given(graph_edges)
-    def test_scalar_and_numpy_contraction_agree(self, edges):
-        """The <=32-net scalar contraction and the numpy contraction are
-        interchangeable: forcing either on the same graph yields the
-        same flip result."""
-        _, soa, _, off = _build_pair(edges)
-        if off:
-            return
-        small = constraint_graph_soa._SMALL
-        try:
-            constraint_graph_soa._SMALL = 10 ** 9  # always scalar
-            scalar_colors = flip_colors(soa)
-            constraint_graph_soa._SMALL = -1  # always numpy
-            numpy_colors = flip_colors(soa)
-        finally:
-            constraint_graph_soa._SMALL = small
-        assert scalar_colors == numpy_colors
 
     @settings(max_examples=40, deadline=None)
     @given(graph_edges)
@@ -150,47 +132,24 @@ class TestEdgeStoreEquivalence:
     @given(scenario_rows)
     def test_batch_rows_match_from_scenario(self, rows):
         """Every appended row materializes to exactly the edge
-        ``ConstraintEdge.from_scenario`` would build — across the scalar
-        (small batch) and numpy (wide batch) fill paths, which this
-        exercises by appending the same rows both one at a time and as
-        one batch."""
-        one = EdgeStore()
-        for u, v, s, tip, ov in rows:
-            one.append_scenarios([u], [v], [s], [tip], [ov])
-        bulk = EdgeStore()
-        bulk.append_scenarios(*zip(*rows))
-        for store in (one, bulk):
-            for i, (u, v, s, tip, ov) in enumerate(rows):
-                want = ConstraintEdge.from_scenario(
-                    u, v, SCENARIO_ORDER[s], tip, ov
-                )
-                got = store.materialize(i)
-                assert (got.u, got.v) == (u, v)
-                assert got.scenario == want.scenario
-                assert got.kind == want.kind
-                assert got.cost == want.cost
-                assert got.cut_risk == want.cut_risk
-                if want.kind.is_hard:
-                    assert got.parity == want.parity
-        np.testing.assert_array_equal(
-            one.dp_cost(np.arange(len(rows))),
-            bulk.dp_cost(np.arange(len(rows))),
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(scenario_rows)
-    def test_lazy_sync_keeps_columns_coherent(self, rows):
-        """Interleaving scalar appends with wide consumers (dp_cost
-        forces a column sync) never loses or reorders rows."""
+        ``ConstraintEdge.from_scenario`` would build, and its DP column
+        equals that edge's ``dp_cost`` for every color pair."""
         store = EdgeStore()
-        for i, (u, v, s, tip, ov) in enumerate(rows):
+        for u, v, s, tip, ov in rows:
             store.append_scenarios([u], [v], [s], [tip], [ov])
-            if i % 7 == 3:
-                store.dp_cost(np.arange(store.size))
-        store._sync()
-        assert list(store.u[: store.size]) == [r[0] for r in rows]
-        assert list(store.v[: store.size]) == [r[1] for r in rows]
-        assert list(store.scenario[: store.size]) == [r[2] for r in rows]
+        for i, (u, v, s, tip, ov) in enumerate(rows):
+            want = ConstraintEdge.from_scenario(u, v, SCENARIO_ORDER[s], tip, ov)
+            got = store.materialize(i)
+            assert (got.u, got.v) == (u, v)
+            assert got.scenario == want.scenario
+            assert got.kind == want.kind
+            assert got.cost == want.cost
+            assert got.cut_risk == want.cut_risk
+            if want.kind.is_hard:
+                assert got.parity == want.parity
+            assert store.dp4[i] == tuple(
+                want.dp_cost(pair.a, pair.b) for pair in ALL_PAIRS
+            )
 
 
 coord = st.integers(min_value=0, max_value=30)
@@ -214,46 +173,41 @@ def _scenario_key(sc):
     )
 
 
+@st.composite
+def layouts(draw):
+    """2-6 nets of 1-4 segments each, no segment repeated."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    segs = draw(
+        st.lists(
+            segments(),
+            min_size=sum(sizes),
+            max_size=sum(sizes),
+            unique_by=lambda s: (s.a, s.b),
+        )
+    )
+    nets, start = [], 0
+    for size in sizes:
+        nets.append(segs[start : start + size])
+        start += size
+    return nets
+
+
 class TestDetectorEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(segments(), min_size=2, max_size=6,
-                    unique_by=lambda s: (s.a, s.b)))
-    def test_vector_detector_matches_object_detector(self, segs):
-        """Committing the same random layout net by net yields the same
-        scenario stream from both detector implementations."""
+    @given(layouts())
+    def test_vector_detector_matches_object_detector(self, nets):
+        """Committing the same random layout net by net, with 1-4
+        segments per net, yields the same scenario stream from both
+        detector implementations, element for element and in order —
+        rip-up and repair consume that order."""
         obj = ScenarioDetector(num_layers=1)
         vec = VectorScenarioDetector(num_layers=1)
-        for i, seg in enumerate(segs):
-            got_obj = sorted(map(_scenario_key, obj.add_net(i, [seg])))
-            got_vec = sorted(map(_scenario_key, vec.add_net(i, [seg])))
+        for i, segs in enumerate(nets):
+            got_obj = list(map(_scenario_key, obj.add_net(i, segs)))
+            got_vec = list(map(_scenario_key, vec.add_net(i, segs)))
             assert got_vec == got_obj
+            assert vec.shapes_of(i) == obj.shapes_of(i)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(segments(), min_size=2, max_size=6,
-                    unique_by=lambda s: (s.a, s.b)))
-    def test_scalar_and_numpy_scan_agree(self, segs):
-        """The small-candidate scalar scan and the numpy scan classify
-        identically, in the same order."""
-
-        def run():
-            vec = VectorScenarioDetector(num_layers=1)
-            out = []
-            for i, seg in enumerate(segs):
-                out.extend(map(_scenario_key, vec.add_net(i, [seg])))
-            return out
-
-        small = scenario_detect._SMALL_SCAN
-        try:
-            scenario_detect._SMALL_SCAN = 10 ** 9  # always scalar
-            scalar = run()
-            scenario_detect._SMALL_SCAN = 0  # always numpy
-            vectored = run()
-        finally:
-            scenario_detect._SMALL_SCAN = small
-        assert scalar == vectored
-
-
-_UNIT = Rect(0, 0, 1, 1)
 
 #: Few nets, so removals often hit a net sharing rows with the newest batch.
 OP_NETS = NODES[:6]
@@ -327,19 +281,8 @@ class TestIncrementalHardParity:
                 ]
                 if not batch:
                     continue
-                edges = [
-                    ConstraintEdge.from_scenario(
-                        sc.net_a, sc.net_b, sc.scenario, sc.a_is_tip_owner,
-                        sc.overlap,
-                    )
-                    for sc in batch
-                ]
-                got_obj = [(e.u, e.v, e.scenario) for e in obj.add_edges(edges)]
-                got_soa = [
-                    (sc.net_a, sc.net_b, sc.scenario)
-                    for sc in soa.add_scenarios(batch)
-                ]
-                assert got_soa == got_obj
+                got_obj = obj.add_scenarios(batch)
+                assert soa.add_scenarios(batch) == got_obj
                 offenders = got_obj
                 newest = net
             elif op[0] == "undo":
@@ -381,9 +324,9 @@ class TestOccupyManyEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(cells, st.integers(0, 2), st.integers(0, 7), st.integers(0, 7))
     def test_matches_scalar_loop(self, batch, other_net, ox, oy):
-        """occupy_many (both the <48-cell loop and the numpy path) ends
-        in the same grid state, notifications, and error behaviour as
-        per-cell occupy — including around a foreign-owned cell."""
+        """occupy_many ends in the same grid state, notifications, and
+        error behaviour as per-cell occupy — including around a
+        foreign-owned cell."""
 
         class Recorder:
             def __init__(self):
@@ -451,7 +394,7 @@ class TestOccupyManyEquivalence:
         assert grid.owner(1, Point(2, 2)) == 4
         big = [(0, x, y) for x in range(8) for y in range(8)]
         grid2 = RoutingGrid(8, 8)
-        grid2.occupy_many(big + big, 4)  # >=48 cells: numpy path
+        grid2.occupy_many(big + big, 4)
         assert all(
             grid2.owner(0, Point(x, y)) == 4
             for x in range(8)

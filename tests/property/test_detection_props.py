@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ScenarioDetector, classify_relation, scenario_for_relation
+from repro.core import classify_relation, scenario_for_relation
+from repro.core.reference import ScenarioDetector
 from repro.core.scenarios import SCENARIO_RULES
 from repro.geometry import Point, Rect, Segment
 

@@ -10,9 +10,9 @@ facts about the map ``d``:
   which makes the pruned class closed under relaxation.
 
 Both are pinned here against a scalar reference Dijkstra over the same
-window graph, for both backends (``csgraph`` and the pure-numpy
-``sweep``), across randomized shapes, blockage masks, cost grids,
-direction assignments, and wrong-way settings.
+window graph, for the production solver (``csgraph``) and an independent
+pure-numpy oracle (``sweep``, below), across randomized shapes, blockage
+masks, cost grids, direction assignments, and wrong-way settings.
 
 A third property covers the bounded solve: a map stopped at
 ``limit = prune_threshold(ub)`` for any ``ub >= C*`` makes every prune
@@ -21,20 +21,116 @@ decision the full map makes.
 
 import heapq
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.router.guidance import (
-    HAVE_SCIPY,
-    PRUNE_EPS,
-    future_cost_map,
-    prune_threshold,
-)
+from repro.router.guidance import PRUNE_EPS, future_cost_map, prune_threshold
 
 INF = float("inf")
+
+
+# ---------------------------------------------------------------------- #
+# sweep oracle: iterated Bellman–Ford over binary-lifting line scans
+# ---------------------------------------------------------------------- #
+
+
+def _lift_scan(D: np.ndarray, W: np.ndarray, axis: int) -> np.ndarray:
+    """Exact 1D min-plus closure along ``axis`` by binary lifting.
+
+    ``W[cell]`` is the cost of *entering* the cell while travelling along
+    the axis (``inf`` blocks). Both directions are scanned from the same
+    input (a non-negative-cost 1D shortest path never reverses), and the
+    per-hop weight tables double each pass, so ``ceil(log2(n))`` passes
+    close lines of any length.
+    """
+    Dm = np.moveaxis(D, axis, -1)
+    Wm = np.moveaxis(W, axis, -1)
+    n = Dm.shape[-1]
+    fwd = Dm.copy()
+    gain = np.full_like(Wm, INF)
+    gain[..., 1:] = Wm[..., :-1]
+    bwd = Dm.copy()
+    gain_b = np.full_like(Wm, INF)
+    gain_b[..., :-1] = Wm[..., 1:]
+    span = 1
+    while span < n:
+        shifted = np.full_like(fwd, INF)
+        shifted[..., span:] = fwd[..., :-span]
+        np.minimum(fwd, shifted + gain, out=fwd)
+        g_shift = np.full_like(gain, INF)
+        g_shift[..., span:] = gain[..., :-span]
+        gain = gain + g_shift
+
+        shifted_b = np.full_like(bwd, INF)
+        shifted_b[..., :-span] = bwd[..., span:]
+        np.minimum(bwd, shifted_b + gain_b, out=bwd)
+        gb_shift = np.full_like(gain_b, INF)
+        gb_shift[..., :-span] = gain_b[..., span:]
+        gain_b = gain_b + gb_shift
+        span *= 2
+    return np.moveaxis(np.minimum(fwd, bwd), -1, axis)
+
+
+def _sweep_map(
+    passable: np.ndarray,
+    cost: np.ndarray,
+    horizontal: Sequence[bool],
+    alpha: float,
+    beta: float,
+    wrong_way: float,
+    target_mask: np.ndarray,
+    max_iters: int = 64,
+) -> Optional[np.ndarray]:
+    num_layers, wx, wy = passable.shape
+    hl = np.asarray(horizontal[:num_layers], dtype=bool)[:, None, None]
+    entry = np.where(passable, cost, INF)
+    ww = alpha * wrong_way if wrong_way else INF
+    step_x = np.where(hl, alpha, ww)
+    step_y = np.where(hl, ww, alpha)
+    D = np.full(passable.shape, INF, dtype=np.float64)
+    D[target_mask] = 0.0
+    Wx = entry + step_x
+    Wy = entry + step_y
+    Wv = entry + beta  # cost of entering each cell through a via
+    for iteration in range(max_iters):
+        prev = D
+        D = _lift_scan(D, Wx, axis=1)
+        D[~passable] = INF
+        D[target_mask] = 0.0
+        D = _lift_scan(D, Wy, axis=2)
+        D[~passable] = INF
+        D[target_mask] = 0.0
+        # d(u) = d(v) + beta + cost(v): the forward search pays the cost
+        # of the cell it *enters*, i.e. the via's far end.
+        via = np.full_like(D, INF)
+        via[:-1] = D[1:] + Wv[1:]
+        via[1:] = np.minimum(via[1:], D[:-1] + Wv[:-1])
+        D = np.minimum(D, via)
+        D[~passable] = INF
+        D[target_mask] = 0.0
+        if np.array_equal(D, prev):
+            return D
+    return None  # did not converge; caller routes unguided
+
+
+def _map(backend, passable, cost, horizontal, alpha, beta, wrong_way, targets,
+         limit=INF):
+    """The production map (``csgraph``) or the sweep oracle's, with
+    ``future_cost_map``'s degenerate-window rule. The sweep always solves
+    the whole window, which is still exact under any ``limit``."""
+    if backend == "csgraph":
+        return future_cost_map(
+            passable, cost, horizontal, alpha, beta, wrong_way, targets,
+            limit=limit,
+        )
+    _, wx, wy = passable.shape
+    if wx < 2 or wy < 2 or not targets.any():
+        return None
+    return _sweep_map(passable, cost, horizontal, alpha, beta, wrong_way, targets)
 
 
 # ---------------------------------------------------------------------- #
@@ -128,7 +224,7 @@ def windows(draw):
     return passable, cost, horizontal, alpha, beta, wrong_way, targets
 
 
-BACKENDS = ["sweep"] + (["csgraph"] if HAVE_SCIPY else [])
+BACKENDS = ["sweep", "csgraph"]
 
 
 # ---------------------------------------------------------------------- #
@@ -141,10 +237,7 @@ BACKENDS = ["sweep"] + (["csgraph"] if HAVE_SCIPY else [])
 @settings(max_examples=60, deadline=None)
 def test_map_equals_reference_dijkstra(backend, window):
     passable, cost, horizontal, alpha, beta, wrong_way, targets = window
-    d = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend=backend,
-    )
+    d = _map(backend, passable, cost, horizontal, alpha, beta, wrong_way, targets)
     if not targets.any():
         assert d is None
         return
@@ -162,17 +255,8 @@ def test_map_equals_reference_dijkstra(backend, window):
 @given(windows())
 @settings(max_examples=40, deadline=None)
 def test_backends_agree(window):
-    if not HAVE_SCIPY:
-        pytest.skip("csgraph backend requires scipy")
-    passable, cost, horizontal, alpha, beta, wrong_way, targets = window
-    a = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend="csgraph",
-    )
-    b = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend="sweep",
-    )
+    a = _map("csgraph", *window)
+    b = _map("sweep", *window)
     if a is None or b is None:
         assert a is None and b is None
         return
@@ -190,10 +274,7 @@ def test_backends_agree(window):
 @settings(max_examples=40, deadline=None)
 def test_map_is_consistent(backend, window):
     passable, cost, horizontal, alpha, beta, wrong_way, targets = window
-    d = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend=backend,
-    )
+    d = _map(backend, *window)
     if d is None:
         return
     num_layers, wx, wy = passable.shape
@@ -296,21 +377,15 @@ def _bounded_matches_full(full, bounded, cost, sources):
 @settings(max_examples=80, deadline=None)
 def test_bounded_map_keeps_every_prune_decision(backend, search, slack):
     passable, cost, horizontal, alpha, beta, wrong_way, targets, sources = search
-    full = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend=backend,
-    )
+    args = (passable, cost, horizontal, alpha, beta, wrong_way, targets)
+    full = _map(backend, *args)
     c_star = _source_threshold(full, cost, sources)
     assume(c_star < INF)
     ub = c_star + slack  # the cost of some path no cheaper than optimal
-    bounded = future_cost_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets,
-        backend=backend, limit=prune_threshold(ub),
-    )
+    bounded = _map(backend, *args, limit=prune_threshold(ub))
     assert _bounded_matches_full(full, bounded, cost, sources)
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="only csgraph honours the limit")
 def test_limit_below_the_threshold_breaks_the_property():
     """The bound must come from a real path: stopping short of ``C*``
     loses the optimal source, and the property above fails."""
@@ -320,14 +395,14 @@ def test_limit_below_the_threshold_breaks_the_property():
     targets[0, 5, 0] = True
     sources = [(0, 0, 0)]
     args = (passable, cost, (True,), 1.0, 2.0, 0.0, targets)
-    full = future_cost_map(*args, backend="csgraph")
+    full = future_cost_map(*args)
     c_star = _source_threshold(full, cost, sources)
     assert c_star == 5.0
     assert _bounded_matches_full(
         full,
-        future_cost_map(*args, backend="csgraph", limit=prune_threshold(c_star)),
+        future_cost_map(*args, limit=prune_threshold(c_star)),
         cost,
         sources,
     )
-    short = future_cost_map(*args, backend="csgraph", limit=c_star - 1.0)
+    short = future_cost_map(*args, limit=c_star - 1.0)
     assert not _bounded_matches_full(full, short, cost, sources)

@@ -3,7 +3,8 @@
 Three implementations of the Eq. (5) overlay term must agree bit-exactly
 on every cell:
 
-* ``SadpRouter._overlay_probe`` — the per-cell brute force (the spec);
+* :func:`repro.router.reference.overlay_probe` — the per-cell brute
+  force (the spec);
 * ``overlay_cost_grid`` — the vectorised window computation;
 * ``OverlayCostCache.grid_for`` — the memoised variant, after arbitrary
   sequences of occupancy changes and incremental repairs.
@@ -16,9 +17,9 @@ import pytest
 
 from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid, default_layer_stack
-from repro.netlist import Netlist
-from repro.router import SadpRouter
+from repro.router.cost import PAPER_PARAMS
 from repro.router.overlay_cache import OverlayCostCache, overlay_cost_grid
+from repro.router.reference import overlay_probe
 
 
 def _random_grid(rng: random.Random, side: int = 20, fill: float = 0.15):
@@ -29,10 +30,6 @@ def _random_grid(rng: random.Random, side: int = 20, fill: float = 0.15):
                 if rng.random() < fill:
                     grid.occupy(layer, Point(x, y), rng.randrange(0, 12))
     return grid
-
-
-def _probe_router(grid) -> SadpRouter:
-    return SadpRouter(grid, Netlist())
 
 
 def _random_bounds(rng: random.Random, grid):
@@ -54,11 +51,9 @@ def _horizontal(grid):
 def test_vectorised_grid_matches_brute_force_probe(seed):
     rng = random.Random(seed)
     grid = _random_grid(rng)
-    router = _probe_router(grid)
     own = rng.choice([-1, 0, 3, 7])
-    router._active_net = own
     bounds = _random_bounds(rng, grid)
-    params = router.params
+    params = PAPER_PARAMS
     cost = overlay_cost_grid(
         grid._occ, _horizontal(grid), bounds, own, params.gamma, params.delta_tip
     )
@@ -66,7 +61,7 @@ def test_vectorised_grid_matches_brute_force_probe(seed):
     for layer in range(grid.num_layers):
         for x in range(xlo, xhi + 1):
             for y in range(ylo, yhi + 1):
-                expected = router._overlay_probe(layer, Point(x, y))
+                expected = overlay_probe(grid, params, own, layer, Point(x, y))
                 assert cost[layer, x - xlo, y - ylo] == expected, (
                     f"cell ({layer},{x},{y}) own={own}: "
                     f"{cost[layer, x - xlo, y - ylo]} != probe {expected}"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.core import (
     ConstraintEdge,
     OverlayConstraintGraph,
-    ScenarioDetector,
     ScenarioType,
+    VectorScenarioDetector,
 )
 from repro.core.reference import (
     reference_dependent_pairs,
@@ -37,7 +37,7 @@ class TestDetectorVsBruteForce:
         nets = {i: [s] for i, s in enumerate(segs)}
         oracle = Counter(reference_dependent_pairs(nets))
 
-        det = ScenarioDetector(num_layers=1)
+        det = VectorScenarioDetector(num_layers=1)
         mine = Counter()
         for net_id, net_segs in nets.items():
             for sc in det.add_net(net_id, net_segs):

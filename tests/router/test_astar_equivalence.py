@@ -1,11 +1,14 @@
-"""Fast-path vs reference-path equivalence.
+"""Flat-array search vs the dict-based oracle.
 
-The flat-index fast search and the dict-based reference implementation
-must produce *identical* node sequences and costs — same FP operation
-order, same tie-breaking — on every workload. These tests pin that
-contract at the engine level (seeded random occupancy, penalties,
-overlay terms) and end-to-end through the full SadpRouter flow on
-seeded Test1/Test6 instances (fixed and multi-candidate pins).
+The production flat-index search and the dict-based
+:class:`~repro.router.reference.ReferenceAStarRouter` must produce
+*identical* node sequences and costs — same FP operation order, same
+tie-breaking — on every workload. These tests pin that contract at the
+engine level (seeded random occupancy, penalties, overlay terms) and
+end-to-end through the full SadpRouter flow on seeded Test1/Test6
+instances (fixed and multi-candidate pins), with the A* the only part
+swapped. The differential harness (``tests/router/test_differential.py``)
+compares every configuration against all the oracles at once.
 """
 
 import random
@@ -16,6 +19,7 @@ from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
 from repro.router import AStarRouter, CostParams, SadpRouter, SearchRequest
+from repro.router.reference import ReferenceAStarRouter, reference_engine
 
 
 def _random_occupancy(grid: RoutingGrid, rng: random.Random, fill: float) -> None:
@@ -28,7 +32,7 @@ def _random_occupancy(grid: RoutingGrid, rng: random.Random, fill: float) -> Non
 
 def _engines(grid, params, **kwargs):
     fast = AStarRouter(grid, params, **kwargs)
-    ref = AStarRouter(grid, params, use_reference=True, **kwargs)
+    ref = ReferenceAStarRouter(grid, params, **kwargs)
     return fast, ref
 
 
@@ -121,15 +125,15 @@ class TestEngineEquivalence:
     ids=["Test1-fixed-pins", "Test6-multi-candidate"],
 )
 def test_route_all_equivalence(circuit, scale):
-    """Full-flow equivalence: SadpRouter with the fast path (and the
-    overlay cache, exercised by rip-ups/evictions) commits exactly the
-    routes the reference implementation commits."""
+    """Full-flow equivalence: SadpRouter with the flat-array search (and
+    the overlay cache, exercised by rip-ups/evictions) commits exactly the
+    routes it commits with the dict-based oracle as its engine."""
     spec = spec_by_name(circuit)
     grid_fast, nets_fast = generate_benchmark(spec, scale=scale, seed=2014)
     grid_ref, nets_ref = generate_benchmark(spec, scale=scale, seed=2014)
     fast_router = SadpRouter(grid_fast, nets_fast)
     ref_router = SadpRouter(grid_ref, nets_ref)
-    ref_router.engine.use_reference = True
+    ref_router.engine = reference_engine(ref_router)
 
     res_fast = fast_router.route_all()
     res_ref = ref_router.route_all()
@@ -143,18 +147,3 @@ def test_route_all_equivalence(circuit, scale):
     assert res_fast.overlay_units == res_ref.overlay_units
     assert res_fast.total_wirelength == res_ref.total_wirelength
     assert res_fast.cut_conflicts == res_ref.cut_conflicts == 0
-
-
-def test_callbacks_force_reference_path():
-    """Generic per-cell callbacks are only supported by the reference
-    implementation; the dispatcher must route through it."""
-    grid = RoutingGrid(16, 16)
-    calls = []
-    engine = AStarRouter(
-        grid, CostParams(), overlay_cost=lambda l, p: calls.append(1) or 0.0
-    )
-    req = SearchRequest(
-        net_id=0, sources=[(0, Point(1, 5))], targets=[(0, Point(9, 5))]
-    )
-    assert engine.search(req) is not None
-    assert calls  # the callback actually ran

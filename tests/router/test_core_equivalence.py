@@ -1,23 +1,29 @@
-"""Vector-core vs object-core equivalence, end to end.
+"""Production core vs object core, end to end.
 
-``core="vector"`` swaps the constraint-graph/coloring/commit engine for
-the SoA edge store, the vector scenario detector, and the batched grid
-writes; ``core="object"`` keeps the one-object-per-edge reference. The
-swap is a pure representation change, so the full route_all flow —
-ripups, colorings, overlay accounting, cut-conflict elimination — must
-be bit-identical between the two on every seeded instance.
+Production routes on the vector scenario detector and the SoA
+constraint graph; the object :class:`~repro.core.reference.ScenarioDetector`
+and :class:`~repro.core.constraint_graph.OverlayConstraintGraph` they
+replace stay as oracles. The swap is a pure representation change, so
+the full route_all flow — ripups, colorings, overlay accounting,
+cut-conflict elimination — must be bit-identical between the two on
+every seeded instance, with the core the only part swapped.
 """
 
 import pytest
 
 from repro.bench.workloads import generate_benchmark, spec_by_name
+from repro.core.constraint_graph import OverlayConstraintGraph
+from repro.core.reference import ScenarioDetector
 from repro.router import SadpRouter
 
 
-def _route(circuit: str, scale: float, seed: int, core: str):
+def _route(circuit: str, scale: float, seed: int, object_core: bool):
     spec = spec_by_name(circuit)
     grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-    router = SadpRouter(grid, nets, core=core)
+    router = SadpRouter(grid, nets)
+    if object_core:
+        router.detector = ScenarioDetector(grid.num_layers)
+        router.graphs = [OverlayConstraintGraph() for _ in range(grid.num_layers)]
     return router.route_all()
 
 
@@ -41,8 +47,8 @@ class TestCoreEquivalenceEndToEnd:
     )
     @pytest.mark.parametrize("seed", [2014, 7])
     def test_route_all_bit_identical(self, circuit, scale, seed):
-        obj = _route(circuit, scale, seed, core="object")
-        vec = _route(circuit, scale, seed, core="vector")
+        obj = _route(circuit, scale, seed, object_core=True)
+        vec = _route(circuit, scale, seed, object_core=False)
         assert _route_signature(vec) == _route_signature(obj)
         assert vec.colorings == obj.colorings
         assert vec.overlay_units == obj.overlay_units
@@ -51,9 +57,3 @@ class TestCoreEquivalenceEndToEnd:
         assert vec.cut_conflicts == obj.cut_conflicts
         assert vec.total_ripups == obj.total_ripups
         assert vec.color_flips == obj.color_flips
-
-    def test_core_knob_is_validated(self):
-        spec = spec_by_name("Test1")
-        grid, nets = generate_benchmark(spec, scale=0.06, seed=1)
-        with pytest.raises(ValueError):
-            SadpRouter(grid, nets, core="fancy")

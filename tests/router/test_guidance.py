@@ -1,12 +1,15 @@
 """Guided vs unguided search equivalence, and the guidance plumbing.
 
 Corridor pruning must be *invisible* to the search result: with
-``guidance="on"`` (or ``"auto"``) the fast path returns the bit-identical
+``guidance="on"`` (or ``"auto"``) the search returns the bit-identical
 paths, costs, and committed metrics as ``guidance="off"`` while expanding
 no more nodes. These tests pin that contract at the engine level (random
-occupancy, penalties, overlay terms, multi-pin requests) and end-to-end
-through ``SadpRouter.route_all`` on seeded Test1/Test6 instances, plus
-the ``guidance_builds_total`` dispatch counter (bounded vs full solves).
+occupancy, penalties, overlay terms, multi-pin requests), end-to-end
+through ``SadpRouter.route_all`` on seeded Test1/Test6 instances, and on
+service-sized designs with the default trigger, plus the
+``guidance_builds_total`` dispatch counter (bounded vs full solves). The
+differential harness (``tests/router/test_differential.py``) also checks
+every guidance mode against the oracles.
 """
 
 import random
@@ -18,7 +21,6 @@ from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
 from repro.router import AStarRouter, CostParams, SadpRouter, SearchRequest
-from repro.router.guidance import HAVE_SCIPY
 
 
 def _random_occupancy(grid, rng, fill):
@@ -41,16 +43,10 @@ def _assert_same_found(guided, plain):
     assert guided.expansions <= plain.expansions
 
 
-BACKENDS = (["csgraph"] if HAVE_SCIPY else []) + ["sweep"]
-
-
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mode", ["on", "auto"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_occupancy_with_overlay_and_penalties(
-        self, seed, mode, backend
-    ):
+    def test_random_occupancy_with_overlay_and_penalties(self, seed, mode):
         rng = random.Random(seed)
         grid = RoutingGrid(26, 26)
         _random_occupancy(grid, rng, fill=0.12)
@@ -65,7 +61,6 @@ class TestEngineEquivalence:
         )
         plain = AStarRouter(grid, params, guidance="off", **kwargs)
         guided = AStarRouter(grid, params, guidance=mode, **kwargs)
-        guided.guidance_backend = backend
         guided.guidance_trigger = 16  # make "auto" actually trip
         for net_id in (100, 101):
             plain.active_net = guided.active_net = net_id
@@ -250,7 +245,6 @@ class TestBuildCounter:
         assert bounded > 0
         assert total == router.engine.total_guided_searches
 
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="bounded solves need csgraph")
     def test_forced_activation_solves_the_full_window(self):
         """Trigger 0 activates before any target holds a g-score, so
         there is no bound yet and the whole window is solved."""

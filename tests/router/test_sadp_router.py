@@ -157,3 +157,13 @@ class TestMultiCandidate:
         assert result.routability == 1.0
         # Best pairing is (2,15) -> (20,15): a straight 18-step wire.
         assert result.routes[0].wirelength == 18
+
+
+class TestCoreKnob:
+    def test_only_the_vector_core_routes(self):
+        """``core`` stays for callers that read it, but production has one
+        engine: any other value points at the oracle router."""
+        assert make_router([]).core == "vector"
+        for core in ("object", "fancy"):
+            with pytest.raises(ValueError, match="reference_router"):
+                make_router([], core=core)

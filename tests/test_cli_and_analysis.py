@@ -189,6 +189,17 @@ class TestCli:
         assert rc == 2
         assert "directory" in err
 
+    def test_route_non_utf8_netlist_is_clean_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.nets"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        rc = main(["route", str(bad), "--width", "10", "--height", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: stage 'load_design' failed:")
+        assert "bad.nets" in err
+        assert "offset 0" in err
+        assert err.count("\n") == 1
+
 
 class TestAnalysis:
     @pytest.fixture
