@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 from ..color import Color, ColorPair
 from ..core.scenario_detect import DetectedScenario, ShapeRecord
 from ..core.scenarios import ScenarioType
-from ..geometry import Interval, IntervalSet, Rect
+from ..geometry import Interval, IntervalSet
 from ..rules import DesignRules
 
 #: Scenario/color combinations that are conflicts under the trim process.
@@ -121,23 +121,6 @@ class TrimAccounting:
         """All scenario instances a net participates in."""
         return list(self._scenarios_by_net.get(net_id, ()))
 
-    def net_conflicts(
-        self, net_id: int, coloring: Dict[int, Color], layer: int = None
-    ) -> int:
-        """Conflicts on scenarios incident to one net under a coloring.
-
-        ``coloring`` is a single layer's assignment; pass ``layer`` to
-        restrict the scenarios to that layer (colors are per-layer).
-        """
-        total = 0
-        for sc in self._scenarios_by_net.get(net_id, ()):
-            if layer is not None and sc.layer != layer:
-                continue
-            ca = coloring.get(sc.net_a, Color.CORE)
-            cb = coloring.get(sc.net_b, Color.CORE)
-            total += self.pair_conflicts(sc, ca, cb)
-        return total
-
     def fragment_overlay_nm(
         self, record: ShapeRecord, coloring: Dict[int, Color]
     ) -> int:
@@ -204,9 +187,3 @@ class TrimAccounting:
                     record, colorings[record.layer]
                 )
         return TrimEvaluation(overlay_nm=overlay, conflicts=conflicts)
-
-    def net_overlay_nm(self, net_id: int, colorings: List[Dict[int, Color]]) -> int:
-        return sum(
-            self.fragment_overlay_nm(record, colorings[record.layer])
-            for record in self._fragments.get(net_id, ())
-        )

@@ -2,10 +2,9 @@
 
 Measures the router's end-to-end wall time on scaled paper workloads with
 observability **off** (the production configuration), comparing the
-flat-index fast A* path against the dict-based reference implementation,
-and the guidance-pruned fast path against the unguided one. Rounds are
-interleaved — reference, fast, guided, … — so thermal drift and
-background noise hit all modes equally, and the per-mode minimum over
+flat-index fast A* path against the dict-based reference implementation.
+Rounds are interleaved — reference, fast, … — so thermal drift and
+background noise hit both modes equally, and the per-mode minimum over
 rounds is reported (the least-noise estimate of true cost).
 
 Results land in ``BENCH_perf.json``::
@@ -25,9 +24,11 @@ machine speed, and the tolerance absorbs runner noise.
 The ``reference`` mode routes with
 :func:`repro.router.reference.reference_router` — the dict-based A*, the
 object scenario detector and the object-per-edge constraint graph —
-while every other mode runs the production router, so the headline
-speedup is the full oracle-vs-production A/B and ``core_phase_speedup``
-isolates the core engine's share (graph+flip+commit) of it.
+while ``fast`` runs the production router with corridor guidance
+switched off (the oracle never prunes either), so the headline speedup
+is a like-for-like oracle-vs-production A/B over the same expansions,
+and ``core_phase_speedup`` isolates the core engine's share
+(graph+flip+commit) of it.
 """
 
 from __future__ import annotations
@@ -69,21 +70,8 @@ DEFAULT_SCALES: Dict[str, float] = {
 
 #: The bench samples the paper's suite at both ends: the fixed-pin family
 #: at three sizes (Test1-Test3 small/mid, Test5 large) plus the
-#: multi-candidate variant Test6, whose many tiny searches mostly finish
-#: before the guidance trigger.
+#: multi-candidate variant Test6.
 DEFAULT_WORKLOADS = ("Test1", "Test2", "Test3", "Test5", "Test6")
-
-#: Bench modes and the router configuration each one measures.
-#: ``reference`` routes on the oracles (:func:`reference_router`), so the
-#: A/B measures the production router against them;
-#: :func:`check_core_equivalence` gates their bit-identity. ``fast`` is
-#: the unguided production router (the guidance-off side of the A/B);
-#: ``guided`` enables the future-cost corridor maps.
-_MODE_CONFIG = {
-    "reference": dict(guidance="off"),
-    "fast": dict(guidance="off"),
-    "guided": dict(guidance="auto"),
-}
 
 #: Phases owned by the core engine (the A* search phase is shared).
 CORE_PHASES = ("graph", "flip", "commit")
@@ -100,7 +88,6 @@ class _Run:
     wall_s: float
     expansions: int
     searches: int
-    guided_searches: int
     routability_pct: float
     overlay_units: float
 
@@ -115,7 +102,6 @@ class ModeSample:
     searches: int
     routability_pct: float
     overlay_units: float
-    guided_searches: int = 0
     #: Per-phase runtime split of this mode's own instrumented run —
     #: every sample carries its own phases (the split used to be
     #: emitted once per workload, which misattributed the reference
@@ -142,8 +128,6 @@ class ModeSample:
             "routability_pct": round(self.routability_pct, 2),
             "overlay_units": self.overlay_units,
         }
-        if self.guided_searches:
-            out["guided_searches"] = self.guided_searches
         if self.phases:
             out["phases_s"] = {k: round(v, 6) for k, v in self.phases.items()}
             out["phases_route_all_s"] = round(self.phases_route_all_s, 6)
@@ -157,26 +141,12 @@ class WorkloadResult:
     seed: int
     fast: ModeSample
     reference: Optional[ModeSample] = None
-    guided: Optional[ModeSample] = None
 
     @property
     def speedup(self) -> Optional[float]:
         if self.reference is None or self.fast.route_all_s <= 0:
             return None
         return self.reference.route_all_s / self.fast.route_all_s
-
-    @property
-    def guidance_speedup(self) -> Optional[float]:
-        if self.guided is None or self.guided.route_all_s <= 0:
-            return None
-        return self.fast.route_all_s / self.guided.route_all_s
-
-    @property
-    def expansion_reduction(self) -> Optional[float]:
-        """Unguided / guided expansion count (>= 1.0 by construction)."""
-        if self.guided is None or self.guided.expansions <= 0:
-            return None
-        return self.fast.expansions / self.guided.expansions
 
     @property
     def core_phase_speedup(self) -> Optional[float]:
@@ -235,19 +205,19 @@ class WorkloadResult:
                 out["core_phase_speedup"] = round(self.core_phase_speedup, 4)
             if self.phase_speedups:
                 out["phase_speedups"] = self.phase_speedups
-        if self.guided is not None:
-            out["guided"] = self.guided.to_dict()
-            out["guidance_speedup"] = round(self.guidance_speedup, 4)
-            out["expansion_reduction"] = round(self.expansion_reduction, 4)
         return out
 
 
 def _make_router(circuit: str, scale: float, seed: int, mode: str) -> SadpRouter:
-    """A fresh router instance configured for one bench mode."""
+    """A fresh router instance for one bench mode: the oracle router for
+    ``reference``, the unguided production router for ``fast``."""
     spec = spec_by_name(circuit)
     grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-    build = reference_router if mode == "reference" else SadpRouter
-    return build(grid, nets, **_MODE_CONFIG[mode])
+    if mode == "reference":
+        return reference_router(grid, nets)
+    router = SadpRouter(grid, nets)
+    router.engine.guidance_trigger = -1
+    return router
 
 
 def _run_once(circuit: str, scale: float, seed: int, mode: str) -> _Run:
@@ -260,7 +230,6 @@ def _run_once(circuit: str, scale: float, seed: int, mode: str) -> _Run:
         wall_s=wall,
         expansions=router.engine.total_expansions,
         searches=router.engine.total_searches,
-        guided_searches=router.engine.total_guided_searches,
         routability_pct=result.routability * 100.0,
         overlay_units=result.overlay_units,
     )
@@ -299,18 +268,10 @@ def run_perf(
     seed: int = 2014,
     rounds: int = 3,
     include_reference: bool = True,
-    include_guidance: bool = True,
     include_phases: bool = True,
     verbose: bool = True,
 ) -> dict:
-    """Run the perf bench; returns one tier's flat payload.
-
-    With ``include_guidance`` each workload runs a guidance-on/off A/B
-    of the fast path (``guided`` sample, ``guidance_speedup``,
-    ``expansion_reduction``); :func:`check_guidance_equivalence` gates
-    that the guided run produced identical metrics from strictly fewer
-    (or equal) expansions.
-    """
+    """Run the perf bench; returns one tier's flat payload."""
     if obs.is_enabled():
         raise RuntimeError(
             "perf bench must run with observability off (it measures the "
@@ -323,8 +284,6 @@ def run_perf(
         modes = ["fast"]
         if include_reference:
             modes.insert(0, "reference")
-        if include_guidance:
-            modes.append("guided")
         samples: Dict[str, List[_Run]] = {m: [] for m in modes}
         for rnd in range(rounds):
             # Interleaved so all modes see the same machine drift, and
@@ -345,7 +304,6 @@ def run_perf(
                 searches=run.searches,
                 routability_pct=run.routability_pct,
                 overlay_units=run.overlay_units,
-                guided_searches=run.guided_searches,
             )
             if include_phases:
                 sample.phases, sample.phases_route_all_s = _phase_split(
@@ -359,7 +317,6 @@ def run_perf(
             seed=seed,
             fast=best("fast"),
             reference=best("reference") if include_reference else None,
-            guided=best("guided") if include_guidance else None,
         )
         results.append(wl)
         if verbose:
@@ -371,12 +328,6 @@ def run_perf(
                 line += (
                     f", reference {wl.reference.route_all_s:.3f}s"
                     f" -> speedup {wl.speedup:.2f}x"
-                )
-            if wl.guided is not None:
-                line += (
-                    f", guided {wl.guided.route_all_s:.3f}s"
-                    f" -> {wl.guidance_speedup:.2f}x"
-                    f" ({wl.expansion_reduction:.1f}x fewer expansions)"
                 )
             print(line)
     payload = {
@@ -418,18 +369,6 @@ def run_perf(
     if cspeedups:
         summary["geomean_core_phase_speedup"] = round(_geo(cspeedups), 4)
         summary["min_core_phase_speedup"] = round(min(cspeedups), 4)
-    gspeedups = [
-        wl.guidance_speedup for wl in results if wl.guidance_speedup is not None
-    ]
-    if gspeedups:
-        summary["geomean_guidance_speedup"] = round(_geo(gspeedups), 4)
-        summary["min_guidance_speedup"] = round(min(gspeedups), 4)
-        reductions = [
-            wl.expansion_reduction
-            for wl in results
-            if wl.expansion_reduction is not None
-        ]
-        summary["geomean_expansion_reduction"] = round(_geo(reductions), 4)
     if summary:
         payload["summary"] = summary
     return payload
@@ -486,7 +425,7 @@ def render_phase_table(payload: dict) -> str:
     lines = [header, "-" * len(header)]
     for tier, flat in iter_tier_payloads(payload):
         for wl in flat.get("workloads", []):
-            for variant in ("reference", "fast", "guided"):
+            for variant in ("reference", "fast"):
                 sample = wl.get(variant)
                 if not sample or "phases_s" not in sample:
                     continue
@@ -501,46 +440,18 @@ def render_phase_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def check_guidance_equivalence(payload: dict) -> List[str]:
-    """Correctness gate for the guidance A/B.
-
-    Corridor pruning is designed to be invisible: the guided fast path
-    must commit the same routes (identical routability and overlay
-    units, same search count) while expanding no more nodes than the
-    unguided one. Returns a list of problems (empty = pass).
-    """
-    problems: List[str] = []
-    for tier, flat in iter_tier_payloads(payload):
-        for wl in flat.get("workloads", []):
-            guided = wl.get("guided")
-            if guided is None:
-                continue
-            fast = wl["fast"]
-            for metric in ("routability_pct", "overlay_units", "searches"):
-                if guided[metric] != fast[metric]:
-                    problems.append(
-                        f"{tier}/{wl['circuit']}: guided {metric} "
-                        f"{guided[metric]} != unguided {fast[metric]}"
-                    )
-            if guided["expansions"] > fast["expansions"]:
-                problems.append(
-                    f"{tier}/{wl['circuit']}: guided expansions "
-                    f"{guided['expansions']} > unguided {fast['expansions']} "
-                    "(pruning must never add work)"
-                )
-    return problems
-
-
 def check_core_equivalence(payload: dict) -> List[str]:
     """Bit-identity gate for the vectorized core engine.
 
     The ``reference`` sample runs on the oracles (the object-per-edge
     constraint graph/coloring/commit engine and the dict A*, see
-    :func:`reference_router`); every other mode runs the SoA vector
-    engine. The rewrite is a pure representation change, so the
-    committed result must be exactly identical — any routability or
+    :func:`reference_router`); ``fast`` runs the SoA vector engine and
+    the flat-array A*. The rewrite is a pure representation change, so
+    the committed result must be exactly identical — any routability or
     overlay drift means the vector engine changed a decision, not just
-    its speed. Returns problems (empty = pass).
+    its speed. Neither side prunes, so their expansion counts must match
+    too: a ``fast`` side that drifted to the guided search fails here.
+    Returns problems (empty = pass).
     """
     problems: List[str] = []
     for tier, flat in iter_tier_payloads(payload):
@@ -549,7 +460,9 @@ def check_core_equivalence(payload: dict) -> List[str]:
             if ref is None:
                 continue
             fast = wl["fast"]
-            for metric in ("routability_pct", "overlay_units", "searches"):
+            for metric in (
+                "routability_pct", "overlay_units", "searches", "expansions"
+            ):
                 if ref.get(metric) != fast.get(metric):
                     problems.append(
                         f"{tier}/{wl['circuit']}: vector-core {metric} "
@@ -647,10 +560,7 @@ def record_to_ledger(
                         "astar_nodes_expanded_total": float(fast["expansions"]),
                         "astar_searches_total": float(fast["searches"]),
                     },
-                    meta={
-                        "speedup": wl.get("speedup"),
-                        "guidance_speedup": wl.get("guidance_speedup"),
-                    },
+                    meta={"speedup": wl.get("speedup")},
                 )
                 baseline = (
                     ledger.latest(
@@ -702,11 +612,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="skip the reference-path runs (fast-only timing)",
     )
     parser.add_argument(
-        "--no-guidance",
-        action="store_true",
-        help="skip the guidance-on/off A/B runs",
-    )
-    parser.add_argument(
         "--no-phases", action="store_true", help="skip the instrumented phase split"
     )
     parser.add_argument(
@@ -753,7 +658,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         rounds=args.rounds,
         include_reference=not args.no_reference,
-        include_guidance=not args.no_guidance,
         include_phases=not args.no_phases,
     )
     payload = build_tiered_payload({"quick": quick})
@@ -764,13 +668,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"CORE MISMATCH: {problem}", file=sys.stderr)
             return 1
         print("core engine equivalence (vector vs object reference): OK")
-    if not args.no_guidance:
-        g_problems = check_guidance_equivalence(payload)
-        if g_problems:
-            for problem in g_problems:
-                print(f"GUIDANCE MISMATCH: {problem}", file=sys.stderr)
-            return 1
-        print("guidance on/off equivalence: OK")
     summary = quick.get("summary", {})
     if "geomean_speedup" in summary:
         print(
@@ -782,14 +679,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"geomean core-phase speedup (graph+flip+commit) "
             f"{summary['geomean_core_phase_speedup']:.2f}x "
             f"(min {summary['min_core_phase_speedup']:.2f}x)"
-        )
-    if "geomean_guidance_speedup" in summary:
-        print(
-            f"geomean guidance speedup "
-            f"{summary['geomean_guidance_speedup']:.2f}x "
-            f"(min {summary['min_guidance_speedup']:.2f}x, "
-            f"{summary['geomean_expansion_reduction']:.1f}x fewer "
-            "expansions)"
         )
     if args.phase_table:
         print(render_phase_table(payload))

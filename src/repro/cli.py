@@ -104,7 +104,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         width=args.width,
         height=args.height,
         num_layers=args.layers,
-        guidance=args.guidance,
     )
     with observed_command(args, command="route", netlist=args.netlist) as oc:
         pipe = Pipeline(config, store=MemoryStore())
@@ -209,7 +208,6 @@ def _pipeline_config_from_args(args: argparse.Namespace):
             height=args.height,
             num_layers=args.layers,
             router=args.router,
-            guidance=args.guidance,
             cache_dir=_resolve_cache_dir(args),
         )
     if design.lower().startswith("test"):
@@ -219,7 +217,6 @@ def _pipeline_config_from_args(args: argparse.Namespace):
             seed=args.seed,
             num_layers=args.layers,
             router=args.router,
-            guidance=args.guidance,
             cache_dir=_resolve_cache_dir(args),
         )
     raise ReproError(
@@ -413,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--height", type=int, required=True, help="grid height in tracks")
     route.add_argument("--layers", type=int, default=3, help="routing layers (default 3)")
     _add_output_flags(route)
-    _add_guidance_flag(route)
     _add_obs_flags(route)
     route.set_defaults(func=_cmd_route)
 
@@ -444,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_flag(prun)
     _add_output_flags(prun)
-    _add_guidance_flag(prun)
     _add_obs_flags(prun)
     prun.set_defaults(func=_cmd_pipeline_run)
 
@@ -464,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     pshow.add_argument(
         "--router", choices=("ours", "gao-pan", "cut16", "du"), default="ours"
     )
-    pshow.set_defaults(guidance="auto")
     _add_cache_flag(pshow)
     pshow.set_defaults(func=_cmd_pipeline_show)
 
@@ -655,17 +649,6 @@ def _add_output_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--svg-layer", type=int, default=0, help="layer to render")
     sub_parser.add_argument(
         "--report", action="store_true", help="print the full analysis report"
-    )
-
-
-def _add_guidance_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--guidance",
-        choices=("off", "auto", "on"),
-        default="auto",
-        help="future-cost corridor guidance for the A* fast path "
-        "(bit-identical results in every mode; 'auto' builds the map "
-        "only for searches that grow past the trigger)",
     )
 
 

@@ -30,17 +30,12 @@ from ..color import Color
 from .constraint_graph import OverlayConstraintGraph
 from .edges import ConstraintEdge
 from .odd_cycle import ParityUnionFind
-from .scenarios import HARD
 
 _COLORS = (Color.CORE, Color.SECOND)
 _IDX = {Color.CORE: 0, Color.SECOND: 1}
 
 #: A 2x2 cost matrix m[color_a][color_b] over unit root colors.
 CostMatrix = List[List[float]]
-
-
-def _zero_matrix() -> CostMatrix:
-    return [[0.0, 0.0], [0.0, 0.0]]
 
 
 def _matrix_spread(m: CostMatrix) -> float:

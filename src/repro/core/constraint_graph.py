@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .. import obs
 from ..color import Color
-from .edges import ConstraintEdge, EdgeKind
+from .edges import ConstraintEdge
 from .odd_cycle import ParityUnionFind
 from .scenarios import HARD
 
@@ -239,12 +239,6 @@ class OverlayConstraintGraph:
         return not all(
             uf.union(e.u, e.v, e.parity) for e in self._edges if e.kind.is_hard
         )
-
-    def hard_component_of(self, net_id: int):
-        """(root, parity) of a net in the hard-edge union-find."""
-        if self._uf_dirty:
-            self._rebuild_hard_uf()
-        return self._hard_uf.find(net_id)
 
     def would_violate(self, edges: Iterable[ConstraintEdge]) -> bool:
         """Would inserting ``edges`` close a hard odd cycle? (no mutation)

@@ -214,14 +214,3 @@ def reference_optimal_coloring(
         nets = sorted(graph.vertices)
     return brute_force_coloring(graph, list(nets))
 
-
-def reference_overlay_cost(
-    graph: OverlayConstraintGraph, coloring: Dict[int, Color]
-) -> float:
-    """Total physical side-overlay units of an assignment (inf on hard)."""
-    total = 0.0
-    for edge in graph.edges:
-        total += edge.pair_cost(
-            coloring.get(edge.u, Color.CORE), coloring.get(edge.v, Color.CORE)
-        )
-    return total

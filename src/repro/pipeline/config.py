@@ -11,7 +11,7 @@ invalidates decompose/verify but leaves routing artifacts valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional
 
 from ..errors import PipelineError, ReproError
@@ -32,11 +32,6 @@ class PipelineConfig:
     design file; requires ``width``/``height``) or ``circuit`` (a paper
     benchmark name, ``Test1``..``Test10``, instantiated at ``scale`` with
     ``seed``).
-
-    ``guidance`` deliberately does **not** enter any stage hash: guided
-    search is bit-identical to unguided search (see
-    ``repro.router.guidance``), so the same design routed with different
-    guidance modes shares one routing artifact.
     """
 
     #: Routing runs in one process, one net at a time. Not a field:
@@ -56,7 +51,6 @@ class PipelineConfig:
 
     # --- routing ------------------------------------------------------- #
     router: str = "ours"
-    guidance: str = "auto"
     order: str = "hpwl"
     alpha: float = 1.0
     beta: float = 1.0
@@ -115,10 +109,6 @@ class PipelineConfig:
             raise PipelineError(
                 f"bitmap_resolution must be positive, got {self.bitmap_resolution}"
             )
-        if self.guidance not in ("off", "auto", "on"):
-            raise PipelineError(
-                f"guidance must be 'off', 'auto' or 'on', got {self.guidance!r}"
-            )
         if self.order not in ROUTING_ORDERS:
             raise PipelineError(
                 f"unknown order {self.order!r}; choose from {ROUTING_ORDERS}"
@@ -175,11 +165,6 @@ class PipelineConfig:
 
     def decompose_slice(self) -> Dict[str, Any]:
         return {"bitmap_resolution": self.bitmap_resolution}
-
-    def with_router(self, router: str, **overrides: Any) -> "PipelineConfig":
-        """A copy targeting a different router variant (shares every
-        upstream artifact of the same design)."""
-        return replace(self, router=router, **overrides)
 
 
 def _is_int(value: Any) -> bool:

@@ -38,7 +38,6 @@ _CONFIG_KEYS = (
     "scale",
     "seed",
     "router",
-    "guidance",
 )
 
 

@@ -188,7 +188,6 @@ class RouteStage(Stage):
             kwargs: Dict[str, Any] = {
                 "params": config.cost_params(),
                 "order": config.order,
-                "guidance": config.guidance,
             }
             kwargs.update(options)
             router = SadpRouter(grid, netlist, **kwargs)

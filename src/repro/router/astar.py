@@ -22,11 +22,12 @@ is the executable specification; it lives in
 :mod:`repro.router.reference`, and the tests assert both produce
 identical node sequences and costs.
 
-The search optionally prunes its open list against an exact
-future-cost map (:mod:`repro.router.guidance`, the ``guidance`` knob):
-off-corridor heap entries are discarded without changing the surviving
-search, so results stay bit-identical to the unguided search while
-large searches expand a fraction of the window.
+A search that grows past ``guidance_trigger`` expansions builds an exact
+future-cost map (:mod:`repro.router.guidance`) and from then on prunes
+its open list against it: off-corridor heap entries are discarded
+without changing the surviving search, so results stay bit-identical to
+the unguided search while large searches expand a fraction of the
+window.
 """
 
 from __future__ import annotations
@@ -125,19 +126,17 @@ class AStarRouter:
         penalty_map: Optional[Dict[Tuple[int, int, int], float]] = None,
         overlay_terms: Optional[Tuple[float, float]] = None,
         overlay_cache: Optional[OverlayCostCache] = None,
-        guidance: str = "off",
     ) -> None:
         self.grid = grid
         self.params = params
         self._penalty_map = penalty_map
         self._overlay_terms = overlay_terms
         self._overlay_cache = overlay_cache
-        #: Future-cost corridor pruning: ``"off"``, ``"on"`` (map built
-        #: up front for every search), or ``"auto"`` (a search is
-        #: upgraded in place once it crosses ``guidance_trigger``
-        #: unguided expansions — searches that finish sooner never pay
-        #: for a map).
-        self.guidance = guidance
+        #: Unguided expansions after which a search builds its corridor
+        #: map in place; searches that finish sooner never pay for one.
+        #: ``-1`` never activates (the unguided search), ``1`` solves the
+        #: whole window after the first expansion. A test and bench
+        #: seam only: no parameter, config field or flag sets it.
         self.guidance_trigger = AUTO_TRIGGER_EXPANSIONS
         #: Net whose own cells are exempt from the inlined overlay probe.
         self.active_net = -1
@@ -336,13 +335,10 @@ class AStarRouter:
         # encodes "no target reachable from any source": every entry
         # prunes and the search fails immediately with the same
         # ``"failed"`` outcome the exhausted unguided search reaches.
-        # "auto" upgrades mid-search once the expansion count proves the
-        # search is not trivially small; nothing before the trigger
+        # The map is built mid-search once the expansion count proves
+        # the search is not trivially small; nothing before the trigger
         # differs from an unguided run, so the switch is seamless.
-        gmode = self.guidance
-        trigger = 0 if gmode == "on" else (
-            self.guidance_trigger if gmode == "auto" else -1
-        )
+        trigger = self.guidance_trigger
         gd = None
         thr = inf
 
@@ -368,10 +364,6 @@ class AStarRouter:
             # read per relaxation, and list indexing is ~3x cheaper than
             # numpy scalar indexing from the loop.
             return dflat.tolist(), bound
-
-        if trigger == 0:
-            gd, thr = activate_guidance()
-            trigger = -1
 
         expansions = 0
         pops = 0

@@ -59,8 +59,8 @@ import scipy.sparse.csgraph as _csg
 #: genuine cost difference the parameter set can produce.
 PRUNE_EPS = 1e-6
 
-#: Default number of unguided expansions after which ``guidance="auto"``
-#: switches the running search over to map-guided pruning.
+#: Default number of unguided expansions after which a running search
+#: switches over to map-guided pruning (``AStarRouter.guidance_trigger``).
 AUTO_TRIGGER_EXPANSIONS = 192
 
 #: Window extents are padded up to multiples of this so the CSR

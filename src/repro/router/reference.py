@@ -54,8 +54,8 @@ class ReferenceAStarRouter(AStarRouter):
     ``overlay_cost`` / ``penalty`` are generic ``(layer, Point) -> cost``
     hooks added to every entered cell on top of ``penalty_map`` and the
     ``overlay_terms`` grid. The Eq. (5) grid is always recomputed from
-    scratch (``overlay_cache`` is ignored), and ``guidance`` is ignored:
-    the oracle never prunes.
+    scratch (``overlay_cache`` is ignored), and the oracle never prunes
+    (``guidance_trigger`` is ignored).
     """
 
     def __init__(
@@ -317,15 +317,14 @@ def overlay_probe(
 
 
 def reference_engine(router: SadpRouter) -> ReferenceAStarRouter:
-    """The dict A* with ``router``'s engine settings: its penalty map,
-    Eq. (5) overlay terms and guidance mode."""
+    """The dict A* with ``router``'s engine settings: its penalty map and
+    Eq. (5) overlay terms."""
     engine = router.engine
     return ReferenceAStarRouter(
         router.grid,
         router.params,
         penalty_map=engine._penalty_map,
         overlay_terms=engine._overlay_terms,
-        guidance=engine.guidance,
     )
 
 

@@ -55,7 +55,6 @@ class SadpRouter:
         enable_t2b_penalty: bool = True,
         enable_merge: bool = True,
         order: str = "hpwl",
-        guidance: str = "auto",
         core: str = "vector",
     ) -> None:
         self.grid = grid
@@ -65,12 +64,6 @@ class SadpRouter:
         self.enable_t2b_penalty = enable_t2b_penalty
         #: Net-ordering strategy (see Netlist.ordered_for_routing).
         self.order = order
-        #: Future-cost corridor guidance for the A* fast path
-        #: ("off" | "auto" | "on") — bit-identical results for every
-        #: value; see repro.router.guidance.
-        if guidance not in ("off", "auto", "on"):
-            raise ValueError(f"unknown guidance mode: {guidance!r}")
-        self.guidance = guidance
         #: Constraint-engine backend: "vector" (the SoA edge store and the
         #: vector scenario detector) is the only one. Kept because
         #: ``perfbench/run.py`` reads it.
@@ -121,7 +114,6 @@ class SadpRouter:
                 (params.gamma, params.delta_tip) if enable_t2b_penalty else None
             ),
             overlay_cache=self.overlay_cache,
-            guidance=guidance,
         )
         self._reserve_pins()
 

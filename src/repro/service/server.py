@@ -50,7 +50,7 @@ from .quotas import TenantQuotas
 from .worker import InlineWorkerPool, WorkerPool
 
 #: Submission keys forwarded into :class:`PipelineConfig` verbatim.
-_CONFIG_PASSTHROUGH = ("router", "guidance", "order", "num_layers")
+_CONFIG_PASSTHROUGH = ("router", "order", "num_layers")
 
 #: Every key a submission body may carry.
 _SUBMISSION_KEYS = frozenset(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
+from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
@@ -118,3 +119,38 @@ class TestDuTrim:
         ours = route(SadpRouter, nets)
         theirs = route(DuTrimRouter, nets)
         assert theirs.cpu_seconds > ours.cpu_seconds
+
+
+def _digest(result):
+    return (
+        sorted(
+            (nid, r.success, r.ripups, tuple(r.segments), tuple(r.vias))
+            for nid, r in result.routes.items()
+        ),
+        result.colorings,
+        result.overlay_units,
+        result.overlay_nm,
+        result.hard_overlays,
+        result.cut_conflicts,
+    )
+
+
+@pytest.mark.parametrize(
+    "router_cls", [GaoPanTrimRouter, CutNoMergeRouter, DuTrimRouter]
+)
+@pytest.mark.parametrize("circuit,scale", [("Test1", 0.2), ("Test6", 0.15)])
+def test_guided_search_routes_like_unguided(router_cls, circuit, scale):
+    """The baselines share the production A*, guided past the default
+    trigger: they must commit exactly what the unguided search commits."""
+    runs = {}
+    for trigger in (-1, None):
+        grid, nets = generate_benchmark(spec_by_name(circuit), scale=scale, seed=2014)
+        router = router_cls(grid, nets)
+        if trigger is not None:
+            router.engine.guidance_trigger = trigger
+        runs[trigger] = (_digest(router.route_all()), router.engine)
+    (plain, plain_engine), (guided, guided_engine) = runs[-1], runs[None]
+    assert guided == plain
+    assert guided_engine.total_searches == plain_engine.total_searches
+    assert guided_engine.total_guided_searches > 0
+    assert plain_engine.total_guided_searches == 0

@@ -73,7 +73,6 @@ class TestRunPerfPayload:
             scales={"Test1": 0.08},
             rounds=1,
             include_reference=False,
-            include_guidance=False,
             include_phases=False,
             verbose=False,
         )

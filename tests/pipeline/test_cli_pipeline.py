@@ -74,6 +74,12 @@ class TestPipelineRun:
         assert rc == 2
         assert "nosuchthing" in err
 
+    def test_removed_guidance_flag_is_refused(self, cache_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_run_args("Test1", cache_dir, "--guidance", "on"))
+        assert exc.value.code == 2
+        assert "--guidance" in capsys.readouterr().err
+
 
 class TestPipelineShowClean:
     def test_show_empty_store(self, cache_dir, capsys):

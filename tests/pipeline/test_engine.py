@@ -173,7 +173,7 @@ class TestValidation:
             _config(tmp_path, **overrides).validate()
 
     def test_removed_knobs_are_not_fields(self, tmp_path):
-        for knob in ("workers", "shard", "kernel"):
+        for knob in ("workers", "shard", "kernel", "guidance"):
             with pytest.raises(TypeError):
                 _config(tmp_path, **{knob: 1})
 

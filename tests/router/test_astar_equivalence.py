@@ -31,7 +31,10 @@ def _random_occupancy(grid: RoutingGrid, rng: random.Random, fill: float) -> Non
 
 
 def _engines(grid, params, **kwargs):
+    # Unguided, so expansion counts compare like for like with the
+    # oracle, which never prunes.
     fast = AStarRouter(grid, params, **kwargs)
+    fast.guidance_trigger = -1
     ref = ReferenceAStarRouter(grid, params, **kwargs)
     return fast, ref
 

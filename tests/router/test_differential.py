@@ -1,10 +1,12 @@
 """Differential harness: every router configuration against the oracles.
 
 One routing result, many ways to compute it. Each random small design is
-routed by the production :class:`SadpRouter` under every ``guidance``
-mode and by :func:`~repro.router.reference.reference_router` — the dict
-A*, the object scenario detector and the object constraint graph — and
-all four must agree on a canonical digest of the result: per net success,
+routed by the production :class:`SadpRouter` at the default guidance
+trigger, at trigger 1 (a whole-window map after the first expansion) and
+at trigger -1 (unguided), and by
+:func:`~repro.router.reference.reference_router` — the dict A*, the
+object scenario detector and the object constraint graph — and all four
+must agree on a canonical digest of the result: per net success,
 rip-ups, segments and vias; the colorings; overlay units and nm, hard
 overlays and cut conflicts; total rip-ups, color flips and searches.
 
@@ -28,10 +30,17 @@ from repro.router.reference import reference_router
 #: Designs whose largest constraint-graph component must exceed 32 nets.
 WIDE = {("Test1", 0.2, 2014), ("Test6", 0.2, 2014)}
 
+#: Guidance triggers the production router runs at: unguided, the
+#: default (None: as constructed), and a whole-window map after the
+#: first expansion.
+TRIGGERS = (-1, None, 1)
 
-def _route(build, circuit, scale, seed, **kwargs):
+
+def _route(build, circuit, scale, seed, trigger=None):
     grid, nets = generate_benchmark(spec_by_name(circuit), scale=scale, seed=seed)
-    router = build(grid, nets, **kwargs)
+    router = build(grid, nets)
+    if trigger is not None:
+        router.engine.guidance_trigger = trigger
     return router, router.route_all()
 
 
@@ -73,21 +82,21 @@ def _digest(router, result):
 @example("Test1", 0.2, 2014)
 @example("Test6", 0.2, 2014)
 def test_every_configuration_routes_like_the_oracles(circuit, scale, seed):
-    ref_router, ref = _route(reference_router, circuit, scale, seed, guidance="off")
+    ref_router, ref = _route(reference_router, circuit, scale, seed)
     want = _digest(ref_router, ref)
     engines = {}
-    for mode in ("off", "auto", "on"):
-        router, result = _route(SadpRouter, circuit, scale, seed, guidance=mode)
-        assert _digest(router, result) == want, f"guidance={mode} diverged"
-        engines[mode] = router.engine
-        if mode == "off" and (circuit, scale, seed) in WIDE:
+    for trigger in TRIGGERS:
+        router, result = _route(SadpRouter, circuit, scale, seed, trigger)
+        assert _digest(router, result) == want, f"trigger {trigger} diverged"
+        engines[trigger] = router.engine
+        if trigger == -1 and (circuit, scale, seed) in WIDE:
             largest = max(
                 len(comp) for graph in router.graphs for comp in graph.components()
             )
             assert largest > 32
-    assert engines["off"].total_expansions == ref_router.engine.total_expansions
-    for mode in ("auto", "on"):
-        assert engines[mode].total_expansions <= engines["off"].total_expansions
-    assert engines["off"].total_guided_searches == 0
-    if engines["on"].total_searches:
-        assert engines["on"].total_guided_searches > 0
+    assert engines[-1].total_expansions == ref_router.engine.total_expansions
+    for trigger in TRIGGERS[1:]:
+        assert engines[trigger].total_expansions <= engines[-1].total_expansions
+    assert engines[-1].total_guided_searches == 0
+    if engines[1].total_searches:
+        assert engines[1].total_guided_searches > 0

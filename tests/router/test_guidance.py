@@ -1,15 +1,16 @@
-"""Guided vs unguided search equivalence, and the guidance plumbing.
+"""Guided vs unguided search equivalence, and the guidance trigger.
 
-Corridor pruning must be *invisible* to the search result: with
-``guidance="on"`` (or ``"auto"``) the search returns the bit-identical
-paths, costs, and committed metrics as ``guidance="off"`` while expanding
-no more nodes. These tests pin that contract at the engine level (random
-occupancy, penalties, overlay terms, multi-pin requests), end-to-end
-through ``SadpRouter.route_all`` on seeded Test1/Test6 instances, and on
-service-sized designs with the default trigger, plus the
-``guidance_builds_total`` dispatch counter (bounded vs full solves). The
-differential harness (``tests/router/test_differential.py``) also checks
-every guidance mode against the oracles.
+Corridor pruning must be *invisible* to the search result: a search that
+builds its map (at the default ``guidance_trigger``, or at trigger ``1``,
+right after its first expansion) returns the bit-identical paths, costs,
+and committed metrics of the unguided search (trigger ``-1``) while
+expanding no more nodes. These tests pin that contract at the engine
+level (random occupancy, penalties, overlay terms, multi-pin requests),
+end-to-end through ``SadpRouter.route_all`` on seeded Test1/Test6
+instances, and on service-sized designs with the default trigger, plus
+the ``guidance_builds_total`` dispatch counter (bounded vs full solves).
+The differential harness (``tests/router/test_differential.py``) also
+checks every trigger against the oracles.
 """
 
 import random
@@ -20,7 +21,15 @@ from repro import obs
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
 from repro.grid import RoutingGrid
+from repro.netlist import Netlist
 from repro.router import AStarRouter, CostParams, SadpRouter, SearchRequest
+
+
+def _engine(grid, params, trigger, **kwargs):
+    """An engine whose searches build their map at ``trigger``."""
+    engine = AStarRouter(grid, params, **kwargs)
+    engine.guidance_trigger = trigger
+    return engine
 
 
 def _random_occupancy(grid, rng, fill):
@@ -44,9 +53,9 @@ def _assert_same_found(guided, plain):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("mode", ["on", "auto"])
+    @pytest.mark.parametrize("trigger", [1, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_occupancy_with_overlay_and_penalties(self, seed, mode):
+    def test_random_occupancy_with_overlay_and_penalties(self, seed, trigger):
         rng = random.Random(seed)
         grid = RoutingGrid(26, 26)
         _random_occupancy(grid, rng, fill=0.12)
@@ -59,9 +68,8 @@ class TestEngineEquivalence:
             penalty_map=penalties,
             overlay_terms=(params.gamma, params.delta_tip),
         )
-        plain = AStarRouter(grid, params, guidance="off", **kwargs)
-        guided = AStarRouter(grid, params, guidance=mode, **kwargs)
-        guided.guidance_trigger = 16  # make "auto" actually trip
+        plain = _engine(grid, params, -1, **kwargs)
+        guided = _engine(grid, params, trigger, **kwargs)
         for net_id in (100, 101):
             plain.active_net = guided.active_net = net_id
             for _ in range(6):
@@ -83,15 +91,9 @@ class TestEngineEquivalence:
         grid = RoutingGrid(24, 24)
         _random_occupancy(grid, rng, fill=0.08)
         params = CostParams()
-        plain = AStarRouter(
-            grid, params, overlay_terms=(params.gamma, params.delta_tip)
-        )
-        guided = AStarRouter(
-            grid,
-            params,
-            overlay_terms=(params.gamma, params.delta_tip),
-            guidance="on",
-        )
+        overlay_terms = (params.gamma, params.delta_tip)
+        plain = _engine(grid, params, -1, overlay_terms=overlay_terms)
+        guided = _engine(grid, params, 1, overlay_terms=overlay_terms)
         plain.active_net = guided.active_net = 50
         for _ in range(5):
             sources = [
@@ -111,8 +113,8 @@ class TestEngineEquivalence:
     def test_wrong_way_jogs(self):
         grid = RoutingGrid(20, 20)
         params = CostParams(wrong_way_factor=2.0)
-        plain = AStarRouter(grid, params)
-        guided = AStarRouter(grid, params, guidance="on")
+        plain = _engine(grid, params, -1)
+        guided = _engine(grid, params, 1)
         req = SearchRequest(
             net_id=0, sources=[(0, Point(2, 2))], targets=[(0, Point(12, 9))]
         )
@@ -126,8 +128,8 @@ class TestEngineEquivalence:
         for y in range(30):  # wall across every layer
             for layer in range(grid.num_layers):
                 grid.occupy(layer, Point(15, y), 999)
-        plain = AStarRouter(grid, CostParams())
-        guided = AStarRouter(grid, CostParams(), guidance="on")
+        plain = _engine(grid, CostParams(), -1)
+        guided = _engine(grid, CostParams(), 1)
         req = SearchRequest(
             net_id=0, sources=[(0, Point(2, 15))], targets=[(0, Point(28, 15))]
         )
@@ -137,8 +139,9 @@ class TestEngineEquivalence:
         assert guided.total_expansions < plain.total_expansions
 
     def test_off_mode_never_builds(self):
+        """Trigger ``-1`` is the unguided search: it never builds a map."""
         grid = RoutingGrid(16, 16)
-        engine = AStarRouter(grid, CostParams(), guidance="off")
+        engine = _engine(grid, CostParams(), -1)
         req = SearchRequest(
             net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(14, 14))]
         )
@@ -146,16 +149,15 @@ class TestEngineEquivalence:
         assert engine.total_guided_searches == 0
 
     def test_auto_guides_tiny_windows_once_the_trigger_fires(self):
-        """``"auto"`` has no window-size gate: a 3 x 16 x 16 window (768
-        cells) guides as soon as the search crosses the trigger, and the
-        result stays bit-identical to the unguided search."""
+        """There is no window-size gate: a 3 x 16 x 16 window (768 cells)
+        guides as soon as the search crosses the trigger, and the result
+        stays bit-identical to the unguided search."""
         req = SearchRequest(
             net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(14, 14))]
         )
         grid = RoutingGrid(16, 16)
-        plain = AStarRouter(grid, CostParams(), guidance="off")
-        auto = AStarRouter(grid, CostParams(), guidance="auto")
-        auto.guidance_trigger = 8
+        plain = _engine(grid, CostParams(), -1)
+        auto = _engine(grid, CostParams(), 8)
         _assert_same_found(auto.search(req), plain.search(req))
         assert plain._last_stats[0] > auto.guidance_trigger
         assert auto.total_guided_searches == 1
@@ -167,21 +169,22 @@ class TestEngineEquivalence:
     ids=["Test1-fixed-pins", "Test6-multi-candidate"],
 )
 def test_route_all_equivalence(circuit, scale):
-    """Full-flow equivalence: guidance on/auto commits exactly the routes
-    guidance off commits — same paths, same overlay, same wirelength —
-    while expanding no more nodes."""
+    """Full-flow equivalence: guided routers (trigger 32, and trigger 1)
+    commit exactly the routes the unguided one (trigger -1) commits —
+    same paths, same overlay, same wirelength — while expanding no more
+    nodes."""
     spec = spec_by_name(circuit)
     results = {}
     engines = {}
-    for mode in ("off", "auto", "on"):
+    for trigger in (-1, 32, 1):
         grid, nets = generate_benchmark(spec, scale=scale, seed=2014)
-        router = SadpRouter(grid, nets, guidance=mode)
-        router.engine.guidance_trigger = 32
-        results[mode] = router.route_all()
-        engines[mode] = router.engine
-    base = results["off"]
-    for mode in ("auto", "on"):
-        res = results[mode]
+        router = SadpRouter(grid, nets)
+        router.engine.guidance_trigger = trigger
+        results[trigger] = router.route_all()
+        engines[trigger] = router.engine
+    base = results[-1]
+    for trigger in (32, 1):
+        res = results[trigger]
         assert res.routes.keys() == base.routes.keys()
         for net_id in base.routes:
             a, b = res.routes[net_id], base.routes[net_id]
@@ -190,10 +193,10 @@ def test_route_all_equivalence(circuit, scale):
             assert a.vias == b.vias, f"net {net_id} vias diverged"
         assert res.overlay_units == base.overlay_units
         assert res.total_wirelength == base.total_wirelength
-        assert engines[mode].total_searches == engines["off"].total_searches
-        assert engines[mode].total_expansions <= engines["off"].total_expansions
-        assert engines[mode].total_guided_searches > 0
-    assert engines["off"].total_guided_searches == 0
+        assert engines[trigger].total_searches == engines[-1].total_searches
+        assert engines[trigger].total_expansions <= engines[-1].total_expansions
+        assert engines[trigger].total_guided_searches > 0
+    assert engines[-1].total_guided_searches == 0
 
 
 @pytest.mark.parametrize(
@@ -202,18 +205,21 @@ def test_route_all_equivalence(circuit, scale):
     ids=["Test1@0.15-2014", "Test1@0.15-201400", "Test6@0.12-2014"],
 )
 def test_default_auto_guides_small_designs(circuit, scale, seed):
-    """With the default trigger and no window-size gate, ``"auto"`` guides
-    the searches of a service-sized design and saves expansions, while
-    committing exactly what ``"off"`` commits after the same searches."""
+    """With the default trigger and no window-size gate, the production
+    router guides the searches of a service-sized design and saves
+    expansions, while committing exactly what the unguided router
+    (trigger -1) commits after the same searches."""
     spec = spec_by_name(circuit)
     results = {}
     engines = {}
-    for mode in ("off", "auto"):
+    for trigger in (-1, None):
         grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-        router = SadpRouter(grid, nets, guidance=mode)
-        results[mode] = router.route_all()
-        engines[mode] = router.engine
-    base, res = results["off"], results["auto"]
+        router = SadpRouter(grid, nets)
+        if trigger is not None:
+            router.engine.guidance_trigger = trigger
+        results[trigger] = router.route_all()
+        engines[trigger] = router.engine
+    base, res = results[-1], results[None]
     assert res.routes.keys() == base.routes.keys()
     for net_id in base.routes:
         a, b = res.routes[net_id], base.routes[net_id]
@@ -223,10 +229,10 @@ def test_default_auto_guides_small_designs(circuit, scale, seed):
         assert a.ripups == b.ripups, f"net {net_id} ripups diverged"
     assert res.overlay_units == base.overlay_units
     assert res.total_wirelength == base.total_wirelength
-    auto, off = engines["auto"], engines["off"]
-    assert auto.total_searches == off.total_searches
-    assert auto.total_guided_searches > 0
-    assert auto.total_expansions < off.total_expansions
+    guided, plain = engines[None], engines[-1]
+    assert guided.total_searches == plain.total_searches
+    assert guided.total_guided_searches > 0
+    assert guided.total_expansions < plain.total_expansions
 
 
 class TestBuildCounter:
@@ -246,10 +252,11 @@ class TestBuildCounter:
         assert total == router.engine.total_guided_searches
 
     def test_forced_activation_solves_the_full_window(self):
-        """Trigger 0 activates before any target holds a g-score, so
-        there is no bound yet and the whole window is solved."""
+        """Trigger 1 activates after the first expansion, before any
+        target holds a g-score, so there is no bound yet and the whole
+        window is solved."""
         grid = RoutingGrid(20, 20)
-        engine = AStarRouter(grid, CostParams(), guidance="on")
+        engine = _engine(grid, CostParams(), 1)
         req = SearchRequest(
             net_id=0, sources=[(0, Point(1, 1))], targets=[(0, Point(15, 12))]
         )
@@ -260,9 +267,10 @@ class TestBuildCounter:
         assert (full, bounded) == (1.0, 0.0)
 
 
-def test_sadp_router_rejects_bad_guidance():
+def test_routers_take_no_guidance_parameter():
+    """The trigger is the only seam; no constructor selects a mode."""
     grid = RoutingGrid(10, 10)
-    from repro.netlist import Netlist
-
-    with pytest.raises(ValueError):
-        SadpRouter(grid, Netlist(), guidance="sometimes")
+    with pytest.raises(TypeError):
+        SadpRouter(grid, Netlist(), guidance="auto")
+    with pytest.raises(TypeError):
+        AStarRouter(grid, CostParams(), guidance="on")

@@ -16,13 +16,13 @@ BAD_BODIES = {
     "seed not a number": {"circuit": "Test1", "seed": "x"},
     "width not a number": {"design_text": DESIGN, "width": "w", "height": 16},
     "router not a name": {"circuit": "Test1", "router": 5},
-    "guidance not a mode": {"circuit": "Test1", "guidance": 3},
     "scale out of range": {"circuit": "Test1", "scale": 1e9},
     "unknown order": {"circuit": "Test1", "order": "bogus"},
     "unknown circuit": {"circuit": "Test99"},
     "fractional num_layers": {"circuit": "Test1", "num_layers": 1.5},
     "negative width": {"design_text": DESIGN, "width": -5, "height": 16},
     "targets not a list": {"circuit": "Test1", "targets": "route"},
+    "removed guidance knob": {"circuit": "Test1", "guidance": "off"},
     "removed kernel knob": {"circuit": "Test1", "kernel": "cuda"},
     "removed shard knob": {"circuit": "Test1", "shard": "maybe"},
     "removed workers knob": {"circuit": "Test1", "workers": 12},
@@ -77,7 +77,9 @@ class TestSubmissionValidation:
         assert err.value.status == 400
         assert client.jobs() == []
 
-    @pytest.mark.parametrize("key", ["workers", "shard", "kernel", "alpha"])
+    @pytest.mark.parametrize(
+        "key", ["workers", "shard", "kernel", "guidance", "alpha"]
+    )
     def test_unknown_key_is_named(self, client, key):
         with pytest.raises(ServiceError) as err:
             client.submit({"circuit": "Test1", key: 1})
@@ -92,7 +94,6 @@ class TestSubmissionValidation:
             "targets": ["route"],
             "tenant": "t",
             "router": "gao-pan",
-            "guidance": "off",
             "order": "random",
             "num_layers": 2,
         }
@@ -135,7 +136,7 @@ def holding_service(tmp_path_factory):
 
 _SUBMISSION_KEYS = (
     "design_text", "width", "height", "circuit", "scale", "seed", "targets",
-    "tenant", "router", "guidance", "order", "num_layers",
+    "tenant", "router", "order", "num_layers",
 )
 _json_values = st.recursive(
     st.none()

@@ -136,6 +136,15 @@ class TestCli:
             parser.parse_args(["--version"])
         assert exc.value.code == 0
 
+    def test_route_refuses_the_removed_guidance_flag(self, netlist_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["route", str(netlist_file), "--width", "30", "--height", "30",
+                 "--guidance", "on"]
+            )
+        assert exc.value.code == 2
+        assert "--guidance" in capsys.readouterr().err
+
     def test_route_exit_code_nonzero_on_unrouted_net(self, tmp_path, capsys):
         # Wall in one net's source pin; the router must fail that net and
         # the CLI must report the partial result with a nonzero exit code.

@@ -1,7 +1,8 @@
 """Names the benchmark harness in ``perfbench/`` reads from the package.
 
-``perfbench/run.py`` is outside the tier-1 suite, so a cleanup that drops
-one of these would otherwise only fail when the benchmark runs.
+``perfbench/run.py`` and ``perfbench/tracing.py`` are outside the tier-1
+suite, so a cleanup that drops or renames one of these would otherwise
+only fail when the benchmark runs.
 """
 
 import inspect
@@ -22,6 +23,63 @@ def test_names_read_by_the_benchmark_harness():
     assert PipelineConfig(circuit="Test1").workers == 1
     assert inspect.signature(SadpRouter).parameters["core"].default == "vector"
     assert router.core == "vector"
+    # the route workloads' facts and the tracer's A* counters
+    engine = router.engine
+    assert engine.total_searches > 0
+    assert engine.total_expansions > 0
+    assert isinstance(engine.total_guided_searches, int)
+
+
+def test_names_wrapped_for_the_service_workload(monkeypatch, tmp_path):
+    """The tracer also wraps the search, the grid, the overlay cache, the
+    cut checker, the on-disk store, every pipeline stage and mask
+    synthesis/verify; a pipeline run through an ``ArtifactStore`` must
+    reach each wrapper through the attribute the tracer replaces."""
+    from repro import decompose
+    from repro.core import CutConflictChecker
+    from repro.grid import RoutingGrid
+    from repro.pipeline import ArtifactStore, Pipeline, stages
+    from repro.router.astar import AStarRouter
+    from repro.router.overlay_cache import OverlayCostCache
+
+    calls = {}
+    returns = {}
+
+    def wrap(owner, attr, name):
+        original = getattr(owner, attr)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            out = original(*args, **kwargs)
+            returns.setdefault(name, out)
+            return out
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    wrap(AStarRouter, "search", "astar.search")
+    wrap(RoutingGrid, "release_net", "grid.release_net")
+    wrap(OverlayCostCache, "grid_for", "overlay_cache.grid_for")
+    for attr in ("on_cells_changed", "on_grid_reset", "invalidate_net"):
+        wrap(OverlayCostCache, attr, f"overlay_cache.{attr}")
+    wrap(CutConflictChecker, "conflicts_with", "cut_conflict.conflicts_with")
+    wrap(CutConflictChecker, "register_net", "cut_conflict.register_net")
+    wrap(ArtifactStore, "publish", "store.publish")
+    wrap(ArtifactStore, "load", "store.load")
+    for stage in stages.default_stages():
+        wrap(type(stage), "run", f"pipeline.stage.{stage.name}")
+    wrap(decompose, "synthesize_masks", "decompose.synthesize_masks")
+    wrap(decompose, "verify_decomposition", "decompose.verify")
+
+    config = PipelineConfig(circuit="Test1", scale=0.15, cache_dir=str(tmp_path))
+    Pipeline(config).run()
+    Pipeline(config).run()  # all cached: the store loads every artifact
+
+    # Invalidation hooks fire only on some grid edits; the rest must run.
+    optional = {"overlay_cache.on_grid_reset", "overlay_cache.invalidate_net"}
+    assert [n for n, c in calls.items() if not c and n not in optional] == []
+    nbytes, published = returns["store.publish"]
+    assert isinstance(nbytes, int) and isinstance(published, bool)
 
 
 def test_layers_wrapped_by_the_tracer(monkeypatch):
