@@ -11,23 +11,26 @@ penalty, plus transient rip-up penalties injected by the outer loop.
 
 Performance notes — this loop dominates the router's runtime. The search
 (:meth:`AStarRouter._search_fast`) maps every window cell to a flat
-integer index and keeps g-scores, parents, passability, targets and the
-per-cell cost in flat arrays. Heap entries are 4-tuples ``(f, g,
-tiebreak, idx)``; the inner loop does list reads instead of tuple
-hashing, dict probes and numpy scalar indexing. The Eq. (5) overlay grid
-is served by an :class:`OverlayCostCache` when one is attached, and the
-sparse rip-up ``penalty_map`` is folded into the flat cost array once per
-search. The original dict-based search with generic per-cell callbacks
-is the executable specification; it lives in
-:mod:`repro.router.reference`, and the tests assert both produce
-identical node sequences and costs.
+integer index and keeps g-scores, parents and targets in flat arrays.
+What a cell costs to enter lives in one float64 ``entry`` grid: the
+Eq. (5) overlay grid (served by an :class:`OverlayCostCache` when one is
+attached) plus the sparse rip-up ``penalty_map``, folded in once per
+search, and ``inf`` where the cell is neither free nor the net's own.
+The loop reads it through a ``memoryview`` (O(1) to create, where
+``tolist()`` is O(window)), and an impassable cell needs no check of its
+own: its ``inf`` never beats ``best_g``. Heap entries are 4-tuples
+``(f, g, tiebreak, idx)``; the inner loop does flat reads instead of
+tuple hashing, dict probes and numpy scalar indexing. The original
+dict-based search with generic per-cell callbacks is the executable
+specification; it lives in :mod:`repro.router.reference`, and the tests
+assert both produce identical node sequences and costs.
 
 A search that grows past ``guidance_trigger`` expansions builds an exact
-future-cost map (:mod:`repro.router.guidance`) and from then on prunes
-its open list against it: off-corridor heap entries are discarded
-without changing the surviving search, so results stay bit-identical to
-the unguided search while large searches expand a fraction of the
-window.
+future-cost map (:mod:`repro.router.guidance`) over the same ``entry``
+grid and from then on prunes its open list against it: off-corridor
+heap entries are discarded without changing the surviving search, so
+results stay bit-identical to the unguided search while large searches
+expand a fraction of the window.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ class AStarRouter:
     Cost hooks:
 
     * ``penalty_map`` — a ``{(layer, x, y): cost}`` dict folded into the
-      flat cost array once per search (the rip-up penalties; cheap);
+      search's ``entry`` grid once per search (the rip-up penalties;
+      cheap);
     * ``overlay_terms=(gamma, delta_tip)`` — enables the Eq. (5)
       overlay grid against ``active_net`` (set per routed net);
     * ``overlay_cache`` — an :class:`OverlayCostCache` serving the
@@ -237,15 +241,18 @@ class AStarRouter:
         tyhi = max(p.y for p in target_pts)
         alpha = params.alpha
         beta = params.beta
+        inf = float("inf")
         wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
         horizontal = self._horizontal
 
-        # Window-local flat state: passability, per-cell extra cost,
-        # g-scores and parent links, all indexed by
-        # layer * layer_stride + (x - xlo) * wy + (y - ylo).
+        # Window-local flat state (entry costs here, g-scores and parent
+        # links below), indexed by layer * layer_stride + (x - xlo) * wy
+        # + (y - ylo). ``entry`` is what entering a cell costs, inf where
+        # the cell is neither free nor the net's own: an impassable
+        # neighbour needs no check of its own, since its inf never beats
+        # ``best_g``.
         occ_win = occ[:, xlo : xhi + 1, ylo : yhi + 1]
-        passable = ((occ_win == _FREE) | (occ_win == net_id)).ravel().tolist()
-
+        passable = (occ_win == _FREE) | (occ_win == net_id)
         if self._overlay_terms is not None:
             own = self.active_net
             if self._overlay_cache is not None:
@@ -255,18 +262,16 @@ class AStarRouter:
                 cost_np = overlay_cost_grid(
                     occ, horizontal, (xlo, xhi, ylo, yhi), own, gamma, delta_tip
                 )
-            cost = cost_np.ravel().tolist()
         else:
-            cost_np = None
-            cost = [0.0] * n
-
-        # Fold the sparse rip-up penalties in once, so the inner loop is
-        # a single list read per neighbour.
+            cost_np = 0.0
+        entry_grid = np.where(passable, cost_np, inf)
+        entry = memoryview(entry_grid.reshape(-1))
+        # Fold the sparse rip-up penalties in once (inf stays inf).
         pen_map = self._penalty_map
         if pen_map:
             for (pl, px, py), amount in pen_map.items():
                 if pl < num_layers and xlo <= px <= xhi and ylo <= py <= yhi:
-                    cost[pl * layer_stride + (px - xlo) * wy + (py - ylo)] += amount
+                    entry[pl * layer_stride + (px - xlo) * wy + (py - ylo)] += amount
 
         # Admissible via lower bound for the heuristic: moving across a
         # layer's preferred direction requires reaching a layer of the
@@ -295,7 +300,6 @@ class AStarRouter:
                         vb[layer * 4 + dx_pos * 2 + dy_pos] = beta * extra
 
         counter = itertools.count()
-        inf = float("inf")
         best_g = [inf] * n
         parent = [-1] * n
         open_heap: List[Tuple[float, float, int, int]] = []
@@ -308,7 +312,7 @@ class AStarRouter:
                 continue
             idx = layer * layer_stride + (pt.x - xlo) * wy + (pt.y - ylo)
             source_idx.append(idx)
-            g = cost[idx]
+            g = entry[idx]
             if g < best_g[idx]:
                 best_g[idx] = g
                 dx = txlo - pt.x if pt.x < txlo else (pt.x - txhi if pt.x > txhi else 0)
@@ -326,8 +330,9 @@ class AStarRouter:
             return None
 
         # --- Future-cost corridor guidance (repro.router.guidance) ---- #
-        # ``gd`` is the flat exact cost-to-go map, ``thr`` the corridor
-        # bound T + eps with T = min_src(cost[src] + d(src)) = C*. An
+        # ``gd`` is the flat exact cost-to-go map (a memoryview over the
+        # solved grid), ``thr`` the corridor bound T + eps with
+        # T = min_src(entry[src] + d(src)) = C*. An
         # entry with g + d > thr can never lie on the path A* returns,
         # and (d being consistent) everything it could ever relax is
         # itself prunable — dropping such entries leaves the surviving
@@ -341,29 +346,6 @@ class AStarRouter:
         trigger = self.guidance_trigger
         gd = None
         thr = inf
-
-        def activate_guidance():
-            # Fold the same per-cell extras the search pays (overlay
-            # grid + rip-up penalties) with identical float ops, so the
-            # map is exact for the costs the heap accumulates.
-            if cost_np is not None:
-                carr = np.array(cost_np, dtype=np.float64)
-            else:
-                carr = np.zeros((num_layers, wx, wy), dtype=np.float64)
-            if pen_map:
-                for (pl, px, py), amount in pen_map.items():
-                    if pl < num_layers and xlo <= px <= xhi and ylo <= py <= yhi:
-                        carr[pl, px - xlo, py - ylo] += amount
-            dflat, bound = self._guidance_map(
-                net_id, occ_win, is_target, carr.ravel(), best_g,
-                target_idx, source_idx,
-            )
-            if dflat is None:
-                return None, bound
-            # Flatten to a Python list: the prune checks do one scalar
-            # read per relaxation, and list indexing is ~3x cheaper than
-            # numpy scalar indexing from the loop.
-            return dflat.tolist(), bound
 
         expansions = 0
         pops = 0
@@ -389,7 +371,9 @@ class AStarRouter:
                 self.last_outcome = "budget_exhausted"
                 return None
             if expansions == trigger:
-                gd, thr = activate_guidance()
+                gd, thr = self._guidance_map(
+                    entry_grid, is_target, best_g, target_idx, source_idx
+                )
 
             layer = idx // layer_stride
             rem = idx - layer * layer_stride
@@ -412,9 +396,7 @@ class AStarRouter:
                 if not (0 <= nlx < wx and 0 <= nly < wy):
                     continue
                 nidx = idx + didx
-                if not passable[nidx]:
-                    continue
-                ng = g + step_cost + cost[nidx]
+                ng = g + step_cost + entry[nidx]
                 if ng < best_g[nidx]:
                     if gd is not None and ng + gd[nidx] > thr:
                         continue
@@ -443,9 +425,7 @@ class AStarRouter:
                 if not 0 <= nl < num_layers:
                     continue
                 nidx = idx + (nl - layer) * layer_stride
-                if not passable[nidx]:
-                    continue
-                ng = g + beta + cost[nidx]
+                ng = g + beta + entry[nidx]
                 if ng < best_g[nidx]:
                     if gd is not None and ng + gd[nidx] > thr:
                         continue
@@ -486,52 +466,48 @@ class AStarRouter:
 
     def _guidance_map(
         self,
-        net_id: int,
-        occ_win: np.ndarray,
+        entry: np.ndarray,
         is_target,
-        cost: np.ndarray,
         best_g,
         target_idx: Sequence[int],
         source_idx: Sequence[int],
-    ) -> Tuple[Optional[np.ndarray], float]:
+    ) -> Tuple[Optional[memoryview], float]:
         """Activate corridor guidance for a running search.
 
-        ``cost`` is the flat folded cost array the search pays,
-        ``best_g`` its g-scores so far. Returns the flat float64
-        cost-to-go map and the corridor bound ``thr``, or ``(None, inf)``
-        for a degenerate window (the search stays unguided).
+        ``entry`` is the search's own entry-cost grid (inf where
+        impassable), ``best_g`` its g-scores so far. Returns the flat
+        cost-to-go map as a float64 memoryview and the corridor bound
+        ``thr``, or ``(None, inf)`` for a degenerate window (the search
+        stays unguided).
 
         The cheapest ``best_g`` over ``target_idx`` is the cost of a path
         already found, so the backward solve stops at its prune
         threshold (see :mod:`repro.router.guidance`): every prune
         decision equals the full map's.
         """
-        num_layers, wx, wy = occ_win.shape
         inf = float("inf")
         # inf until a target has been pushed: then the solve is full.
         limit = prune_threshold(min(best_g[t] for t in target_idx))
         params = self.params
         dmap = future_cost_map(
-            (occ_win == _FREE) | (occ_win == net_id),
-            cost.reshape(num_layers, wx, wy),
+            entry,
             self._horizontal,
             params.alpha,
             params.beta,
             params.wrong_way_factor,
-            np.frombuffer(is_target, dtype=np.uint8)
-            .reshape(num_layers, wx, wy)
-            .astype(bool),
+            np.frombuffer(is_target, dtype=bool).reshape(entry.shape),
             limit=limit,
         )
         if dmap is None:
             return None, inf
-        dflat = dmap.ravel()
         obs.counter_inc(
             "guidance_builds_total", solve="bounded" if limit < inf else "full"
         )
         self.total_guided_searches += 1
-        t = float(min(cost[s] + dflat[s] for s in source_idx))
-        return dflat, (prune_threshold(t) if t < inf else -inf)
+        d = memoryview(dmap.reshape(-1))
+        e = memoryview(entry.reshape(-1))
+        t = min(e[s] + d[s] for s in source_idx)
+        return d, (prune_threshold(t) if t < inf else -inf)
 
     # ------------------------------------------------------------------ #
     # Internals

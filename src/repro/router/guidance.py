@@ -32,12 +32,15 @@ distance, and cells beyond get ``inf`` — pruned either way, since
 ``g >= 0`` and ``prune_threshold`` is monotone (``thr <= limit``). The
 optimal source lies inside the limit, so ``T`` is unchanged too.
 
-Construction: the window graph is assembled as a fixed-slot CSR matrix
-with fully vectorized numpy index arithmetic — per-cell in-edges are
-``[via down, in-layer back, in-layer forward, via up]`` (plus the two
-wrong-way slots when enabled), invalid slots carry ``inf`` which
-``scipy.sparse.csgraph`` treats as a non-edge — and one multi-source
-``dijkstra(min_only=True)`` from the target cells solves it in C.
+Construction: the map is solved over the search's own ``entry`` grid
+(the folded per-cell cost, ``inf`` where impassable). The window graph
+is assembled as a fixed-slot CSR matrix with fully vectorized numpy
+index arithmetic — per-cell in-edges are ``[via down, in-layer back,
+in-layer forward, via up]`` (plus the two wrong-way slots when
+enabled), and every in-edge of an impassable cell, like every invalid
+slot, carries ``inf``, which ``scipy.sparse.csgraph`` treats as a
+non-edge — and one multi-source ``dijkstra(min_only=True)`` from the
+target cells solves it in C.
 Structures (indices/indptr/step tables) are LRU-cached per window shape
 so repeat searches only pay the data fill. The property tests pin the
 map to a scalar reference Dijkstra and to an independent pure-numpy
@@ -202,8 +205,7 @@ def _structure_for(
 
 
 def future_cost_map(
-    passable: np.ndarray,
-    cost: np.ndarray,
+    entry: np.ndarray,
     horizontal: Sequence[bool],
     alpha: float,
     beta: float,
@@ -213,18 +215,19 @@ def future_cost_map(
 ) -> Optional[np.ndarray]:
     """Exact cost-to-go of every window cell toward the target set.
 
-    Parameters mirror the search's folded state: ``passable`` (bool
-    array, layers x wx x wy), ``cost`` (the folded Eq. (5) + penalty
-    grid), the per-layer direction table, the CostParams step weights,
-    and the target mask. Returns a float64 array of the same shape with
-    ``inf`` for unreachable or impassable cells, or ``None`` when the
-    window is degenerate (guidance simply stays off for that search).
+    Parameters mirror the search's own state: ``entry`` (float64 array,
+    layers x wx x wy: the cost of entering each cell, i.e. the folded
+    Eq. (5) + penalty grid, ``inf`` where the cell is impassable), the
+    per-layer direction table, the CostParams step weights, and the
+    target mask. Returns a float64 array of the same shape with ``inf``
+    for unreachable or impassable cells, or ``None`` when the window is
+    degenerate (guidance simply stays off for that search).
 
     A finite ``limit`` stops the solve there: every cell with
     ``d <= limit`` still gets its exact distance, cells beyond get
     ``inf``.
     """
-    num_layers, wx, wy = passable.shape
+    num_layers, wx, wy = entry.shape
     if wx < 2 or wy < 2 or not target_mask.any():
         return None
     # Quantize the window shape so repeat searches share CSR skeletons.
@@ -234,14 +237,12 @@ def future_cost_map(
     pwx = -(-wx // _SHAPE_PAD) * _SHAPE_PAD
     pwy = -(-wy // _SHAPE_PAD) * _SHAPE_PAD
     if (pwx, pwy) != (wx, wy):
-        padded = np.zeros((num_layers, pwx, pwy), dtype=bool)
-        padded[:, :wx, :wy] = passable
-        cost_p = np.zeros((num_layers, pwx, pwy), dtype=np.float64)
-        cost_p[:, :wx, :wy] = cost
+        entry_p = np.full((num_layers, pwx, pwy), _INF)
+        entry_p[:, :wx, :wy] = entry
         tmask = np.zeros((num_layers, pwx, pwy), dtype=bool)
         tmask[:, :wx, :wy] = target_mask
     else:
-        padded, cost_p, tmask = passable, cost, target_mask
+        entry_p, tmask = entry, target_mask
     with _lock:
         struct = _structure_for(
             num_layers,
@@ -252,11 +253,10 @@ def future_cost_map(
             beta,
             wrong_way,
         )
-        entry = np.where(padded, cost_p, _INF)
         # Broadcast-add straight into the CSR data buffer, then stamp the
         # boundary slots; no (n, k) temporary.
         np.add(
-            entry.reshape(num_layers, pwx, pwy, 1),
+            entry_p.reshape(num_layers, pwx, pwy, 1),
             struct.steps,
             out=struct.data2d.reshape(num_layers, pwx, pwy, struct.k),
         )
@@ -266,5 +266,8 @@ def future_cost_map(
             struct.graph, indices=targets, min_only=True, limit=limit
         )
     dist = dist.reshape(num_layers, pwx, pwy)[:, :wx, :wy]
-    dist[~passable] = _INF
+    # The reverse solve reaches an impassable cell from a passable
+    # neighbour; the cell itself cannot be entered, so its cost-to-go is
+    # inf by definition.
+    dist[entry == _INF] = _INF
     return dist

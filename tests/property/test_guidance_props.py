@@ -124,8 +124,8 @@ def _map(backend, passable, cost, horizontal, alpha, beta, wrong_way, targets,
     the whole window, which is still exact under any ``limit``."""
     if backend == "csgraph":
         return future_cost_map(
-            passable, cost, horizontal, alpha, beta, wrong_way, targets,
-            limit=limit,
+            np.where(passable, cost, INF), horizontal, alpha, beta,
+            wrong_way, targets, limit=limit,
         )
     _, wx, wy = passable.shape
     if wx < 2 or wy < 2 or not targets.any():
@@ -305,15 +305,18 @@ def test_degenerate_windows_return_none():
     targets[0, 0, 0] = True
     cost = np.zeros(passable.shape)
     assert (
-        future_cost_map(passable, cost, (True, False), 1.0, 4.0, 0.0, targets)
+        future_cost_map(
+            np.where(passable, cost, INF), (True, False), 1.0, 4.0, 0.0,
+            targets,
+        )
         is None
     )
     passable = np.ones((2, 5, 5), dtype=bool)
     no_targets = np.zeros_like(passable)
     assert (
         future_cost_map(
-            passable, np.zeros(passable.shape), (True, False), 1.0, 4.0, 0.0,
-            no_targets,
+            np.where(passable, np.zeros(passable.shape), INF), (True, False),
+            1.0, 4.0, 0.0, no_targets,
         )
         is None
     )
@@ -394,7 +397,7 @@ def test_limit_below_the_threshold_breaks_the_property():
     targets = np.zeros(passable.shape, dtype=bool)
     targets[0, 5, 0] = True
     sources = [(0, 0, 0)]
-    args = (passable, cost, (True,), 1.0, 2.0, 0.0, targets)
+    args = (np.where(passable, cost, INF), (True,), 1.0, 2.0, 0.0, targets)
     full = future_cost_map(*args)
     c_star = _source_threshold(full, cost, sources)
     assert c_star == 5.0

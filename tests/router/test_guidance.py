@@ -9,6 +9,9 @@ level (random occupancy, penalties, overlay terms, multi-pin requests),
 end-to-end through ``SadpRouter.route_all`` on seeded Test1/Test6
 instances, and on service-sized designs with the default trigger, plus
 the ``guidance_builds_total`` dispatch counter (bounded vs full solves).
+The search, expansion and guided-search counts of default routes are
+pinned to recorded values: a weaker map keeps every path but expands
+more.
 The differential harness (``tests/router/test_differential.py``) also
 checks every trigger against the oracles.
 """
@@ -233,6 +236,31 @@ def test_default_auto_guides_small_designs(circuit, scale, seed):
     assert guided.total_searches == plain.total_searches
     assert guided.total_guided_searches > 0
     assert guided.total_expansions < plain.total_expansions
+
+
+@pytest.mark.parametrize(
+    "circuit,scale,counts",
+    [
+        ("Test1", 0.15, (50, 3_939, 15)),
+        ("Test6", 0.15, (35, 1_808, 1)),
+        ("Test1", 0.3, (260, 20_735, 62)),
+        ("Test6", 0.3, (154, 13_263, 23)),
+    ],
+    ids=["Test1@0.15", "Test6@0.15", "Test1@0.3", "Test6@0.3"],
+)
+def test_default_search_counters_are_pinned(circuit, scale, counts):
+    """Searches, expansions and guided searches of a default route
+    (design seed 2014). A map input that weakened pruning would keep
+    every path and digest; only these counts would move."""
+    grid, nets = generate_benchmark(spec_by_name(circuit), scale=scale, seed=2014)
+    router = SadpRouter(grid, nets)
+    router.route_all()
+    engine = router.engine
+    assert (
+        engine.total_searches,
+        engine.total_expansions,
+        engine.total_guided_searches,
+    ) == counts
 
 
 class TestBuildCounter:
