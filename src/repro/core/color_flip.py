@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .. import obs
 from ..color import Color
 from .constraint_graph import OverlayConstraintGraph
 from .edges import ConstraintEdge
@@ -199,18 +198,10 @@ def flip_colors(
     sweep over *all* edges, which can only improve on cyclic components
     whose non-tree edges the DP ignored.
 
-    Returns a fresh net -> color mapping for every net in scope. Raises
-    :class:`~repro.errors.ColoringError` when the hard edges alone are
-    unsatisfiable (the router prevents this by construction).
-
-    Results are memoised per component on the graph itself (keyed by the
-    component's smallest net and versioned by its mutation stamps): the
-    endgame's repeated full-layout flips and the per-commit component
-    flips only re-run the contraction + spanning forest + DP for
-    components something actually changed in. The cache is exact — a hit
-    requires identical membership and no structural mutation since the
-    entry was stored — so cached and fresh colorings are identical;
-    ``graph.flip_cache_enabled = False`` disables it outright.
+    Returns a fresh net -> color mapping for every net in scope, each
+    component colored afresh. Raises :class:`~repro.errors.ColoringError`
+    when the hard edges alone are unsatisfiable (the router prevents this
+    by construction).
     """
     from ..errors import ColoringError
 
@@ -224,28 +215,9 @@ def flip_colors(
             components.append(comp)
             remaining -= comp
 
-    cache = getattr(graph, "flip_cache", None)
-    if cache is not None and not getattr(graph, "flip_cache_enabled", False):
-        cache = None
-
     result: Dict[int, Color] = {}
     for comp in components:
-        key = version = None
-        if cache is not None:
-            key = (min(comp), refine)
-            version = graph.component_version(comp)
-            hit = cache.get(key)
-            if hit is not None and hit[0] == version and hit[1] == comp:
-                result.update(hit[2])
-                obs.counter_inc("flip_cache_lookups_total", outcome="hit")
-                continue
-        comp_colors = _color_component(graph, comp, refine, ColoringError)
-        if cache is not None:
-            if len(cache) > 1024:
-                cache.clear()  # bounded; cleared wholesale on overflow
-            cache[key] = (version, frozenset(comp), comp_colors)
-            obs.counter_inc("flip_cache_lookups_total", outcome="miss")
-        result.update(comp_colors)
+        result.update(_color_component(graph, comp, refine, ColoringError))
     return result
 
 

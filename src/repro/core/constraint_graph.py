@@ -42,10 +42,9 @@ class OverlayConstraintGraph:
 
     One object per edge: the readable form of the graph, and the base of
     the router's :class:`~repro.core.constraint_graph_soa.
-    SoAOverlayConstraintGraph`, which shares its vertex, stamp and
-    union-find bookkeeping. Production never instantiates it; the tests
-    and :func:`repro.router.reference.reference_router` use it as the
-    oracle.
+    SoAOverlayConstraintGraph`, which shares its vertex and union-find
+    bookkeeping. Production never instantiates it; the tests and
+    :func:`repro.router.reference.reference_router` use it as the oracle.
     """
 
     def __init__(self) -> None:
@@ -62,21 +61,6 @@ class OverlayConstraintGraph:
         #: multi-net rip-up pays for one rebuild, not one per net.
         self._uf_dirty = False
         self._vertices: Set[int] = set()
-        # Mutation stamps: every structural change bumps the graph stamp
-        # and marks the touched nets with it, so a connected component's
-        # version (max member stamp) is cheap to compute and changes iff
-        # anything inside the component changed. flip_colors keys its
-        # per-component result cache on this.
-        self._stamp = 0
-        self._net_stamp: Dict[int, int] = {}
-        #: flip_colors result cache: (min(component), refine) ->
-        #: (version, members, colors). Owned by the graph so it lives and
-        #: dies with the structure it mirrors; ``flip_cache_enabled``
-        #: turns it off for A/B equivalence tests.
-        self.flip_cache: Dict[
-            Tuple[int, bool], Tuple[int, frozenset, Dict[int, Color]]
-        ] = {}
-        self.flip_cache_enabled = True
         # Union-find op accounting across rebuilds (retired = ops made by
         # union-finds that were since thrown away; published = what the
         # metrics registry has already been told).
@@ -91,7 +75,14 @@ class OverlayConstraintGraph:
 
     @property
     def vertices(self) -> Set[int]:
+        """A copy of the vertex set; test one net with ``in`` instead."""
         return set(self._vertices)
+
+    def __contains__(self, net_id: int) -> bool:
+        return net_id in self._vertices
+
+    def __len__(self) -> int:
+        return len(self._vertices)
 
     @property
     def edges(self) -> List[ConstraintEdge]:
@@ -105,20 +96,7 @@ class OverlayConstraintGraph:
 
     def add_vertex(self, net_id: int) -> None:
         """Register a net even if it has no scenario yet (isolated vertex)."""
-        if net_id not in self._vertices:
-            self._vertices.add(net_id)
-            self._touch((net_id,))
-
-    def _touch(self, nets: Iterable[int]) -> None:
-        self._stamp += 1
-        stamp = self._stamp
-        for net in nets:
-            self._net_stamp[net] = stamp
-
-    def component_version(self, nets: Iterable[int]) -> int:
-        """Monotone version of a component: max mutation stamp over it."""
-        get = self._net_stamp.get
-        return max((get(net, 0) for net in nets), default=0)
+        self._vertices.add(net_id)
 
     def add_edges(self, edges: Iterable[ConstraintEdge]) -> List[ConstraintEdge]:
         """Insert scenario edges; returns the hard edges that closed odd
@@ -133,15 +111,12 @@ class OverlayConstraintGraph:
         if self._uf_dirty:
             self._rebuild_hard_uf()
         ob = obs.get_active()
-        touched: Set[int] = set()
         for edge in edges:
             self._edges.append(edge)
             self._incident[edge.u].append(edge)
             self._incident[edge.v].append(edge)
             self._vertices.add(edge.u)
             self._vertices.add(edge.v)
-            touched.add(edge.u)
-            touched.add(edge.v)
             if ob is not None:
                 ob.registry.counter(
                     "ocg_edges_added_total", kind=edge.kind.value
@@ -152,8 +127,6 @@ class OverlayConstraintGraph:
                     offenders.append(edge)
                     if ob is not None:
                         ob.registry.counter("ocg_odd_cycle_hits_total").inc()
-        if touched:
-            self._touch(touched)
         if ob is not None:
             self._flush_uf_stats(ob)
         return offenders
@@ -180,21 +153,17 @@ class OverlayConstraintGraph:
         which rip-up frequency keeps negligible).
         """
         incident = self._incident.pop(net_id, [])
-        self._net_stamp.pop(net_id, None)
         if not incident:
             self._vertices.discard(net_id)
             return 0
         doomed = set(map(id, incident))
         self._edges = [e for e in self._edges if id(e) not in doomed]
-        neighbours = set()
         for edge in incident:
             other = edge.other(net_id)
-            neighbours.add(other)
             self._incident[other] = [
                 e for e in self._incident[other] if id(e) not in doomed
             ]
         self._vertices.discard(net_id)
-        self._touch(neighbours)
         if any(e.kind.is_hard for e in incident):
             # Only hard edges live in the union-find; dropping a net with
             # none leaves it valid as-is.
@@ -239,31 +208,6 @@ class OverlayConstraintGraph:
         return not all(
             uf.union(e.u, e.v, e.parity) for e in self._edges if e.kind.is_hard
         )
-
-    def would_violate(self, edges: Iterable[ConstraintEdge]) -> bool:
-        """Would inserting ``edges`` close a hard odd cycle? (no mutation)
-
-        Used by the router to price candidate paths. Builds a scratch
-        overlay on top of the committed union-find by cloning only the
-        roots involved — cheap because candidate paths touch few nets.
-        """
-        if self._uf_dirty:
-            self._rebuild_hard_uf()
-        scratch = ParityUnionFind()
-        roots_seen: Dict = {}
-        ok = True
-        for edge in edges:
-            if not edge.kind.is_hard:
-                continue
-            for node in (edge.u, edge.v):
-                if node not in roots_seen:
-                    root, parity = self._hard_uf.find(node)
-                    roots_seen[node] = True
-                    scratch.union(node, ("root", root), parity)
-            ok &= scratch.union(edge.u, edge.v, edge.parity)
-            if not ok:
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # Pricing

@@ -96,14 +96,11 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
         us = store.us
         vs = store.vs
         pars = store.pars
-        touched: Set[int] = set()
         vertices = self._vertices
         for sc, row in zip(scenarios, rows):
             store.link(row)
             vertices.add(sc.net_a)
             vertices.add(sc.net_b)
-            touched.add(sc.net_a)
-            touched.add(sc.net_b)
         if ob is not None:
             counts: Dict[int, int] = {}
             for row in rows:
@@ -128,8 +125,6 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                     offenders.append(sc)
                     if ob is not None:
                         ob.registry.counter("ocg_odd_cycle_hits_total").inc()
-        if touched:
-            self._touch(touched)
         if ob is not None:
             self._flush_uf_stats(ob)
         return offenders
@@ -137,25 +132,16 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
     def remove_net(self, net_id: int) -> int:
         store = self._store
         rows = store.incident.get(net_id)
-        self._net_stamp.pop(net_id, None)
         if not rows:
             store.incident.pop(net_id, None)
             self._vertices.discard(net_id)
             return 0
-        us = store.us
-        vs = store.vs
         kinds = store.kinds
-        neighbours = set()
-        had_hard = False
-        for row in rows:
-            neighbours.add(vs[row] if us[row] == net_id else us[row])
-            if KIND_IS_HARD[kinds[row]]:
-                had_hard = True
+        had_hard = any(KIND_IS_HARD[kinds[row]] for row in rows)
         undo = self._undo
         self._undo = None
         dead = store.kill_net(net_id)
         self._vertices.discard(net_id)
-        self._touch(neighbours)
         if not had_hard:
             return len(dead)
         if undo is not None and (dead[0], len(dead)) == undo[:2]:

@@ -11,9 +11,7 @@ to future maintainers chasing a miscompare:
 * :func:`reference_dependent_pairs` — O(n²) scenario detection;
 * :func:`reference_hard_feasible` — hard-edge satisfiability via
   networkx bipartiteness on the dummy-vertex expansion (the paper's
-  Fig. 11(b) encoding, literally);
-* :func:`reference_optimal_coloring` — exhaustive 2^n enumeration with
-  the same DP costs the flipping machinery uses.
+  Fig. 11(b) encoding, literally).
 
 None of these are performance-relevant; they trade every optimisation for
 transparency.
@@ -22,11 +20,9 @@ transparency.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..color import Color
 from ..geometry import GridIndex, Segment
-from .constraint_graph import OverlayConstraintGraph
 from .edges import ConstraintEdge
 from .relation import classify_relation
 from .scenario_detect import NEIGHBOUR_RADIUS, DetectedScenario, ShapeRecord
@@ -197,20 +193,3 @@ def reference_hard_feasible(edges: Iterable[ConstraintEdge]) -> bool:
     if g.number_of_nodes() == 0:
         return True
     return nx.is_bipartite(g)
-
-
-def reference_optimal_coloring(
-    graph: OverlayConstraintGraph, nets: Optional[Sequence[int]] = None
-) -> Tuple[Dict[int, Color], float]:
-    """Exhaustive optimum over all assignments (<= ~20 nets).
-
-    Identical semantics to
-    :func:`repro.core.color_flip.brute_force_coloring`, re-exported here
-    so the oracle suite lives in one module.
-    """
-    from .color_flip import brute_force_coloring
-
-    if nets is None:
-        nets = sorted(graph.vertices)
-    return brute_force_coloring(graph, list(nets))
-

@@ -63,37 +63,6 @@ class RoutingGrid:
         self._occ = np.full(
             (len(self.layers), width, height), int(CellState.FREE), dtype=np.int32
         )
-        # Occupancy-change listeners (e.g. the router's overlay-cost
-        # cache). Kept as a plain list and guarded with a truthiness
-        # check so the unobserved grid pays one branch per mutation.
-        self._listeners: List = []
-
-    # ------------------------------------------------------------------ #
-    # Change notification
-    # ------------------------------------------------------------------ #
-
-    def add_change_listener(self, listener) -> None:
-        """Subscribe to occupancy changes.
-
-        ``listener`` must provide ``on_cells_changed(cells)`` — called
-        with an iterable of ``(layer, x, y)`` whose occupancy just
-        changed — and ``on_grid_reset()`` for bulk rewrites where per-cell
-        reporting would be wasteful (treat everything as stale).
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_change_listener(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def _notify_cells(self, cells) -> None:
-        for listener in self._listeners:
-            listener.on_cells_changed(cells)
-
-    def _notify_reset(self) -> None:
-        for listener in self._listeners:
-            listener.on_grid_reset()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -143,8 +112,6 @@ class RoutingGrid:
         self._occ[layer, rect.xlo : rect.xhi, rect.ylo : rect.yhi] = int(
             CellState.BLOCKED
         )
-        if self._listeners:
-            self._notify_reset()
 
     def occupy(self, layer: int, p: Point, net_id: int) -> None:
         if net_id < 0:
@@ -152,51 +119,35 @@ class RoutingGrid:
         owner = self.owner(layer, p)
         if owner not in (int(CellState.FREE), net_id):
             raise GridError(f"cell ({layer}, {p}) already owned by net {owner}")
-        if owner == net_id:
-            return  # no occupancy change, nothing to notify
         self._occ[layer, p.x, p.y] = net_id
-        if self._listeners:
-            self._notify_cells(((layer, p.x, p.y),))
 
     def occupy_many(self, cells: Iterable, net_id: int) -> None:
-        """Occupy many ``(layer, x, y)`` cells with one change notification.
+        """Occupy many ``(layer, x, y)`` cells in one call.
 
         Equivalent to calling :meth:`occupy` per cell in order — including
         the duplicate/already-owned skip and the error raised on a foreign
         owner or an out-of-bounds cell, after the cells before it were
-        written — but listeners hear once, with the changed cells in
-        order.
+        written.
         """
         if net_id < 0:
             raise GridError(f"net ids must be non-negative, got {net_id}")
         occ = self._occ
         free = int(CellState.FREE)
         num_layers, width, height = self.num_layers, self.width, self.height
-        changed: List = []
-        try:
-            for layer, x, y in cells:
-                if not (
-                    0 <= layer < num_layers and 0 <= x < width and 0 <= y < height
-                ):
-                    raise GridError(
-                        f"({layer}, {Point(int(x), int(y))}) outside "
-                        f"{num_layers}x{width}x{height} grid"
-                    )
-                owner = occ[layer, x, y]
-                if owner == free:
-                    occ[layer, x, y] = net_id
-                    changed.append((layer, x, y))
-                elif owner != net_id:
-                    raise GridError(
-                        f"cell ({layer}, {Point(int(x), int(y))}) "
-                        f"already owned by net {owner}"
-                    )
-        finally:
-            # On a mid-batch error listeners still must hear about the
-            # cells already written (the scalar loop notifies as it goes;
-            # one batched notification is equivalent).
-            if changed and self._listeners:
-                self._notify_cells(changed)
+        for layer, x, y in cells:
+            if not (0 <= layer < num_layers and 0 <= x < width and 0 <= y < height):
+                raise GridError(
+                    f"({layer}, {Point(int(x), int(y))}) outside "
+                    f"{num_layers}x{width}x{height} grid"
+                )
+            owner = occ[layer, x, y]
+            if owner == free:
+                occ[layer, x, y] = net_id
+            elif owner != net_id:
+                raise GridError(
+                    f"cell ({layer}, {Point(int(x), int(y))}) "
+                    f"already owned by net {owner}"
+                )
 
     def occupy_segment(self, seg: Segment, net_id: int) -> None:
         for p in seg.points():
@@ -206,15 +157,11 @@ class RoutingGrid:
         """Free a cell owned by ``net_id`` (no-op when owned by someone else)."""
         if self.owner(layer, p) == net_id:
             self._occ[layer, p.x, p.y] = int(CellState.FREE)
-            if self._listeners:
-                self._notify_cells(((layer, p.x, p.y),))
 
     def release_net(self, net_id: int) -> int:
         """Free every cell owned by ``net_id``; returns the number released."""
         cells = self._cells_owned_by(net_id)
         self._occ[cells] = int(CellState.FREE)
-        if self._listeners and cells[0].size:
-            self._notify_cells(list(zip(*(axis.tolist() for axis in cells))))
         return int(cells[0].size)
 
     # ------------------------------------------------------------------ #

@@ -10,7 +10,7 @@ returns a fully colored, conflict-free routing result.
 from .cost import CostParams
 from .astar import AStarRouter, SearchRequest
 from .guidance import future_cost_map, prune_threshold
-from .overlay_cache import OverlayCostCache, overlay_cost_grid, probe_cell
+from .overlay_cache import overlay_cost_grid
 from .result import NetRoute, RoutingResult
 from .sadp_router import SadpRouter
 from .trace import RouterTrace, TraceEvent
@@ -22,9 +22,7 @@ __all__ = [
     "SearchRequest",
     "future_cost_map",
     "prune_threshold",
-    "OverlayCostCache",
     "overlay_cost_grid",
-    "probe_cell",
     "NetRoute",
     "RoutingResult",
     "SadpRouter",

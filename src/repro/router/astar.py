@@ -13,9 +13,10 @@ Performance notes — this loop dominates the router's runtime. The search
 (:meth:`AStarRouter._search_fast`) maps every window cell to a flat
 integer index and keeps g-scores, parents and targets in flat arrays.
 What a cell costs to enter lives in one float64 ``entry`` grid: the
-Eq. (5) overlay grid (served by an :class:`OverlayCostCache` when one is
-attached) plus the sparse rip-up ``penalty_map``, folded in once per
-search, and ``inf`` where the cell is neither free nor the net's own.
+Eq. (5) overlay grid, computed afresh over the search's window by
+:func:`~repro.router.overlay_cache.overlay_cost_grid`, plus the sparse
+rip-up ``penalty_map``, folded in once per search, and ``inf`` where the
+cell is neither free nor the net's own.
 The loop reads it through a ``memoryview`` (O(1) to create, where
 ``tolist()`` is O(window)), and an impassable cell needs no check of its
 own: its ``inf`` never beats ``best_g``. Heap entries are 4-tuples
@@ -48,7 +49,7 @@ from ..geometry import Point, Segment, points_to_segments
 from ..grid import CellState, Direction, RoutingGrid, Via
 from .cost import CostParams
 from .guidance import AUTO_TRIGGER_EXPANSIONS, future_cost_map, prune_threshold
-from .overlay_cache import OverlayCostCache, overlay_cost_grid
+from .overlay_cache import overlay_cost_grid
 
 #: A search-space node: (layer, x, y).
 Node = Tuple[int, int, int]
@@ -112,9 +113,7 @@ class AStarRouter:
       search's ``entry`` grid once per search (the rip-up penalties;
       cheap);
     * ``overlay_terms=(gamma, delta_tip)`` — enables the Eq. (5)
-      overlay grid against ``active_net`` (set per routed net);
-    * ``overlay_cache`` — an :class:`OverlayCostCache` serving the
-      Eq. (5) grid from memo instead of recomputing it per search.
+      overlay grid against ``active_net`` (set per routed net).
 
     After every :meth:`search`, :attr:`last_outcome` reports ``"found"``,
     ``"failed"`` (exhausted the window — the target is unreachable), or
@@ -129,13 +128,11 @@ class AStarRouter:
         params: CostParams,
         penalty_map: Optional[Dict[Tuple[int, int, int], float]] = None,
         overlay_terms: Optional[Tuple[float, float]] = None,
-        overlay_cache: Optional[OverlayCostCache] = None,
     ) -> None:
         self.grid = grid
         self.params = params
         self._penalty_map = penalty_map
         self._overlay_terms = overlay_terms
-        self._overlay_cache = overlay_cache
         #: Unguided expansions after which a search builds its corridor
         #: map in place; searches that finish sooner never pay for one.
         #: ``-1`` never activates (the unguided search), ``1`` solves the
@@ -254,14 +251,10 @@ class AStarRouter:
         occ_win = occ[:, xlo : xhi + 1, ylo : yhi + 1]
         passable = (occ_win == _FREE) | (occ_win == net_id)
         if self._overlay_terms is not None:
-            own = self.active_net
-            if self._overlay_cache is not None:
-                cost_np = self._overlay_cache.grid_for(own, (xlo, xhi, ylo, yhi))
-            else:
-                gamma, delta_tip = self._overlay_terms
-                cost_np = overlay_cost_grid(
-                    occ, horizontal, (xlo, xhi, ylo, yhi), own, gamma, delta_tip
-                )
+            gamma, delta_tip = self._overlay_terms
+            cost_np = overlay_cost_grid(
+                occ, horizontal, (xlo, xhi, ylo, yhi), self.active_net, gamma, delta_tip
+            )
         else:
             cost_np = 0.0
         entry_grid = np.where(passable, cost_np, inf)

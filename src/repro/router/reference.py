@@ -10,8 +10,7 @@ executable specification the tests and ``repro.bench.perf``'s
 * :class:`ReferenceAStarRouter` — the original dict-based A*, with
   optional generic per-cell cost callbacks;
 * :func:`overlay_probe` — Eq. (5)'s overlay term for one cell, the
-  brute-force spec of :func:`~repro.router.overlay_cache.overlay_cost_grid`
-  and the :class:`~repro.router.overlay_cache.OverlayCostCache`;
+  brute-force spec of :func:`~repro.router.overlay_cache.overlay_cost_grid`;
 * :func:`reference_engine` — a :class:`ReferenceAStarRouter` set up
   like a router's production engine, to swap the A* alone;
 * :func:`reference_router` — a :class:`SadpRouter` whose detector,
@@ -53,9 +52,10 @@ class ReferenceAStarRouter(AStarRouter):
 
     ``overlay_cost`` / ``penalty`` are generic ``(layer, Point) -> cost``
     hooks added to every entered cell on top of ``penalty_map`` and the
-    ``overlay_terms`` grid. The Eq. (5) grid is always recomputed from
-    scratch (``overlay_cache`` is ignored), and the oracle never prunes
-    (``guidance_trigger`` is ignored).
+    ``overlay_terms`` grid, which it computes per search with
+    :func:`~repro.router.overlay_cache.overlay_cost_grid` like the
+    production search. The oracle never prunes (``guidance_trigger`` is
+    ignored).
     """
 
     def __init__(
@@ -104,9 +104,7 @@ class ReferenceAStarRouter(AStarRouter):
 
         # Precompute the Eq. (5) overlay term over the window: occupancy
         # is frozen during one net's search, so the 2-b / tip-abutment
-        # probes vectorise into a few numpy shifts. The reference path
-        # always recomputes from scratch — it is the ground truth the
-        # cached fast path is checked against.
+        # probes vectorise into a few numpy shifts.
         cost_grid = None
         if use_inline:
             gamma, delta_tip = self._overlay_terms

@@ -39,7 +39,6 @@ from ..grid import RoutingGrid
 from ..netlist import Net, Netlist
 from .astar import AStarRouter, SearchRequest, SearchResult, extend_with_taps
 from .cost import CostParams, PAPER_PARAMS
-from .overlay_cache import OverlayCostCache
 from .result import NetRoute, RoutingResult
 
 
@@ -97,15 +96,6 @@ class SadpRouter:
         self._committed: Set[int] = set()
         self._evicted_routes: Dict[int, NetRoute] = {}
 
-        #: Memoised Eq. (5) cost grids, invalidated incrementally through
-        #: the grid's change-listener hook as commits/rip-ups/evictions
-        #: touch occupancy — retries of a net only pay for the cells that
-        #: actually changed, not a full re-vectorisation.
-        self.overlay_cache: Optional[OverlayCostCache] = (
-            OverlayCostCache(grid, params.gamma, params.delta_tip)
-            if enable_t2b_penalty
-            else None
-        )
         self.engine = AStarRouter(
             grid,
             params,
@@ -113,7 +103,6 @@ class SadpRouter:
             overlay_terms=(
                 (params.gamma, params.delta_tip) if enable_t2b_penalty else None
             ),
-            overlay_cache=self.overlay_cache,
         )
         self._reserve_pins()
 
@@ -168,7 +157,7 @@ class SadpRouter:
         for round_idx in range(self.MAX_REPAIR_ROUNDS + 1):
             self._final_flip()
             self._refresh_all_cuts()
-            conflicts = self._unique_conflicts()
+            conflicts = self.checker.all_conflicts()
             if not conflicts:
                 break
             self._repair_round(
@@ -183,7 +172,7 @@ class SadpRouter:
             for _ in range(self.MAX_REPAIR_ROUNDS + 1):
                 self._final_flip()
                 self._refresh_all_cuts()
-                conflicts = self._unique_conflicts()
+                conflicts = self.checker.all_conflicts()
                 if not conflicts:
                     break
                 for conflict in conflicts:
@@ -327,7 +316,6 @@ class SadpRouter:
     def _commit_inner(
         self, net_id: int, found: SearchResult, route: NetRoute
     ) -> bool:
-        # One change notification for the whole path.
         self.grid.occupy_many(found.nodes, net_id)
 
         scenarios_by_layer: Dict[int, List[DetectedScenario]] = {}
@@ -446,15 +434,7 @@ class SadpRouter:
                 else ("hard_odd_cycle" if offending_cells else "path_penalised")
             )
             ob.registry.counter("ripups_total", reason=reason).inc()
-        self.detector.remove_net(net_id)
-        for layer in range(self.grid.num_layers):
-            self.graphs[layer].remove_net(net_id)
-            self.colorings[layer].pop(net_id, None)
-        self.grid.release_net(net_id)
-        for layer, p in self._pin_cells.get(net_id, ()):
-            self.grid.occupy(layer, p, net_id)  # keep pins reserved
-        self.checker.remove_net(net_id)
-        self._drop_scenarios_of(net_id)
+        self._tear_down(net_id)
         if offending_cells:
             # Penalise only the fragments that caused the violation.
             for layer, rect in offending_cells:
@@ -471,6 +451,19 @@ class SadpRouter:
                 self._penalties[key] = (
                     self._penalties.get(key, 0.0) + self.params.ripup_penalty
                 )
+
+    def _tear_down(self, net_id: int) -> None:
+        """Remove a net from the detector, graphs, colorings, grid and
+        checker; its pin cells stay reserved for it."""
+        self.detector.remove_net(net_id)
+        for layer in range(self.grid.num_layers):
+            self.graphs[layer].remove_net(net_id)
+            self.colorings[layer].pop(net_id, None)
+        self.grid.release_net(net_id)
+        for layer, p in self._pin_cells.get(net_id, ()):
+            self.grid.occupy(layer, p, net_id)
+        self.checker.remove_net(net_id)
+        self._drop_scenarios_of(net_id)
 
     def _penalise_conflicts(self, conflicts) -> None:
         """Make the conflict regions expensive for the retry.
@@ -518,7 +511,7 @@ class SadpRouter:
             return
         induced = 0.0
         for layer in range(self.grid.num_layers):
-            if net_id in self.graphs[layer].vertices:
+            if net_id in self.graphs[layer]:
                 cost = self.graphs[layer].net_cost(net_id, self.colorings[layer])
                 if cost != float("inf"):
                     induced += cost
@@ -526,7 +519,7 @@ class SadpRouter:
             with obs.span("color_flip", net_id=net_id, scope="component"):
                 for layer in range(self.grid.num_layers):
                     graph = self.graphs[layer]
-                    if net_id not in graph.vertices:
+                    if net_id not in graph:
                         continue
                     scope = graph.component_of(net_id)
                     if len(scope) > self.params.flip_scope_cap:
@@ -588,9 +581,6 @@ class SadpRouter:
             reroute = self.route_net(net, preserve_penalties=True)
             result.routes[net_id] = reroute
 
-    def _unique_conflicts(self) -> List:
-        return self.checker.all_conflicts()
-
     def rip_up_net(self, net_id: int) -> None:
         """Completely remove a committed net (public: used by repair and
         by callers doing incremental ECO-style editing)."""
@@ -598,15 +588,7 @@ class SadpRouter:
             (sc.net_b if sc.net_a == net_id else sc.net_a)
             for sc in self._scenarios_by_net.get(net_id, ())
         }
-        self.detector.remove_net(net_id)
-        for layer in range(self.grid.num_layers):
-            self.graphs[layer].remove_net(net_id)
-            self.colorings[layer].pop(net_id, None)
-        self.grid.release_net(net_id)
-        for layer, p in self._pin_cells.get(net_id, ()):
-            self.grid.occupy(layer, p, net_id)
-        self.checker.remove_net(net_id)
-        self._drop_scenarios_of(net_id)
+        self._tear_down(net_id)
         self._refresh_cuts(affected)
         self._committed.discard(net_id)
 
@@ -616,7 +598,7 @@ class SadpRouter:
             return
         with obs.span("color_flip", scope="layout"):
             for layer, graph in enumerate(self.graphs):
-                if graph.vertices:
+                if len(graph):
                     self.colorings[layer].update(flip_colors(graph))
                     self._flip_count += 1
                     obs.counter_inc("color_flips_total", scope="layout")
@@ -658,11 +640,8 @@ class SadpRouter:
         result.overlay_units = overlay_units
         result.overlay_nm = overlay_units * self.grid.rules.overlay_unit_nm
         result.hard_overlays = hard
-        result.cut_conflicts = self._count_final_conflicts()
-
-    def _count_final_conflicts(self) -> int:
-        """Type B conflicts surviving in the committed result (expected 0)."""
-        return len(self.checker.all_conflicts())
+        # Type B conflicts surviving in the committed result (expected 0).
+        result.cut_conflicts = len(self.checker.all_conflicts())
 
     @staticmethod
     def _net_layers(segments: Sequence[Segment]) -> Set[int]:

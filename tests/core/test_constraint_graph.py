@@ -29,6 +29,7 @@ class TestStructure:
         g = OverlayConstraintGraph()
         g.add_vertex(9)
         assert 9 in g.vertices
+        assert 9 in g and 8 not in g and len(g) == 1
         assert g.components() == [{9}]
 
     def test_odd_cycle_detected_incrementally(self):
@@ -57,30 +58,11 @@ class TestStructure:
         assert removed == 2
         assert not g.has_hard_odd_cycle()
         assert g.vertices == {0, 1}
+        assert 2 not in g and len(g) == 2
 
     def test_remove_unknown_net(self):
         g = OverlayConstraintGraph()
         assert g.remove_net(42) == 0
-
-
-class TestWouldViolate:
-    def test_probe_does_not_mutate(self):
-        g = OverlayConstraintGraph()
-        g.add_edges([edge(0, 1, ScenarioType.T1A), edge(1, 2, ScenarioType.T1A)])
-        closing = [edge(2, 0, ScenarioType.T1A)]
-        assert g.would_violate(closing)
-        assert not g.has_hard_odd_cycle()  # unchanged
-        assert g.num_edges() == 2
-
-    def test_probe_consistent_edges(self):
-        g = OverlayConstraintGraph()
-        g.add_edges([edge(0, 1, ScenarioType.T1A)])
-        assert not g.would_violate([edge(1, 2, ScenarioType.T1A)])
-
-    def test_probe_ignores_soft(self):
-        g = OverlayConstraintGraph()
-        g.add_edges([edge(0, 1, ScenarioType.T1A), edge(1, 2, ScenarioType.T1A)])
-        assert not g.would_violate([edge(2, 0, ScenarioType.T2A)])
 
 
 class TestEvaluation:

@@ -324,28 +324,15 @@ class TestOccupyManyEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(cells, st.integers(0, 2), st.integers(0, 7), st.integers(0, 7))
     def test_matches_scalar_loop(self, batch, other_net, ox, oy):
-        """occupy_many ends in the same grid state, notifications, and
-        error behaviour as per-cell occupy — including around a
-        foreign-owned cell."""
-
-        class Recorder:
-            def __init__(self):
-                self.cells = []
-
-            def on_cells_changed(self, changed):
-                self.cells.extend(tuple(map(int, c)) for c in changed)
-
-            def on_grid_reset(self):
-                pass
+        """occupy_many ends in the same grid state and error behaviour as
+        per-cell occupy — including around a foreign-owned cell."""
 
         def build():
             grid = RoutingGrid(8, 8, rules=None)
             grid.occupy(other_net, Point(ox, oy), 99)
-            rec = Recorder()
-            grid.add_change_listener(rec)
-            return grid, rec
+            return grid
 
-        ref_grid, ref_rec = build()
+        ref_grid = build()
         ref_err = None
         try:
             for layer, x, y in batch:
@@ -353,7 +340,7 @@ class TestOccupyManyEquivalence:
         except GridError as exc:
             ref_err = str(exc)
 
-        got_grid, got_rec = build()
+        got_grid = build()
         got_err = None
         try:
             got_grid.occupy_many(batch, 5)
@@ -361,32 +348,22 @@ class TestOccupyManyEquivalence:
             got_err = str(exc)
 
         assert got_err == ref_err
-        assert sorted(got_rec.cells) == sorted(ref_rec.cells)
         np.testing.assert_array_equal(got_grid._occ, ref_grid._occ)
 
     def test_fast_path_partial_write_then_raise(self):
         grid = RoutingGrid(8, 8)
         grid.occupy(0, Point(3, 3), 9)
-        seen = []
-
-        class Listener:
-            def on_cells_changed(self, changed):
-                seen.extend(tuple(map(int, c)) for c in changed)
-
-            def on_grid_reset(self):
-                pass
-
-        grid.add_change_listener(Listener())
         with pytest.raises(GridError, match="already owned by net 9"):
             grid.occupy_many([(0, 1, 1), (0, 2, 2), (0, 3, 3)], 5)
-        # Cells before the conflict were written and reported, exactly
-        # like the scalar loop.
+        # Cells before the conflict were written, exactly like the scalar
+        # loop; nothing else was.
         assert grid.owner(0, Point(1, 1)) == 5
         assert grid.owner(0, Point(2, 2)) == 5
         assert grid.owner(0, Point(3, 3)) == 9
-        assert seen == [(0, 1, 1), (0, 2, 2)]
+        assert int(np.count_nonzero(grid._occ != int(CellState.FREE))) == 3
 
     def test_duplicate_cells_notify_once(self):
+        """A cell repeated in the batch is written once, without an error."""
         grid = RoutingGrid(8, 8)
         batch = [(0, 1, 1)] * 3 + [(1, 2, 2)]
         grid.occupy_many(batch, 4)

@@ -31,10 +31,12 @@ def test_names_read_by_the_benchmark_harness():
 
 
 def test_names_wrapped_for_the_service_workload(monkeypatch, tmp_path):
-    """The tracer also wraps the search, the grid, the overlay cache, the
-    cut checker, the on-disk store, every pipeline stage and mask
-    synthesis/verify; a pipeline run through an ``ArtifactStore`` must
-    reach each wrapper through the attribute the tracer replaces."""
+    """The tracer also wraps the search, the grid, the cut checker, the
+    on-disk store, every pipeline stage and mask synthesis/verify; a
+    pipeline run through an ``ArtifactStore`` must reach each wrapper
+    through the attribute the tracer replaces. It wraps four methods of
+    the ``OverlayCostCache`` stub too, which nothing constructs: they
+    must exist, and nothing reaches them."""
     from repro import decompose
     from repro.core import CutConflictChecker
     from repro.grid import RoutingGrid
@@ -59,8 +61,8 @@ def test_names_wrapped_for_the_service_workload(monkeypatch, tmp_path):
 
     wrap(AStarRouter, "search", "astar.search")
     wrap(RoutingGrid, "release_net", "grid.release_net")
-    wrap(OverlayCostCache, "grid_for", "overlay_cache.grid_for")
-    for attr in ("on_cells_changed", "on_grid_reset", "invalidate_net"):
+    stub = ("grid_for", "on_cells_changed", "on_grid_reset", "invalidate_net")
+    for attr in stub:
         wrap(OverlayCostCache, attr, f"overlay_cache.{attr}")
     wrap(CutConflictChecker, "conflicts_with", "cut_conflict.conflicts_with")
     wrap(CutConflictChecker, "register_net", "cut_conflict.register_net")
@@ -75,9 +77,8 @@ def test_names_wrapped_for_the_service_workload(monkeypatch, tmp_path):
     Pipeline(config).run()
     Pipeline(config).run()  # all cached: the store loads every artifact
 
-    # Invalidation hooks fire only on some grid edits; the rest must run.
-    optional = {"overlay_cache.on_grid_reset", "overlay_cache.invalidate_net"}
-    assert [n for n, c in calls.items() if not c and n not in optional] == []
+    unreached = {n for n, c in calls.items() if not c}
+    assert unreached == {f"overlay_cache.{attr}" for attr in stub}
     nbytes, published = returns["store.publish"]
     assert isinstance(nbytes, int) and isinstance(published, bool)
 
