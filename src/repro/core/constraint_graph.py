@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..color import Color
@@ -148,9 +148,9 @@ class OverlayConstraintGraph:
     def remove_net(self, net_id: int) -> int:
         """Remove a net and its incident edges; returns edges removed.
 
-        The parity union-find does not support deletion, so it is rebuilt
-        from the surviving hard edges (linear in the number of hard edges,
-        which rip-up frequency keeps negligible).
+        The parity union-find does not support deletion, so the next
+        insertion rebuilds it from every surviving hard edge. This is the
+        oracle of the SoA graph, which repairs only the touched components.
         """
         incident = self._incident.pop(net_id, [])
         if not incident:
@@ -181,6 +181,9 @@ class OverlayConstraintGraph:
         ob = obs.get_active()
         if ob is not None:
             ob.registry.counter("ocg_uf_rebuilds_total").inc()
+            ob.registry.counter("ocg_uf_repair_rows_total").inc(
+                len(self._hard_edges)
+            )
             self._flush_uf_stats(ob)
 
     def _flush_uf_stats(self, ob) -> None:
@@ -290,7 +293,14 @@ class OverlayConstraintGraph:
             out.append(comp)
         return out
 
-    def component_of(self, net_id: int) -> Set[int]:
+    def component_of(self, net_id: int, cap: Optional[int] = None) -> Set[int]:
+        """The nets connected to ``net_id``, in depth-first order.
+
+        With ``cap``, the walk stops as soon as it holds more than ``cap``
+        nets and returns that partial set: a component within the cap
+        comes back whole and in the same order.
+        """
+        limit = float("inf") if cap is None else cap
         comp = {net_id}
         stack = [net_id]
         while stack:
@@ -300,6 +310,8 @@ class OverlayConstraintGraph:
                 if other not in comp:
                     comp.add(other)
                     stack.append(other)
+            if len(comp) > limit:
+                break
         return comp
 
     def edges_within(self, nets: Set[int]) -> List[ConstraintEdge]:

@@ -10,8 +10,16 @@ read plain row lists instead of walking edge objects.
 Bit-identity notes: every cost in the system is an integer-valued
 float64 (Table II units, CUT_VETO, HARD=inf), so sums are exact and
 accumulation order cannot change results. Orderings that *do* leak into
-results (edge insertion order, incident traversal order, hard-union
-order, unit-root identity) are replicated exactly from the object path.
+results (edge insertion order, incident traversal order, and the
+flip-time contraction's hard-union order and unit roots) are replicated
+exactly from the object path.
+
+The layer's hard-parity union-find replicates only its relations: which
+nets it joins, and with what parity. A union's answer depends on nothing
+else, so after a removal the graph re-derives just the hard components
+the removed nets belonged to (the object path rebuilds the whole layer),
+and it takes back a rejected commit's batch from a journal of the
+entries that batch's unions wrote.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from ..color import Color
 from .constraint_graph import Evaluation, OverlayConstraintGraph
 from .edge_store import KIND_IS_HARD, KIND_ORDER, SCENARIO_INDEX, EdgeStore
 from .edges import ConstraintEdge
-from .odd_cycle import ParityUnionFind
+from .odd_cycle import JournalEntry, ParityUnionFind
 from .scenario_detect import DetectedScenario
 from .scenarios import HARD
 
@@ -37,16 +45,17 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
     def __init__(self) -> None:
         super().__init__()
         self._store = EdgeStore()
-        #: Live hard rows in insertion order (replayed by the UF rebuild,
-        #: mirroring the object path's ``_hard_edges`` list).
-        self._hard_rows: List[int] = []
-        #: Undo point of the newest ``add_scenarios`` batch that held a
-        #: hard row: (first row, batch size, ``_hard_rows`` length, UF
-        #: snapshot), all taken before the batch's unions. Removing a net
-        #: whose live rows are exactly that batch (the router undoing a
-        #: rejected commit) restores the snapshot instead of marking the
-        #: UF for a full rebuild. Any other mutation clears it.
-        self._undo: Optional[Tuple[int, int, int, tuple]] = None
+        #: Nets whose hard components the next ``add_scenarios`` repairs
+        #: in the union-find: each net removed since, that had hard rows,
+        #: and its live hard neighbours at the time.
+        self._repair_seeds: Set[int] = set()
+        #: Undo point of the newest ``add_scenarios`` batch: its first
+        #: row, its size, and the journal of the union-find entries its
+        #: unions could write. Removing a net whose live rows are exactly
+        #: that batch (the router undoing a rejected commit) undoes the
+        #: journal instead of seeding a repair. Any other mutation clears
+        #: it, so no unjournaled write falls between a batch and its undo.
+        self._undo: Optional[Tuple[int, int, List[JournalEntry]]] = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -70,13 +79,13 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
     ) -> List[DetectedScenario]:
         """Batch-insert one edge per detected scenario.
 
-        Same counters and hard-union order as the object graph's
+        Same counters and offenders as the object graph's
         ``add_scenarios``, but row construction is a table lookup.
         Returns the scenarios whose hard edges closed odd cycles (in
         insertion order).
         """
-        if self._uf_dirty:
-            self._rebuild_hard_uf()
+        if self._repair_seeds:
+            self._repair_hard_uf()
         ob = obs.get_active()
         offenders: List[DetectedScenario] = []
         if not scenarios:
@@ -84,7 +93,6 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                 self._flush_uf_stats(ob)
             return offenders
         store = self._store
-        self._undo = None
         rows = store.append_scenarios(
             [sc.net_a for sc in scenarios],
             [sc.net_b for sc in scenarios],
@@ -110,18 +118,12 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                 ob.registry.counter(
                     "ocg_edges_added_total", kind=KIND_ORDER[code].value
                 ).inc(n)
+        journal: List[JournalEntry] = []
+        self._undo = (rows.start, len(rows), journal)
         union = self._hard_uf.union
         for sc, row in zip(scenarios, rows):
             if KIND_IS_HARD[kinds[row]]:
-                if self._undo is None:
-                    self._undo = (
-                        rows.start,
-                        len(rows),
-                        len(self._hard_rows),
-                        self._hard_uf.snapshot(),
-                    )
-                self._hard_rows.append(row)
-                if not union(us[row], vs[row], pars[row]):
+                if not union(us[row], vs[row], pars[row], journal):
                     offenders.append(sc)
                     if ob is not None:
                         ob.registry.counter("ocg_odd_cycle_hits_total").inc()
@@ -137,53 +139,88 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
             self._vertices.discard(net_id)
             return 0
         kinds = store.kinds
-        had_hard = any(KIND_IS_HARD[kinds[row]] for row in rows)
+        us = store.us
+        vs = store.vs
+        hard_neighbours = [
+            vs[row] if us[row] == net_id else us[row]
+            for row in rows
+            if KIND_IS_HARD[kinds[row]]
+        ]
         undo = self._undo
         self._undo = None
         dead = store.kill_net(net_id)
         self._vertices.discard(net_id)
-        if not had_hard:
+        if not hard_neighbours:
             return len(dead)
         if undo is not None and (dead[0], len(dead)) == undo[:2]:
             # The dead rows are exactly the newest batch (the router
             # undoing a rejected commit): roll the union-find back to
             # before it.
-            _, _, hard_len, snap = undo
-            self._hard_uf.restore(snap)
-            del self._hard_rows[hard_len:]
+            self._hard_uf.undo(undo[2])
             obs.counter_inc("ocg_uf_rollbacks_total")
         else:
-            doomed = set(dead)
-            self._hard_rows = [r for r in self._hard_rows if r not in doomed]
-            self._uf_dirty = True
+            self._repair_seeds.add(net_id)
+            self._repair_seeds.update(hard_neighbours)
         return len(dead)
 
-    def _rebuild_hard_uf(self) -> None:
-        self._uf_dirty = False
-        self._uf_retired_finds += self._hard_uf.find_ops
-        self._uf_retired_unions += self._hard_uf.union_ops
-        self._hard_uf = ParityUnionFind()
-        self._replay_hard_rows(self._hard_uf)
-        ob = obs.get_active()
-        if ob is not None:
-            ob.registry.counter("ocg_uf_rebuilds_total").inc()
-            self._flush_uf_stats(ob)
+    def _repair_hard_uf(self) -> None:
+        """Re-derive the union-find around the nets removed since the
+        last batch.
 
-    def _replay_hard_rows(self, uf: ParityUnionFind) -> bool:
-        """Union every live hard row into ``uf``; False on an odd cycle."""
+        Walks the live hard rows reachable from the repair seeds, forgets
+        every net it reaches and unions exactly those rows again, in
+        ascending row order as a whole-layer rebuild would. The walk
+        covers each hard component a removal touched (the seeds hold a
+        live net of every piece it split into), and unions in other
+        components never touch these nets, so the union-find relates
+        what a whole-layer rebuild relates.
+        """
         store = self._store
         us = store.us
         vs = store.vs
+        kinds = store.kinds
         pars = store.pars
+        incident = store.incident
+        nets = self._repair_seeds
+        self._repair_seeds = set()
+        stack = list(nets)
+        rows: List[int] = []
+        while stack:
+            node = stack.pop()
+            for row in incident.get(node, ()):
+                if KIND_IS_HARD[kinds[row]]:
+                    other = us[row]
+                    if other == node:
+                        rows.append(row)  # once: from its first endpoint
+                        other = vs[row]
+                    if other not in nets:
+                        nets.add(other)
+                        stack.append(other)
+        uf = self._hard_uf
+        uf.forget(nets)
+        rows.sort()
         union = uf.union
-        ok = True
-        for row in self._hard_rows:
-            ok &= union(us[row], vs[row], pars[row])
-        return ok
+        for row in rows:
+            union(us[row], vs[row], pars[row])
+        ob = obs.get_active()
+        if ob is not None:
+            ob.registry.counter("ocg_uf_rebuilds_total").inc()
+            ob.registry.counter("ocg_uf_repair_rows_total").inc(len(rows))
+            self._flush_uf_stats(ob)
 
     def has_hard_odd_cycle(self) -> bool:
         """Full recheck: replay the live hard rows into a fresh union-find."""
-        return not self._replay_hard_rows(ParityUnionFind())
+        store = self._store
+        us = store.us
+        vs = store.vs
+        kinds = store.kinds
+        pars = store.pars
+        union = ParityUnionFind().union
+        return not all(
+            union(us[row], vs[row], pars[row])
+            for row in store.live_rows()
+            if KIND_IS_HARD[kinds[row]]
+        )
 
     # ------------------------------------------------------------------ #
     # Pricing
@@ -263,14 +300,16 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
             out.append(comp)
         return out
 
-    def component_of(self, net_id: int) -> Set[int]:
+    def component_of(self, net_id: int, cap: Optional[int] = None) -> Set[int]:
         # Faithful replication of the object DFS: comp-set insertion
         # order feeds set-iteration order downstream (edges_within →
-        # hard-union order → unit-root identity), so it must match.
+        # hard-union order → unit-root identity), so it must match. The
+        # same ``cap`` stop: past it, the set is partial.
         store = self._store
         us = store.us
         vs = store.vs
         incident = store.incident
+        limit = float("inf") if cap is None else cap
         comp = {net_id}
         stack = [net_id]
         while stack:
@@ -280,6 +319,8 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
                 if other not in comp:
                     comp.add(other)
                     stack.append(other)
+            if len(comp) > limit:
+                break
         return comp
 
     def _rows_within(self, nets: Set[int]) -> List[int]:

@@ -26,6 +26,9 @@ from ..rules import DesignRules
 from .scenario_detect import DetectedScenario
 from .scenarios import ScenarioType
 
+#: Every (color of A, color of B) a ``critical_cuts`` memo key can hold.
+_COLOR_PAIRS = tuple((pair.a, pair.b) for pair in ColorPair)
+
 
 @dataclass(frozen=True)
 class CriticalCut:
@@ -158,6 +161,19 @@ class CutConflictChecker:
         ]
         self._cut_memo[key] = (scenario, result)
         return result
+
+    def forget_scenarios(self, scenarios: Iterable[DetectedScenario]) -> None:
+        """Drop the memoised cuts of scenarios that left the layout.
+
+        The router calls this when it tears a net down: nothing looks
+        those scenarios up again, and the memo would otherwise keep every
+        scenario ever detected alive.
+        """
+        memo = self._cut_memo
+        for scenario in scenarios:
+            key = id(scenario)
+            for color_a, color_b in _COLOR_PAIRS:
+                memo.pop((key, color_a, color_b), None)
 
     def _tip_gap_cut(self, a_nm: Rect, b_nm: Rect) -> Rect:
         """Cut in the gap between two collinear tips, d_overlap into spacers."""

@@ -6,20 +6,33 @@ hard-same edges demand equal colors (parity 0; the dummy-vertex encoding of
 Fig. 11(b) is parity-equivalent). A set of hard edges is satisfiable iff no
 cycle has odd total parity, which a union-find with parity decides in
 amortised near-constant time per edge.
+
+The structure cannot delete a relation. A caller that removes edges
+either undoes a journal of its newest unions (:meth:`ParityUnionFind.undo`)
+or forgets the affected components whole (:meth:`ParityUnionFind.forget`)
+and unions their surviving edges again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+
+#: Journal mark of an entry that did not exist yet (any hashable,
+#: ``None`` included, can be an element).
+_ABSENT = object()
+
+#: One journal record: (element, parent, rank, parity) before a union.
+JournalEntry = Tuple[Hashable, Hashable, int, int]
 
 
 class ParityUnionFind:
     """Union-find where each element carries a parity relative to its root.
 
     ``union(u, v, parity)`` asserts ``color(u) XOR color(v) == parity``.
-    It returns ``False`` (and leaves the structure unchanged) when the
-    assertion contradicts the existing relations — i.e. the new edge closes
-    a hard odd cycle.
+    It returns ``False`` (and relates nothing new) when the assertion
+    contradicts the existing relations — i.e. the new edge closes a hard
+    odd cycle. Its answer depends only on those relations, never on which
+    elements are roots.
     """
 
     def __init__(self) -> None:
@@ -82,14 +95,28 @@ class ParityUnionFind:
             raise KeyError(f"{u!r} and {v!r} are not related")
         return pu ^ pv
 
-    def union(self, u: Hashable, v: Hashable, parity: int) -> bool:
+    def union(
+        self,
+        u: Hashable,
+        v: Hashable,
+        parity: int,
+        journal: Optional[List[JournalEntry]] = None,
+    ) -> bool:
         """Merge asserting ``color(u) XOR color(v) == parity``.
 
         Returns True on success (including redundant consistent edges) and
         False when the edge would close an odd cycle.
+
+        With ``journal``, first appends the entries of every element on
+        the find paths of ``u`` and ``v``: the union writes no others
+        (its finds compress those paths, and it links one of their roots
+        under the other), so :meth:`undo` can take it back.
         """
         if parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {parity}")
+        if journal is not None:
+            self._record_path(u, journal)
+            self._record_path(v, journal)
         self.union_ops += 1
         ru, pu = self.find(u)
         rv, pv = self.find(v)
@@ -106,17 +133,56 @@ class ParityUnionFind:
             self._rank[ru] += 1
         return True
 
-    def snapshot(self) -> Tuple[dict, dict, dict]:
-        """Copy of the structure for :meth:`restore` (op tallies excluded)."""
-        return dict(self._parent), dict(self._rank), dict(self._parity)
+    def _record_path(self, x: Hashable, journal: List[JournalEntry]) -> None:
+        parent = self._parent
+        if x not in parent:
+            journal.append((x, _ABSENT, 0, 0))
+            return
+        rank = self._rank
+        par = self._parity
+        while True:
+            up = parent[x]
+            journal.append((x, up, rank[x], par[x]))
+            if up == x:
+                return
+            x = up
 
-    def restore(self, snap: Tuple[dict, dict, dict]) -> None:
-        """Return to a :meth:`snapshot`, which the structure takes over.
+    def undo(self, journal: List[JournalEntry]) -> None:
+        """Take back every union recorded in ``journal``.
 
-        Undoes every union since the snapshot. The op tallies keep
-        counting: they record work done, not the current state.
+        Restores the recorded entries newest first, so each element ends
+        with its entry from before the first journaled union, and elements
+        those unions added are gone again. Correct only when nothing else
+        wrote to the structure since the first journaled union. The op
+        tallies keep counting: they record work done, not the state.
         """
-        self._parent, self._rank, self._parity = snap
+        parent = self._parent
+        rank = self._rank
+        par = self._parity
+        for x, up, r, p in reversed(journal):
+            if up is _ABSENT:
+                parent.pop(x, None)
+                rank.pop(x, None)
+                par.pop(x, None)
+            else:
+                parent[x] = up
+                rank[x] = r
+                par[x] = p
+
+    def forget(self, elements: Iterable[Hashable]) -> None:
+        """Drop ``elements`` and every relation they take part in.
+
+        ``elements`` must be whole components (a member left behind could
+        keep a parent link into them); unioning their surviving edges
+        again then relates them afresh.
+        """
+        parent = self._parent
+        rank = self._rank
+        par = self._parity
+        for x in elements:
+            parent.pop(x, None)
+            rank.pop(x, None)
+            par.pop(x, None)
 
     def components(self) -> Dict[Hashable, list]:
         """root -> members (after full compression)."""

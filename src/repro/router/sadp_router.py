@@ -463,6 +463,7 @@ class SadpRouter:
         for layer, p in self._pin_cells.get(net_id, ()):
             self.grid.occupy(layer, p, net_id)
         self.checker.remove_net(net_id)
+        self.checker.forget_scenarios(self._scenarios_by_net.get(net_id, ()))
         self._drop_scenarios_of(net_id)
 
     def _penalise_conflicts(self, conflicts) -> None:
@@ -516,17 +517,19 @@ class SadpRouter:
                 if cost != float("inf"):
                     induced += cost
         if induced > self.params.flip_threshold:
+            cap = self.params.flip_scope_cap
             with obs.span("color_flip", net_id=net_id, scope="component"):
                 for layer in range(self.grid.num_layers):
                     graph = self.graphs[layer]
                     if net_id not in graph:
                         continue
-                    scope = graph.component_of(net_id)
-                    if len(scope) > self.params.flip_scope_cap:
+                    scope = graph.component_of(net_id, cap)
+                    if len(scope) > cap:
                         # Late in routing, components merge into one giant
                         # blob; re-running the full DP per net would be
                         # quadratic. Defer huge components to the final
-                        # full-layout flipping pass (Fig. 19 line 16).
+                        # full-layout flipping pass (Fig. 19 line 16); the
+                        # walk stopped as soon as it passed the cap.
                         continue
                     new_colors = flip_colors(graph, scope)
                     self.colorings[layer].update(new_colors)

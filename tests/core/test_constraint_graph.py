@@ -2,12 +2,28 @@
 
 import pytest
 
+from repro import obs
 from repro.color import Color
-from repro.core import ConstraintEdge, OverlayConstraintGraph, ScenarioType
+from repro.core import (
+    ConstraintEdge,
+    OverlayConstraintGraph,
+    ScenarioType,
+    SoAOverlayConstraintGraph,
+)
+from repro.core.scenario_detect import DetectedScenario
+from repro.geometry import Rect
 
 
 def edge(u, v, stype, **kw):
     return ConstraintEdge.from_scenario(u, v, stype, **kw)
+
+
+_UNIT = Rect(0, 0, 1, 1)
+
+
+def batch(net, others, stype=ScenarioType.T1A):
+    """One commit's scenarios: ``net`` against each of ``others``."""
+    return [DetectedScenario(0, net, o, stype, True, 1, _UNIT, _UNIT) for o in others]
 
 
 class TestStructure:
@@ -110,6 +126,30 @@ class TestComponents:
         g.add_edges([edge(0, 1, ScenarioType.T2A), edge(1, 2, ScenarioType.T3A)])
         assert g.component_of(0) == {0, 1, 2}
 
+    @pytest.mark.parametrize("kind", ["object", "soa"])
+    def test_component_of_stops_past_the_cap(self, kind):
+        """Within the cap the walk is the uncapped one, order included;
+        past it, the walk returns as soon as it holds more than ``cap``
+        nets."""
+        if kind == "object":
+            g = OverlayConstraintGraph()
+        else:
+            g = SoAOverlayConstraintGraph()
+        spokes = {0: [1, 2, 3], 3: [4, 5], 5: [6]}
+        for net, others in spokes.items():
+            if kind == "object":
+                g.add_edges([edge(net, o, ScenarioType.T2A) for o in others])
+            else:
+                g.add_scenarios(batch(net, others, ScenarioType.T2A))
+        whole = g.component_of(0)
+        assert whole == set(range(7))
+        for cap in (7, 8, 100):
+            assert list(g.component_of(0, cap)) == list(whole)
+        for cap in (1, 3, 6):
+            part = g.component_of(0, cap)
+            assert cap < len(part) <= len(whole)
+            assert part <= whole
+
     def test_edges_within(self):
         g = OverlayConstraintGraph()
         e1 = edge(0, 1, ScenarioType.T2A)
@@ -118,3 +158,52 @@ class TestComponents:
         inside = g.edges_within({0, 1})
         assert len(inside) == 1
         assert inside[0].u == 0
+
+
+class TestSoAHardParityRepair:
+    def test_removal_repairs_only_its_hard_component(self):
+        """Removing a net re-derives the union-find entries of its own hard
+        component and leaves every other component's entries alone."""
+        g = SoAOverlayConstraintGraph()
+        # Hard component A: the chain 0-1-2-3. Hard component B: 10-11-12-13,
+        # tied to A by a soft edge only.
+        for net, other in ((1, 0), (2, 1), (3, 2), (11, 10), (13, 12), (13, 11)):
+            assert g.add_scenarios(batch(net, [other])) == []
+        g.add_scenarios(batch(12, [3], ScenarioType.T2A))
+        uf = g._hard_uf
+
+        def entries(nets):
+            return {n: (uf._parent[n], uf._rank[n], uf._parity[n]) for n in nets}
+
+        b_before = entries((10, 11, 12, 13))
+        with obs.session() as ob:
+            g.remove_net(1)  # an older net: no undo point to take back
+            assert g._repair_seeds == {0, 1, 2}
+            assert g.add_scenarios(batch(21, [20])) == []  # triggers the repair
+            rebuilds = ob.registry.total("ocg_uf_rebuilds_total")
+            rows = ob.registry.total("ocg_uf_repair_rows_total")
+        assert g._hard_uf is uf
+        assert entries((10, 11, 12, 13)) == b_before
+        assert rebuilds == 1
+        assert rows == 1  # A's one live hard row, 2-3
+        assert 0 not in uf and 1 not in uf
+        assert uf.relation(2, 3) == 1
+        assert not g._repair_seeds
+        assert not g.has_hard_odd_cycle()
+
+    def test_undoing_the_newest_batch_takes_back_its_unions(self):
+        """Removing the newest batch's net (the router undoing a rejected
+        commit) undoes that batch's journal: the union-find is exactly as
+        it was before the batch, and no repair is pending."""
+        g = SoAOverlayConstraintGraph()
+        g.add_scenarios(batch(1, [0]))
+        g.add_scenarios(batch(2, [1]))
+        uf = g._hard_uf
+        before = (dict(uf._parent), dict(uf._rank), dict(uf._parity))
+        offenders = g.add_scenarios(batch(3, [0, 1, 2]))
+        assert len(offenders) == 1  # 3 opposite to 0, 1 and 2: an odd cycle
+        with obs.session() as ob:
+            g.remove_net(3)
+            assert ob.registry.total("ocg_uf_rollbacks_total") == 1
+        assert (uf._parent, uf._rank, uf._parity) == before
+        assert not g._repair_seeds

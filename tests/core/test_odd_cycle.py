@@ -111,24 +111,48 @@ class TestStructure:
         assert uf.relation(0, n // 2) == (n // 2) % 2
 
 
-class TestSnapshot:
-    def test_restore_undoes_unions_since_snapshot(self):
+class TestJournal:
+    def test_undo_takes_back_unions_since_the_journal_began(self):
         uf = ParityUnionFind()
         uf.union("a", "b", 1)
-        snap = uf.snapshot()
-        uf.union("b", "c", 1)
-        assert not uf.union("a", "c", 1)  # would close an odd cycle
-        uf.restore(snap)
+        journal = []
+        uf.union("b", "c", 1, journal)
+        assert not uf.union("a", "c", 1, journal)  # would close an odd cycle
+        uf.undo(journal)
         assert uf.relation("a", "b") == 1
         assert "c" not in uf
         assert uf.union("a", "c", 1)  # consistent again without b-c
 
-    def test_snapshot_is_a_copy(self):
+    def test_undo_drops_elements_first_seen_in_the_batch(self):
         uf = ParityUnionFind()
-        snap = uf.snapshot()
-        uf.union("a", "b", 0)
-        assert snap == ({}, {}, {})
+        journal = []
+        uf.union("a", "b", 0, journal)
         unions = uf.union_ops
-        uf.restore(snap)
+        uf.undo(journal)
         assert len(uf) == 0
         assert uf.union_ops == unions  # tallies count work, not state
+
+    def test_undo_restores_compressed_paths(self):
+        uf = ParityUnionFind()
+        # Two rank-1 trees merged: "d" hangs two links below the root "a".
+        uf.union("a", "b", 1)
+        uf.union("c", "d", 1)
+        uf.union("a", "c", 0)
+        assert uf._parent["d"] == "c" and uf._parent["c"] == "a"
+        before = (dict(uf._parent), dict(uf._rank), dict(uf._parity))
+        journal = []
+        assert uf.union("d", "e", 1, journal)
+        assert uf._parent["d"] == "a"  # the batch's find compressed d's path
+        uf.undo(journal)
+        assert (uf._parent, uf._rank, uf._parity) == before
+
+    def test_forget_drops_whole_components_only(self):
+        uf = ParityUnionFind()
+        uf.union("a", "b", 1)
+        uf.union("c", "d", 0)
+        kept = (uf._parent["d"], uf._rank["d"], uf._parity["d"])
+        uf.forget(["a", "b"])
+        assert "a" not in uf and "b" not in uf
+        assert (uf._parent["d"], uf._rank["d"], uf._parity["d"]) == kept
+        assert uf.relation("c", "d") == 0
+        assert uf.union("a", "b", 0)  # the old a-b relation is gone

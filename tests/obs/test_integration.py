@@ -97,8 +97,8 @@ class TestInstrumentedRun:
 
 class TestUnionFindBranches:
     def test_rejected_commits_roll_back(self):
-        """Undoing a rejected commit restores the hard-parity union-find
-        from its undo point; only older-net removals force a rebuild."""
+        """Undoing a rejected commit rolls the hard-parity union-find back
+        from its batch journal; only older-net removals leave a repair."""
         with obs.session() as ob:
             grid, nets = generate_benchmark(
                 spec_by_name("Test1"), scale=0.15, seed=2014

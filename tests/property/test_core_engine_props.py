@@ -23,7 +23,7 @@ from repro.core import (
     VectorScenarioDetector,
 )
 from repro.core.color_flip import brute_force_coloring, flip_colors
-from repro.core.edge_store import SCENARIO_ORDER
+from repro.core.edge_store import KIND_IS_HARD, SCENARIO_ORDER
 from repro.core.odd_cycle import ParityUnionFind
 from repro.core.reference import ScenarioDetector
 from repro.core.scenario_detect import DetectedScenario
@@ -261,13 +261,30 @@ class TestIncrementalHardParity:
         ("batch", 0, [(3, ScenarioType.T1A, True, 1)]),
         ("remove", 1),
     ])
+    # two nets of one hard component removed before a single repair
+    @example([
+        ("batch", 0, [(1, ScenarioType.T1A, True, 1),
+                      (2, ScenarioType.T1A, True, 1)]),
+        ("batch", 3, [(2, ScenarioType.T1B, True, 1),
+                      (4, ScenarioType.T1A, True, 1)]),
+        ("batch", 5, [(1, ScenarioType.T2A, True, 1)]),
+        ("remove", 0),
+        ("remove", 3),
+    ])
     def test_undo_and_removal_match_object_graph(self, ops):
-        """The SoA graph's undo-point rollback and lazy rebuild keep its
+        """The SoA graph's journal rollback and lazy local repair keep its
         hard-parity union-find equal to the object graph's full rebuild:
         the same batches close the same odd cycles at every step, and
         both agree with a from-scratch parity check."""
         obj = OverlayConstraintGraph()
         soa = SoAOverlayConstraintGraph()
+
+        def fresh_replay():
+            replay = ParityUnionFind()
+            for e in obj._hard_edges:
+                replay.union(e.u, e.v, e.parity)
+            return replay
+
         newest = None
         odd = False
         for op in ops:
@@ -292,18 +309,18 @@ class TestIncrementalHardParity:
                 newest = None
             else:
                 assert soa.remove_net(op[1]) == obj.remove_net(op[1])
-            # What the next rollback or rebuild starts from: the live hard
-            # rows in insertion order, and (when clean) a union-find that
-            # relates exactly what a fresh replay of those rows relates.
+            # What the next rollback or repair starts from: the live hard
+            # rows in insertion order, and (with no repair pending) a
+            # union-find that relates exactly what a fresh replay of
+            # those rows relates.
             store = soa._store
-            assert [(store.us[r], store.vs[r]) for r in soa._hard_rows] == [
-                (e.u, e.v) for e in obj._hard_edges
-            ]
-            if not soa._uf_dirty:
-                replay = ParityUnionFind()
-                for e in obj._hard_edges:
-                    replay.union(e.u, e.v, e.parity)
-                assert _relation(soa._hard_uf) == _relation(replay)
+            assert [
+                (store.us[r], store.vs[r])
+                for r in store.live_rows()
+                if KIND_IS_HARD[store.kinds[r]]
+            ] == [(e.u, e.v) for e in obj._hard_edges]
+            if not soa._repair_seeds:
+                assert _relation(soa._hard_uf) == _relation(fresh_replay())
             now_odd = obj.has_hard_odd_cycle()
             assert soa.has_hard_odd_cycle() == now_odd
             if op[0] == "batch":
@@ -311,6 +328,12 @@ class TestIncrementalHardParity:
                 # was odd already or the union-find rejected an edge.
                 assert now_odd == (odd or bool(offenders))
             odd = now_odd
+        # A repair still pending after the last op must relate what a
+        # fresh replay relates, too.
+        if soa._repair_seeds:
+            soa._repair_hard_uf()
+        assert not soa._repair_seeds
+        assert _relation(soa._hard_uf) == _relation(fresh_replay())
 
 
 cells = st.lists(

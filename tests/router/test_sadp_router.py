@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.color import Color
 from repro.core import ScenarioType
 from repro.geometry import Point, Rect
@@ -125,6 +126,53 @@ class TestGuarantees:
             (0, Point(2, 5)),
             (0, Point(20, 5)),
         ]  # only the reserved pins remain
+
+
+class TestCutMemoUpkeep:
+    @staticmethod
+    def _route(keep_memo):
+        grid, nets = generate_benchmark(spec_by_name("Test1"), scale=0.15, seed=2014)
+        router = SadpRouter(grid, nets)
+        if keep_memo:
+            router.checker.forget_scenarios = lambda scenarios: None
+        result = router.route_all()
+        digest = (
+            sorted(
+                (nid, r.success, r.ripups, tuple(r.segments))
+                for nid, r in result.routes.items()
+            ),
+            result.colorings,
+            result.overlay_units,
+            result.cut_conflicts,
+            result.color_flips,
+        )
+        return router, digest
+
+    def test_torn_down_scenarios_leave_the_memo(self):
+        """Tearing a net down drops its scenarios' memoised cuts, so the
+        memo holds only scenarios the router can still look up; routing
+        is the same as with a memo that keeps everything."""
+        router, digest = self._route(keep_memo=False)
+        kept_router, kept_digest = self._route(keep_memo=True)
+        assert digest == kept_digest
+        memo = router.checker._cut_memo
+        assert len(memo) < len(kept_router.checker._cut_memo)
+        live = {
+            id(sc) for bucket in router._scenarios_by_net.values() for sc in bucket
+        }
+        assert all(id(sc) in live for sc, _ in memo.values())
+
+        net_id = next(
+            nid for nid in sorted(router._committed)
+            if any(sc.net_a == nid for sc in router._scenarios_by_net.get(nid, ()))
+        )
+
+        def holds(net):
+            return any(net in (sc.net_a, sc.net_b) for sc, _ in memo.values())
+
+        assert holds(net_id)
+        router.rip_up_net(net_id)
+        assert memo and not holds(net_id)
 
 
 class TestAblations:
