@@ -40,11 +40,10 @@ class Evaluation:
 class OverlayConstraintGraph:
     """Multigraph of constraint edges with incremental hard-cycle checking.
 
-    One object per edge: the readable form of the graph, and the base of
-    the router's :class:`~repro.core.constraint_graph_soa.
-    SoAOverlayConstraintGraph`, which shares its vertex and union-find
-    bookkeeping. Production never instantiates it; the tests and
-    :func:`repro.router.reference.reference_router` use it as the oracle.
+    One object per edge: the readable form of the graph, and the oracle
+    of the router's :class:`~repro.core.constraint_graph_soa.
+    SoAOverlayConstraintGraph`. Production never instantiates it; the
+    tests and :func:`repro.router.reference.reference_router` do.
     """
 
     def __init__(self) -> None:

@@ -1,8 +1,8 @@
 """SoA backend of the overlay constraint graph.
 
 Same contract as :class:`~repro.core.constraint_graph.OverlayConstraintGraph`
-(which stays as the bit-exact object oracle, see
-:mod:`repro.router.reference`), but edges live in a columnar
+(the bit-exact object oracle, see :mod:`repro.router.reference`; the two
+classes share no code), but edges live in a columnar
 :class:`~repro.core.edge_store.EdgeStore`: batch scenario insertion,
 pricing, pseudo-color totals, and the flip-time component contraction
 read plain row lists instead of walking edge objects.
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..color import Color
-from .constraint_graph import Evaluation, OverlayConstraintGraph
+from .constraint_graph import Evaluation
 from .edge_store import KIND_IS_HARD, KIND_ORDER, SCENARIO_INDEX, EdgeStore
 from .edges import ConstraintEdge
 from .odd_cycle import JournalEntry, ParityUnionFind
@@ -39,12 +39,18 @@ from .scenarios import HARD
 _CIDX = {Color.CORE: 0, Color.SECOND: 1}
 
 
-class SoAOverlayConstraintGraph(OverlayConstraintGraph):
+class SoAOverlayConstraintGraph:
     """Drop-in constraint graph over columnar edge storage."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._store = EdgeStore()
+        self._vertices: Set[int] = set()
+        #: The layer's hard-parity union-find. It is repaired in place,
+        #: never replaced, so its op tallies are the graph's lifetime ones.
+        self._hard_uf = ParityUnionFind()
+        #: Op tallies the metrics registry has already been told.
+        self._uf_published_finds = 0
+        self._uf_published_unions = 0
         #: Nets whose hard components the next ``add_scenarios`` repairs
         #: in the union-find: each net removed since, that had hard rows,
         #: and its live hard neighbours at the time.
@@ -62,6 +68,17 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
     # ------------------------------------------------------------------ #
 
     @property
+    def vertices(self) -> Set[int]:
+        """A copy of the vertex set; test one net with ``in`` instead."""
+        return set(self._vertices)
+
+    def __contains__(self, net_id: int) -> bool:
+        return net_id in self._vertices
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+    @property
     def edges(self) -> List[ConstraintEdge]:
         return self._store.materialize_many(self._store.live_rows())
 
@@ -71,8 +88,9 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
     def edges_of(self, net_id: int) -> List[ConstraintEdge]:
         return self._store.materialize_many(self._store.incident.get(net_id, ()))
 
-    def add_edges(self, edges):
-        raise TypeError("SoA graphs insert scenario batches: use add_scenarios")
+    def add_vertex(self, net_id: int) -> None:
+        """Register a net even if it has no scenario yet (isolated vertex)."""
+        self._vertices.add(net_id)
 
     def add_scenarios(
         self, scenarios: Sequence[DetectedScenario]
@@ -207,6 +225,20 @@ class SoAOverlayConstraintGraph(OverlayConstraintGraph):
             ob.registry.counter("ocg_uf_rebuilds_total").inc()
             ob.registry.counter("ocg_uf_repair_rows_total").inc(len(rows))
             self._flush_uf_stats(ob)
+
+    def _flush_uf_stats(self, ob) -> None:
+        """Publish union-find op deltas since the last flush."""
+        uf = self._hard_uf
+        if uf.find_ops > self._uf_published_finds:
+            ob.registry.counter("uf_find_ops_total").inc(
+                uf.find_ops - self._uf_published_finds
+            )
+            self._uf_published_finds = uf.find_ops
+        if uf.union_ops > self._uf_published_unions:
+            ob.registry.counter("uf_union_ops_total").inc(
+                uf.union_ops - self._uf_published_unions
+            )
+            self._uf_published_unions = uf.union_ops
 
     def has_hard_odd_cycle(self) -> bool:
         """Full recheck: replay the live hard rows into a fresh union-find."""

@@ -342,19 +342,17 @@ class CutConflictChecker:
         region = _between_region(cut.rect, other.rect)
         if region is None:
             return None
-        over = self._wire_hit(cut.layer, region, exclude=set())
+        over = self._wire_hit(cut.layer, region)
         if over is None:
             return None  # violation over spacer only: ignorable
         return CutConflict(
             first=cut, second=other, gap_nm=gap_sq ** 0.5, over_net=over
         )
 
-    def _wire_hit(self, layer: int, region: Rect, exclude: set) -> Optional[int]:
+    def _wire_hit(self, layer: int, region: Rect) -> Optional[int]:
         """First net whose committed wire overlaps ``region``."""
-        for _, net_id in self._wire_index[layer].query(region):
-            if net_id not in exclude:
-                return net_id
-        return None
+        hits = self._wire_index[layer].query(region)
+        return hits[0][1] if hits else None
 
     def cuts_of(self, net_id: int) -> List[CriticalCut]:
         return list(self._cuts_by_net.get(net_id, ()))

@@ -140,33 +140,6 @@ class ConstraintEdge:
         return self.cut_risk[_PAIR_INDEX[ColorPair.of(color_u, color_v)]]
 
     @property
-    def min_cost(self) -> float:
-        return min(self.cost)
-
-    @property
-    def max_finite_cost(self) -> float:
-        finite = [c for c in self.cost if c != HARD]
-        return max(finite) if finite else 0.0
-
-    @property
-    def spread(self) -> float:
-        """Maximum-spanning-tree weight: what coloring this edge wrongly
-        can cost versus coloring it optimally.
-
-        Hard edges weigh infinitely so the spanning tree always keeps them
-        (the paper sets hard-edge weight "to a constant larger than any
-        cost of nonhard constraint edges"). Cut-risk combos count at the
-        veto level, so cut-avoiding edges are also prioritised.
-        """
-        if self.kind.is_hard:
-            return HARD
-        dp = [
-            min(c, CUT_VETO) + (CUT_VETO if r else 0.0)
-            for c, r in zip(self.cost, self.cut_risk)
-        ]
-        return max(dp) - min(dp)
-
-    @property
     def parity(self) -> int:
         """For hard edges: required color parity (1 = different, 0 = same)."""
         if self.kind is EdgeKind.HARD_DIFF:

@@ -1,12 +1,11 @@
 """Append-only run ledger: every run recorded, attributed, diffable.
 
 The ledger is the repo's memory of its own performance. Every CLI
-``route`` / ``pipeline run`` / ``bench`` invocation (and opted-in bench
-harness runs) appends one :class:`RunRecord` — config hash, workload,
-git sha + package provenance, per-phase seconds, counter totals,
-resource peaks, outcome — so regressions
-can be attributed PR-over-PR instead of eyeballed from a point-in-time
-``BENCH_perf.json``.
+``route`` / ``pipeline run`` / ``bench`` invocation (and each service
+job) appends one :class:`RunRecord` — config hash, workload, git sha +
+package provenance, per-phase seconds, counter totals, resource peaks,
+outcome — so regressions can be attributed change by change instead of
+eyeballed from a point-in-time record.
 
 Storage layout under ``.repro_runs/`` (override with ``--ledger-dir``
 or ``REPRO_LEDGER_DIR``):
@@ -62,7 +61,7 @@ class RunRecord:
 
     run_id: str
     ts: float  # wall-clock epoch seconds
-    command: str  # "route" | "pipeline run" | "bench" | "bench-perf" | ...
+    command: str  # "route" | "pipeline run" | "bench" | "service" | ...
     workload: str  # netlist path, "Test1@0.2", or workload-list string
     config_hash: str
     outcome: str = "ok"  # "ok" | "error" | "regression"

@@ -144,7 +144,7 @@ class AStarRouter:
         #: Outcome of the most recent search (see class docstring).
         self.last_outcome = "failed"
         #: Cumulative counters, always on (plain int adds per search) so
-        #: the perf bench can report expansions/sec with observability off.
+        #: perfbench and the tests read them with observability off.
         self.total_searches = 0
         self.total_expansions = 0
         #: Searches that activated a guidance map (one map built each).

@@ -4,8 +4,8 @@ Production routes with one implementation of each job: the flat-array
 A* (:class:`~repro.router.astar.AStarRouter`), the vector scenario
 detector and the SoA constraint graph. The implementations they were
 derived from stay here, out of every production code path, as the
-executable specification the tests and ``repro.bench.perf``'s
-``reference`` mode compare production against:
+executable specification the tests compare production against (only
+the tests call them):
 
 * :class:`ReferenceAStarRouter` — the original dict-based A*, with
   optional generic per-cell cost callbacks;

@@ -1,5 +1,7 @@
 """Unit tests for the bench runner and the power-law fit (Fig. 20)."""
 
+import json
+
 import pytest
 
 from repro.baselines import GaoPanTrimRouter
@@ -11,7 +13,7 @@ from repro.bench import (
     run_proposed,
     rows_to_table,
 )
-from repro.bench.runner import comparison_summary
+from repro.bench.runner import append_rows_json, comparison_summary, rows_to_json
 from repro.errors import ReproError
 
 
@@ -43,6 +45,38 @@ class TestRunner:
         theirs = [BenchRow("t", "b", 10, 80.0, 1000.0, 50.0, 9, 2.0)]
         text = comparison_summary(ours, theirs)
         assert "10.00x" in text  # overlay ratio
+
+
+def _row(circuit="Test1", cpu=1.0):
+    return BenchRow(
+        circuit=circuit,
+        router="ours",
+        num_nets=10,
+        routability_pct=100.0,
+        overlay_nm=40.0,
+        overlay_units=1.0,
+        conflicts=0,
+        cpu_s=cpu,
+    )
+
+
+class TestRowsJson:
+    def test_rows_to_json_round_trips(self):
+        doc = json.loads(rows_to_json([_row()], caption="t", scale=0.1))
+        assert doc["schema"] == "repro-bench-rows/1"
+        assert doc["caption"] == "t"
+        (row,) = doc["rows"]
+        assert row["circuit"] == "Test1"
+        assert row["scale"] == 0.1
+        assert row["cpu_s"] == 1.0
+
+    def test_append_accumulates(self, tmp_path):
+        path = tmp_path / "table.json"
+        append_rows_json(path, [_row(cpu=1.0)], scale=0.1)
+        append_rows_json(path, [_row("Test2", cpu=2.0)], scale=0.2)
+        doc = json.loads(path.read_text())
+        assert [r["circuit"] for r in doc["rows"]] == ["Test1", "Test2"]
+        assert [r["scale"] for r in doc["rows"]] == [0.1, 0.2]
 
 
 class TestPowerLaw:

@@ -78,17 +78,3 @@ class TestStructure:
         assert edge.other(7) == 3
         with pytest.raises(ValueError):
             edge.other(5)
-
-    def test_spread_hard_is_infinite(self):
-        assert ConstraintEdge.from_scenario(0, 1, ScenarioType.T1A).spread == HARD
-
-    def test_spread_soft_is_finite_and_positive(self):
-        edge = ConstraintEdge.from_scenario(0, 1, ScenarioType.T3A)
-        assert 0 < edge.spread < HARD
-
-    def test_spread_grows_with_overlap(self):
-        small = ConstraintEdge.from_scenario(0, 1, ScenarioType.T3A, overlap=1)
-        # T2A scales with overlap (veto dominates equally in both).
-        a = ConstraintEdge.from_scenario(0, 1, ScenarioType.T2A, overlap=1)
-        b = ConstraintEdge.from_scenario(0, 1, ScenarioType.T2A, overlap=9)
-        assert b.spread >= a.spread >= small.spread

@@ -8,7 +8,7 @@ from repro.bench import FIXED_PIN_BENCHMARKS, run_proposed
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
-from repro.obs.export import export_run_jsonl, validate_run_jsonl
+from repro.obs.export import export_run_jsonl, phase_totals, validate_run_jsonl
 from repro.router import SadpRouter
 
 
@@ -88,6 +88,20 @@ class TestInstrumentedRun:
             + totals.get("pseudo_color", 0.0)
         )
         assert children <= totals["route_all"]
+
+    def test_phase_buckets_are_disjoint_slices_of_route_all(self):
+        """``commit`` counts only the commit span's own time, so the
+        phase buckets never sum past the run's route_all time; on this
+        design, counting the whole span would."""
+        with obs.session() as ob:
+            grid, nets = generate_benchmark(
+                spec_by_name("Test1"), scale=0.15, seed=2014
+            )
+            SadpRouter(grid, nets).route_all()
+            phases = phase_totals(ob)
+            route_all = ob.tracer.totals_by_name()["route_all"]
+        assert phases["commit"] > 0
+        assert sum(phases.values()) <= route_all
 
     def test_run_log_round_trip(self, run, tmp_path):
         ob, _ = run

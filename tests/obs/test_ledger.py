@@ -44,6 +44,7 @@ class TestRunRecord:
         rec = _record()
         assert "repro" in rec.provenance
         assert "python" in rec.provenance
+        assert "numpy" in rec.provenance
 
 
 class TestLedger:
