@@ -163,10 +163,7 @@ def _cmd_pipeline_show(args: argparse.Namespace) -> int:
     total = 0
     for entry in entries:
         total += entry.bytes
-        hits = f"{entry.hits:4d}x" if entry.hits else "     "
-        print(
-            f"{entry.kind:10s} {entry.stage:12s} {entry.bytes:10d} B {hits} {entry.hash}"
-        )
+        print(f"{entry.kind:10s} {entry.stage:12s} {entry.bytes:10d} B {entry.hash}")
     print(f"{len(entries)} artifacts, {total} bytes in {cache_dir}")
     return 0
 
@@ -317,15 +314,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_obs_history(args: argparse.Namespace) -> int:
     from .obs.ledger import Ledger
 
-    with Ledger(args.ledger_dir) as ledger:
-        records = ledger.history(
-            limit=args.limit,
-            workload=args.workload,
-            command=args.filter_command,
-        )
-        root = ledger.root
+    ledger = Ledger(args.ledger_dir)
+    records = ledger.history(
+        limit=args.limit,
+        workload=args.workload,
+        command=args.filter_command,
+    )
     if not records:
-        print(f"no runs recorded in {root}")
+        print(f"no runs recorded in {ledger.root}")
         return 0
     for record in records:
         print(record.one_line())
@@ -337,8 +333,7 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
 
     from .obs.ledger import Ledger
 
-    with Ledger(args.ledger_dir) as ledger:
-        record = ledger.get(args.run_id)
+    record = Ledger(args.ledger_dir).get(args.run_id)
     print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -348,9 +343,9 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
     from .obs.ledger import DiffThresholds, Ledger, diff_runs
 
-    with Ledger(args.ledger_dir) as ledger:
-        a = ledger.get(args.run_a)
-        b = ledger.get(args.run_b)
+    ledger = Ledger(args.ledger_dir)
+    a = ledger.get(args.run_a)
+    b = ledger.get(args.run_b)
     diff = diff_runs(a, b, DiffThresholds())
     if args.json:
         print(json.dumps(diff.to_dict(), indent=2))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..color import Color
-from .constraint_graph import OverlayConstraintGraph
+from .constraint_graph_soa import ConstraintGraph
 from .edges import ConstraintEdge
 from .odd_cycle import ParityUnionFind
 
@@ -187,7 +187,7 @@ def optimal_tree_coloring(
 
 
 def flip_colors(
-    graph: OverlayConstraintGraph,
+    graph: ConstraintGraph,
     scope: Optional[Set[int]] = None,
     refine: bool = True,
 ) -> Dict[int, Color]:
@@ -222,7 +222,7 @@ def flip_colors(
 
 
 def _color_component(
-    graph: OverlayConstraintGraph, comp: Set[int], refine: bool, ColoringError
+    graph: ConstraintGraph, comp: Set[int], refine: bool, ColoringError
 ) -> Dict[int, Color]:
     """Contract + maximum spanning forest + DP (+ refine) for one component."""
     ug = graph.contract_component(comp)
@@ -308,7 +308,7 @@ def _reachable(
 
 
 def brute_force_coloring(
-    graph: OverlayConstraintGraph, nets: Sequence[int]
+    graph: ConstraintGraph, nets: Sequence[int]
 ) -> Tuple[Dict[int, Color], float]:
     """Exhaustive optimum over all 2^n assignments (tests/benchmarks only).
 

@@ -24,11 +24,11 @@ entries that batch's unions wrote.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import obs
 from ..color import Color
-from .constraint_graph import Evaluation
+from .constraint_graph import Evaluation, OverlayConstraintGraph
 from .edge_store import KIND_IS_HARD, KIND_ORDER, SCENARIO_INDEX, EdgeStore
 from .edges import ConstraintEdge
 from .odd_cycle import JournalEntry, ParityUnionFind
@@ -439,3 +439,9 @@ class SoAOverlayConstraintGraph:
                     ],
                 )
         return ug
+
+
+#: A layer's constraint graph as the router and the coloring functions
+#: take it: production builds the SoA graph, and ``reference_router``
+#: swaps in the object oracle.
+ConstraintGraph = Union[OverlayConstraintGraph, SoAOverlayConstraintGraph]

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Dict
 
 from ..color import Color
-from .constraint_graph import OverlayConstraintGraph
+from .constraint_graph_soa import ConstraintGraph
 
 
 def pseudo_color(
-    graph: OverlayConstraintGraph,
+    graph: ConstraintGraph,
     net_id: int,
     coloring: Dict[int, Color],
 ) -> Color:

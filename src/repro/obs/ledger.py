@@ -10,12 +10,10 @@ eyeballed from a point-in-time record.
 Storage layout under ``.repro_runs/`` (override with ``--ledger-dir``
 or ``REPRO_LEDGER_DIR``):
 
-* ``records.jsonl`` — the source of truth, strictly append-only: one
-  JSON object per line, never rewritten.
-* ``index.sqlite`` — a derived index (run id, timestamp, workload,
-  config hash, byte offset/length into the JSONL) for fast history
-  queries; deleting it is safe, :meth:`Ledger.reindex` rebuilds it from
-  the JSONL.
+* ``records.jsonl`` — the whole state, strictly append-only: one JSON
+  object per line, fsync'd, never rewritten. Reads scan it and skip the
+  lines that do not parse (a writer killed mid-append tears only its own
+  line).
 
 :func:`diff_runs` compares two records — per-phase time deltas, counter
 deltas, peak-RSS deltas — against :class:`DiffThresholds` and produces
@@ -28,11 +26,10 @@ from __future__ import annotations
 import json
 import os
 import secrets
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .provenance import collect_provenance
 
@@ -41,7 +38,6 @@ from .provenance import collect_provenance
 DEFAULT_LEDGER_DIR = ".repro_runs"
 
 RECORDS_FILE = "records.jsonl"
-INDEX_FILE = "index.sqlite"
 
 RECORD_SCHEMA = 1
 
@@ -157,156 +153,68 @@ def make_record(
 # Storage
 # ---------------------------------------------------------------------- #
 
-_TABLE_SQL = """
-CREATE TABLE IF NOT EXISTS runs (
-    run_id      TEXT PRIMARY KEY,
-    ts          REAL NOT NULL,
-    command     TEXT NOT NULL,
-    workload    TEXT NOT NULL,
-    config_hash TEXT NOT NULL,
-    git_sha     TEXT,
-    outcome     TEXT NOT NULL,
-    wall_s      REAL NOT NULL,
-    peak_rss_mb REAL,
-    offset      INTEGER NOT NULL,
-    length      INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS runs_ts ON runs (ts);
-CREATE INDEX IF NOT EXISTS runs_workload ON runs (workload, config_hash, ts);
-"""
-
 
 class Ledger:
-    """SQLite-indexed, JSONL-backed append-only run store."""
+    """Append-only run store: one JSONL file, scanned on every read."""
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root if root is not None else default_ledger_dir())
         self.root.mkdir(parents=True, exist_ok=True)
         self.records_path = self.root / RECORDS_FILE
-        self.index_path = self.root / INDEX_FILE
-        self._db = sqlite3.connect(str(self.index_path))
-        self._db.executescript(_TABLE_SQL)
         if not self.records_path.exists():
             self.records_path.touch()
-        self._sync_index()
-
-    def close(self) -> None:
-        self._db.close()
-
-    def __enter__(self) -> "Ledger":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
     def __len__(self) -> int:
-        (n,) = self._db.execute("SELECT COUNT(*) FROM runs").fetchone()
-        return int(n)
-
-    # ------------------------------------------------------------------ #
-    # Writing
-    # ------------------------------------------------------------------ #
+        return len(self._records())
 
     def record(self, record: RunRecord) -> str:
         """Append one record; returns its run id."""
         payload = json.dumps(record.to_dict(), sort_keys=True, default=str)
         data = payload.encode("utf-8") + b"\n"
-        with self.records_path.open("ab") as fh:
-            offset = fh.tell()
+        with self.records_path.open("a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    data = b"\n" + data  # end a line torn by a killed writer
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        self._index_row(record, offset, len(data))
-        self._db.commit()
         return record.run_id
 
-    def _index_row(self, record: RunRecord, offset: int, length: int) -> None:
-        self._db.execute(
-            "INSERT OR REPLACE INTO runs (run_id, ts, command, workload, "
-            "config_hash, git_sha, outcome, wall_s, peak_rss_mb, offset, length) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                record.run_id,
-                record.ts,
-                record.command,
-                record.workload,
-                record.config_hash,
-                record.provenance.get("git_sha"),
-                record.outcome,
-                record.wall_s,
-                record.peak_rss_mb,
-                offset,
-                length,
-            ),
-        )
-
-    def _sync_index(self) -> None:
-        """Catch the index up with the JSONL (e.g. after a deleted or
-        stale ``index.sqlite`` — the JSONL is the source of truth)."""
-        row = self._db.execute(
-            "SELECT COALESCE(MAX(offset + length), 0) FROM runs"
-        ).fetchone()
-        indexed_to = int(row[0])
-        size = self.records_path.stat().st_size
-        if size > indexed_to:
-            self._reindex_from(indexed_to)
-        elif size < indexed_to:  # truncated/replaced JSONL: rebuild fully
-            self._db.execute("DELETE FROM runs")
-            self._reindex_from(0)
-
-    def _reindex_from(self, offset: int) -> None:
+    def _records(self, needle: str = "") -> Dict[str, RunRecord]:
+        """Every record that parses, by run id in file order (a repeated id
+        keeps its last line); torn or corrupt lines are skipped. Lines
+        without ``needle`` in their JSON text are skipped unparsed."""
+        text = json.dumps(needle)[1:-1].encode("utf-8")
+        out: Dict[str, RunRecord] = {}
         with self.records_path.open("rb") as fh:
-            fh.seek(offset)
-            while True:
-                start = fh.tell()
-                raw = fh.readline()
-                if not raw:
-                    break
-                if not raw.strip():
+            for raw in fh:
+                if text not in raw:
                     continue
                 try:
-                    record = RunRecord.from_dict(json.loads(raw.decode("utf-8")))
-                except (json.JSONDecodeError, UnicodeDecodeError, TypeError):
+                    record = RunRecord.from_dict(json.loads(raw))
+                except (ValueError, TypeError, AttributeError):
                     continue
                 if record.run_id:
-                    self._index_row(record, start, len(raw))
-        self._db.commit()
-
-    def reindex(self) -> int:
-        """Full rebuild of the SQLite index from the JSONL; returns the
-        number of indexed records."""
-        self._db.execute("DELETE FROM runs")
-        self._reindex_from(0)
-        return len(self)
-
-    # ------------------------------------------------------------------ #
-    # Reading
-    # ------------------------------------------------------------------ #
-
-    def _load(self, offset: int, length: int) -> RunRecord:
-        with self.records_path.open("rb") as fh:
-            fh.seek(offset)
-            raw = fh.read(length)
-        return RunRecord.from_dict(json.loads(raw.decode("utf-8")))
+                    out[record.run_id] = record
+        return out
 
     def get(self, run_id: str) -> RunRecord:
         """Fetch by exact id or unique prefix; raises KeyError otherwise."""
-        rows = self._db.execute(
-            "SELECT run_id, offset, length FROM runs WHERE run_id = ?",
-            (run_id,),
-        ).fetchall()
-        if not rows:
-            rows = self._db.execute(
-                "SELECT run_id, offset, length FROM runs WHERE run_id LIKE ? "
-                "ORDER BY ts",
-                (run_id + "%",),
-            ).fetchall()
-        if not rows:
+        records = self._records(needle=run_id)
+        if run_id in records:
+            return records[run_id]
+        matches = sorted(
+            (r for r in records.values() if r.run_id.startswith(run_id)),
+            key=lambda r: r.ts,
+        )
+        if not matches:
             raise KeyError(f"no run {run_id!r} in {self.root}")
-        if len(rows) > 1:
-            ids = ", ".join(row[0] for row in rows)
+        if len(matches) > 1:
+            ids = ", ".join(r.run_id for r in matches)
             raise KeyError(f"run id prefix {run_id!r} is ambiguous: {ids}")
-        return self._load(rows[0][1], rows[0][2])
+        return matches[0]
 
     def history(
         self,
@@ -314,50 +222,16 @@ class Ledger:
         workload: Optional[str] = None,
         command: Optional[str] = None,
     ) -> List[RunRecord]:
-        """Most recent runs first, optionally filtered."""
-        sql = "SELECT offset, length FROM runs"
-        clauses, params = [], []
-        if workload is not None:
-            clauses.append("workload = ?")
-            params.append(workload)
-        if command is not None:
-            clauses.append("command = ?")
-            params.append(command)
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY ts DESC, run_id DESC LIMIT ?"
-        params.append(int(limit))
-        rows = self._db.execute(sql, params).fetchall()
-        return [self._load(offset, length) for offset, length in rows]
-
-    def latest(
-        self,
-        workload: Optional[str] = None,
-        config_hash: Optional[str] = None,
-        command: Optional[str] = None,
-        outcome: Optional[str] = None,
-        before_ts: Optional[float] = None,
-    ) -> Optional[RunRecord]:
-        """Most recent record matching every given filter, or None."""
-        sql = "SELECT offset, length FROM runs"
-        clauses, params = [], []
-        for column, value in (
-            ("workload", workload),
-            ("config_hash", config_hash),
-            ("command", command),
-            ("outcome", outcome),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        if before_ts is not None:
-            clauses.append("ts < ?")
-            params.append(before_ts)
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY ts DESC, run_id DESC LIMIT 1"
-        row = self._db.execute(sql, params).fetchone()
-        return self._load(row[0], row[1]) if row else None
+        """Most recent runs first (by ``ts``, then run id), optionally
+        filtered; a negative ``limit`` returns them all."""
+        runs = [
+            r
+            for r in self._records().values()
+            if (workload is None or r.workload == workload)
+            and (command is None or r.command == command)
+        ]
+        runs.sort(key=lambda r: (r.ts, r.run_id), reverse=True)
+        return runs if limit < 0 else runs[:limit]
 
 
 # ---------------------------------------------------------------------- #

@@ -384,7 +384,8 @@ class Pipeline:
         for kind in stage.outputs:
             artifact = produced[kind]
             artifact.hash = hashes[kind]
-            nbytes += self.store.save(artifact, stage.name)
+            written, _ = self.store.publish(artifact, stage.name)
+            nbytes += written
         obs.counter_inc("pipeline_stage_runs_total", stage=stage.name)
         if obs.is_enabled():
             # The finished span is already recorded; attrs mutate in place.

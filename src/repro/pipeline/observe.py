@@ -109,8 +109,7 @@ def record_run(
         resources=resources,
         meta=meta or {},
     )
-    with Ledger(ledger_dir) as ledger:
-        ledger.record(record)
+    Ledger(ledger_dir).record(record)
     return record
 
 

@@ -10,13 +10,12 @@ Two implementations share one interface:
   per artifact; survives across processes and powers ``--resume`` and the
   multi-tenant routing service. Writes are **compare-and-publish**: a
   temp-file + atomic rename only lands when the hash is still absent, so
-  N processes racing on one key leave exactly one valid entry. A derived
-  SQLite index (``index.sqlite``) carries per-entry metadata — tenant,
-  creation time, size, hit count, last use — for GC and quota accounting;
-  deleting it is safe, it rebuilds from the JSON files. Advisory file
-  locks under ``locks/`` give **single-flight** execution: concurrent
-  identical stage runs coalesce on one computing leader while followers
-  wait and then read the published result.
+  N processes racing on one key leave exactly one valid entry. The files
+  are the whole state: a hit sets its file's mtime, so ``stat`` gives
+  each entry's size and last use for the GC. Advisory file locks under
+  ``locks/`` give **single-flight** execution: concurrent identical stage
+  runs coalesce on one computing leader while followers wait and then
+  read the published result.
 * :class:`MemoryStore` — a plain dict; used where caching should stay
   inside one process (the legacy ``repro route`` path, unit tests). It
   implements the same protocol with a thread lock, so the engine code is
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import time
 import warnings
 from contextlib import contextmanager
@@ -55,7 +53,6 @@ STORE_SCHEMA = 1
 #: ``REPRO_LEDGER_DIR`` idiom of the run ledger).
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-INDEX_FILE = "index.sqlite"
 LOCKS_DIR = "locks"
 
 #: How long a single-flight follower waits for the leader before giving
@@ -90,8 +87,6 @@ class StoreEntry:
     hash: str
     bytes: int
     created_unix: float
-    tenant: str = ""
-    hits: int = 0
     last_used_unix: float = 0.0
 
 
@@ -103,7 +98,6 @@ class MemoryStore:
 
         self._artifacts: Dict[str, Artifact] = {}
         self._stages: Dict[str, str] = {}
-        self._hits: Dict[str, int] = {}
         self._lock = threading.RLock()
         self._flights: Dict[str, "threading.Lock"] = {}
 
@@ -111,13 +105,9 @@ class MemoryStore:
         return hash in self._artifacts
 
     def load(self, hash: str) -> Optional[Artifact]:
-        with self._lock:
-            art = self._artifacts.get(hash)
-            if art is not None:
-                self._hits[hash] = self._hits.get(hash, 0) + 1
-            return art
+        return self._artifacts.get(hash)
 
-    def publish(self, artifact: Artifact, stage: str, tenant: str = "") -> Tuple[int, bool]:
+    def publish(self, artifact: Artifact, stage: str) -> Tuple[int, bool]:
         """Compare-and-publish: first writer wins, later identical writes
         are no-ops. Returns ``(serialized bytes, newly published)``."""
         with self._lock:
@@ -126,10 +116,6 @@ class MemoryStore:
             self._artifacts[artifact.hash] = artifact
             self._stages[artifact.hash] = stage
             return (len(json.dumps(artifact.payload)), True)
-
-    def save(self, artifact: Artifact, stage: str) -> int:
-        nbytes, _ = self.publish(artifact, stage)
-        return nbytes
 
     @contextmanager
     def single_flight(self, key: str, timeout_s: float = SINGLE_FLIGHT_TIMEOUT_S) -> Iterator[bool]:
@@ -159,7 +145,6 @@ class MemoryStore:
                 hash=h,
                 bytes=len(json.dumps(art.payload)),
                 created_unix=0.0,
-                hits=self._hits.get(h, 0),
             )
             for h, art in sorted(self._artifacts.items())
         ]
@@ -169,7 +154,6 @@ class MemoryStore:
             count = len(self._artifacts)
             self._artifacts.clear()
             self._stages.clear()
-            self._hits.clear()
             return count
 
 
@@ -177,119 +161,19 @@ class ArtifactStore:
     """Directory-backed content-addressed store (``.repro_cache/``).
 
     Layout: one ``<hash>.json`` file per artifact holding
-    ``{"schema", "kind", "stage", "hash", "created_unix", "tenant",
-    "payload"}``; JSON files are the source of truth. ``index.sqlite``
-    is a derived metadata index (hit counts, tenants, sizes) that
-    rebuilds itself lazily, and ``locks/`` holds the advisory lock files
-    of the single-flight protocol. All writes are atomic (temp file +
+    ``{"schema", "kind", "stage", "hash", "created_unix", "payload"}``,
+    and ``locks/`` with the advisory lock files of the single-flight
+    protocol. The files are the whole state: a file's mtime is its last
+    use (publish, then every hit). All writes are atomic (temp file +
     rename), so a crashed run never leaves a half-written artifact that
     a resume — or another tenant — would trust.
     """
 
-    def __init__(self, root: Union[str, Path], tenant: str = "") -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.tenant = tenant
-
-    # ------------------------------------------------------------------ #
-    # Paths and the metadata index
-    # ------------------------------------------------------------------ #
 
     def _path(self, hash: str) -> Path:
         return self.root / f"{hash}.json"
-
-    def _index_path(self) -> Path:
-        return self.root / INDEX_FILE
-
-    @contextmanager
-    def _index(self) -> Iterator[Optional[sqlite3.Connection]]:
-        """A short-lived index connection (fork-safe, multi-process safe);
-        yields ``None`` when the index cannot be opened — metadata is
-        best-effort, artifact files never depend on it."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            con = sqlite3.connect(str(self._index_path()), timeout=30.0)
-        except (OSError, sqlite3.Error):
-            yield None
-            return
-        try:
-            con.execute("PRAGMA busy_timeout=30000")
-            con.execute(
-                "CREATE TABLE IF NOT EXISTS artifacts ("
-                " hash TEXT PRIMARY KEY,"
-                " kind TEXT NOT NULL DEFAULT '',"
-                " stage TEXT NOT NULL DEFAULT '',"
-                " bytes INTEGER NOT NULL DEFAULT 0,"
-                " created_unix REAL NOT NULL DEFAULT 0,"
-                " tenant TEXT NOT NULL DEFAULT '',"
-                " hits INTEGER NOT NULL DEFAULT 0,"
-                " last_used_unix REAL NOT NULL DEFAULT 0)"
-            )
-            yield con
-            con.commit()
-        except sqlite3.Error:
-            try:
-                con.rollback()
-            except sqlite3.Error:
-                pass
-            # Swallow: the index is derived state; losing one metadata
-            # update must never fail a pipeline run.
-        finally:
-            con.close()
-
-    def _index_upsert(
-        self, hash: str, kind: str, stage: str, nbytes: int, created: float
-    ) -> None:
-        with self._index() as con:
-            if con is None:
-                return
-            con.execute(
-                "INSERT INTO artifacts"
-                " (hash, kind, stage, bytes, created_unix, tenant, hits,"
-                "  last_used_unix)"
-                " VALUES (?, ?, ?, ?, ?, ?, 0, ?)"
-                " ON CONFLICT(hash) DO UPDATE SET kind=excluded.kind,"
-                "  stage=excluded.stage, bytes=excluded.bytes,"
-                "  created_unix=excluded.created_unix",
-                (hash, kind, stage, nbytes, created, self.tenant, created),
-            )
-
-    def _index_hit(self, hash: str) -> None:
-        with self._index() as con:
-            if con is None:
-                return
-            con.execute(
-                "UPDATE artifacts SET hits = hits + 1, last_used_unix = ?"
-                " WHERE hash = ?",
-                (time.time(), hash),
-            )
-
-    def _index_meta(self) -> Dict[str, Tuple[str, int, float]]:
-        """hash → (tenant, hits, last_used_unix) from the index."""
-        out: Dict[str, Tuple[str, int, float]] = {}
-        if not self._index_path().is_file():
-            return out
-        with self._index() as con:
-            if con is None:
-                return out
-            try:
-                rows = con.execute(
-                    "SELECT hash, tenant, hits, last_used_unix FROM artifacts"
-                ).fetchall()
-            except sqlite3.Error:
-                return out
-            for hash, tenant, hits, last_used in rows:
-                out[str(hash)] = (str(tenant), int(hits), float(last_used))
-        return out
-
-    def _index_forget(self, hashes: List[str]) -> None:
-        if not hashes:
-            return
-        with self._index() as con:
-            if con is None:
-                return
-            con.executemany(
-                "DELETE FROM artifacts WHERE hash = ?", [(h,) for h in hashes]
-            )
 
     # ------------------------------------------------------------------ #
     # The store protocol
@@ -317,10 +201,13 @@ class ArtifactStore:
         except Exception as exc:
             _warn_corrupt(path, exc)
             return None
-        self._index_hit(hash)
+        try:
+            os.utime(path)  # last use, for the GC's age and LRU order
+        except OSError:
+            pass  # best effort: a missed refresh only ages the entry
         return art
 
-    def publish(self, artifact: Artifact, stage: str, tenant: str = "") -> Tuple[int, bool]:
+    def publish(self, artifact: Artifact, stage: str) -> Tuple[int, bool]:
         """Atomic compare-and-publish.
 
         If the hash is already present (some other process won the race)
@@ -334,14 +221,12 @@ class ArtifactStore:
         path = self._path(artifact.hash)
         if path.is_file():
             return (0, False)
-        created = time.time()
         record = {
             "schema": STORE_SCHEMA,
             "kind": artifact.kind,
             "stage": stage,
             "hash": artifact.hash,
-            "created_unix": created,
-            "tenant": tenant or self.tenant,
+            "created_unix": time.time(),
             "payload": artifact.payload,
         }
         data = json.dumps(record, sort_keys=True)
@@ -350,14 +235,7 @@ class ArtifactStore:
         tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
         tmp.write_text(data, encoding="utf-8")
         tmp.replace(path)
-        self._index_upsert(
-            artifact.hash, artifact.kind, stage, len(data), created
-        )
         return (len(data), True)
-
-    def save(self, artifact: Artifact, stage: str) -> int:
-        nbytes, _ = self.publish(artifact, stage)
-        return nbytes
 
     # ------------------------------------------------------------------ #
     # Single-flight
@@ -416,32 +294,30 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
 
     def entries(self) -> List[StoreEntry]:
+        """Every readable entry; size and last use come from one ``stat``
+        per file."""
         out: List[StoreEntry] = []
         if not self.root.is_dir():
             return out
-        meta = self._index_meta()
         for path in sorted(self.root.glob("*.json")):
             try:
+                st = path.stat()
                 record = json.loads(path.read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                continue  # removed by a concurrent clean or gc
             except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
                 _warn_corrupt(path, exc)
                 continue
             if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:
                 continue
-            hash = str(record.get("hash", path.stem))
-            tenant, hits, last_used = meta.get(
-                hash, (str(record.get("tenant", "")), 0, 0.0)
-            )
             out.append(
                 StoreEntry(
                     kind=str(record.get("kind", "?")),
                     stage=str(record.get("stage", "?")),
-                    hash=hash,
-                    bytes=path.stat().st_size,
+                    hash=str(record.get("hash", path.stem)),
+                    bytes=st.st_size,
                     created_unix=float(record.get("created_unix", 0.0)),
-                    tenant=tenant,
-                    hits=hits,
-                    last_used_unix=last_used,
+                    last_used_unix=st.st_mtime,
                 )
             )
         return out
@@ -451,10 +327,8 @@ class ArtifactStore:
         count = 0
         if not self.root.is_dir():
             return count
-        removed: List[str] = []
         for path in self.root.glob("*.json"):
             path.unlink()
-            removed.append(path.stem)
             count += 1
         for path in self.root.glob("*.tmp"):
             path.unlink()
@@ -465,7 +339,6 @@ class ArtifactStore:
                     path.unlink()
                 except OSError:
                     pass
-        self._index_forget(removed)
         return count
 
     def gc(
@@ -475,46 +348,33 @@ class ArtifactStore:
     ) -> int:
         """Policy-driven garbage collection; returns entries removed.
 
-        ``max_age_days`` drops entries not used (nor created) within the
-        window; ``max_bytes`` then evicts least-recently-used entries
-        (by index hit metadata, falling back to creation time) until the
-        store fits the budget. With neither bound this is a no-op — use
-        :meth:`clean` for a full wipe.
+        ``max_age_days`` drops entries whose file was not used (published
+        or hit) within the window; ``max_bytes`` then evicts
+        least-recently-used entries (oldest mtime first, ties broken by
+        hash) until the store fits the budget. With neither bound this is
+        a no-op — use :meth:`clean` for a full wipe.
         """
         if max_age_days is None and max_bytes is None:
             return 0
         entries = self.entries()
         victims: List[StoreEntry] = []
-        now = time.time()
         if max_age_days is not None:
-            cutoff = now - max_age_days * 86400.0
-            for e in list(entries):
-                if max(e.last_used_unix, e.created_unix) < cutoff:
-                    victims.append(e)
-                    entries.remove(e)
+            cutoff = time.time() - max_age_days * 86400.0
+            victims = [e for e in entries if e.last_used_unix < cutoff]
+            entries = [e for e in entries if e.last_used_unix >= cutoff]
         if max_bytes is not None:
             total = sum(e.bytes for e in entries)
-            # Coldest first: least recently used, fewest hits, oldest.
-            by_lru = sorted(
-                entries,
-                key=lambda e: (
-                    max(e.last_used_unix, e.created_unix),
-                    e.hits,
-                    e.hash,
-                ),
-            )
-            for e in by_lru:
+            for e in sorted(entries, key=lambda e: (e.last_used_unix, e.hash)):
                 if total <= max_bytes:
                     break
                 victims.append(e)
                 total -= e.bytes
-        removed: List[str] = []
+        removed = 0
         for e in victims:
             try:
                 self._path(e.hash).unlink()
             except FileNotFoundError:
                 continue
-            removed.append(e.hash)
-        self._index_forget(removed)
-        obs.counter_inc("store_gc_removed_total", amount=len(removed))
-        return len(removed)
+            removed += 1
+        obs.counter_inc("store_gc_removed_total", amount=removed)
+        return removed

@@ -26,13 +26,13 @@ from ..color import Color
 from ..core import (
     CutConflictChecker,
     DetectedScenario,
-    OverlayConstraintGraph,
     ScenarioType,
     SoAOverlayConstraintGraph,
     VectorScenarioDetector,
     flip_colors,
     pseudo_color,
 )
+from ..core.constraint_graph_soa import ConstraintGraph
 from ..core.cut_conflict import CriticalCut
 from ..geometry import Point, Segment
 from ..grid import RoutingGrid
@@ -82,7 +82,7 @@ class SadpRouter:
         self.enable_merge = enable_merge
 
         self.detector = VectorScenarioDetector(grid.num_layers)
-        self.graphs: List[OverlayConstraintGraph] = [
+        self.graphs: List[ConstraintGraph] = [
             SoAOverlayConstraintGraph() for _ in range(grid.num_layers)
         ]
         self.colorings: List[Dict[int, Color]] = [

@@ -1,4 +1,4 @@
-"""Run ledger: append-only records, the SQLite index, and run diffing."""
+"""Run ledger: append-only records, reads that scan them, and run diffing."""
 
 import json
 
@@ -49,92 +49,93 @@ class TestRunRecord:
 
 class TestLedger:
     def test_record_and_get(self, tmp_path):
-        with Ledger(tmp_path / "runs") as led:
-            rec = _record(wall_s=0.5)
-            led.record(rec)
-            got = led.get(rec.run_id)
+        led = Ledger(tmp_path / "runs")
+        rec = _record(wall_s=0.5)
+        led.record(rec)
+        got = led.get(rec.run_id)
         assert got.run_id == rec.run_id
         assert got.wall_s == 0.5
 
     def test_get_by_unique_prefix_and_ambiguity(self, tmp_path):
-        with Ledger(tmp_path / "runs") as led:
-            a = _record()
-            b = _record()
-            led.record(a)
-            led.record(b)
-            assert led.get(a.run_id[:20] + a.run_id[20:]).run_id == a.run_id
-            with pytest.raises(KeyError):
-                led.get("r")  # matches both
-            with pytest.raises(KeyError):
-                led.get("r19700101-000000-000000")  # matches none
+        led = Ledger(tmp_path / "runs")
+        a = _record()
+        b = _record()
+        a.run_id = "r20260101-000000-abc123"
+        b.run_id = "r20260101-000000-abd456"
+        led.record(a)
+        led.record(b)
+        assert led.get(a.run_id).run_id == a.run_id
+        assert led.get("r20260101-000000-abc").run_id == a.run_id
+        with pytest.raises(KeyError, match="ambiguous"):
+            led.get("r20260101-000000-ab")  # matches both
+        with pytest.raises(KeyError, match="no run"):
+            led.get("r19700101-000000-000000")  # matches none
 
     def test_history_newest_first_with_filters(self, tmp_path):
-        with Ledger(tmp_path / "runs") as led:
-            r1 = _record(workload="Test1@0.2", ts=100.0)
-            r2 = _record(workload="Test2@0.2", ts=200.0)
-            r3 = _record(workload="Test1@0.2", ts=300.0)
-            for rec in (r1, r2, r3):
-                led.record(rec)
-            all_runs = led.history()
-            assert [r.run_id for r in all_runs] == [
-                r3.run_id,
-                r2.run_id,
-                r1.run_id,
-            ]
-            only_t1 = led.history(workload="Test1@0.2")
-            assert [r.run_id for r in only_t1] == [r3.run_id, r1.run_id]
-            assert led.history(limit=1)[0].run_id == r3.run_id
-
-    def test_latest_with_filters(self, tmp_path):
-        with Ledger(tmp_path / "runs") as led:
-            ok = _record(ts=100.0, outcome="ok")
-            bad = _record(ts=200.0, outcome="error")
-            led.record(ok)
-            led.record(bad)
-            assert led.latest(outcome="ok").run_id == ok.run_id
-            assert led.latest().run_id == bad.run_id
-            assert led.latest(workload="nope") is None
-
-    def test_index_rebuilt_after_sqlite_deleted(self, tmp_path):
-        root = tmp_path / "runs"
-        with Ledger(root) as led:
-            rec = _record()
+        led = Ledger(tmp_path / "runs")
+        r1 = _record(workload="Test1@0.2", ts=100.0)
+        r2 = _record(workload="Test2@0.2", ts=200.0)
+        r3 = _record(workload="Test1@0.2", ts=300.0)
+        r0 = make_record("route", "Test1@0.2", {}, ts=50.0)
+        for rec in (r1, r2, r3, r0):
             led.record(rec)
-        (root / "index.sqlite").unlink()
-        with Ledger(root) as led:
-            assert len(led) == 1
-            assert led.get(rec.run_id).config_hash == rec.config_hash
+        all_runs = led.history()
+        assert [r.run_id for r in all_runs] == [
+            r3.run_id,
+            r2.run_id,
+            r1.run_id,
+            r0.run_id,
+        ]
+        only_t1 = led.history(workload="Test1@0.2", command="bench")
+        assert [r.run_id for r in only_t1] == [r3.run_id, r1.run_id]
+        assert [r.run_id for r in led.history(command="route")] == [r0.run_id]
+        assert led.history(limit=1)[0].run_id == r3.run_id
 
     def test_jsonl_is_append_only_source_of_truth(self, tmp_path):
         root = tmp_path / "runs"
-        with Ledger(root) as led:
-            led.record(_record())
-            size_one = (root / "records.jsonl").stat().st_size
-            led.record(_record())
-            size_two = (root / "records.jsonl").stat().st_size
+        led = Ledger(root)
+        led.record(_record())
+        size_one = (root / "records.jsonl").stat().st_size
+        led.record(_record())
+        size_two = (root / "records.jsonl").stat().st_size
         assert size_two > size_one
-        # a record appended by another process is picked up on open
+        # a record appended by another process is visible on the next read
         extra = _record(wall_s=9.0)
         with (root / "records.jsonl").open("a") as fh:
             fh.write(json.dumps(extra.to_dict()) + "\n")
-        with Ledger(root) as led:
-            assert len(led) == 3
-            assert led.get(extra.run_id).wall_s == 9.0
+        assert len(led) == 3
+        assert led.get(extra.run_id).wall_s == 9.0
 
-    def test_reindex_skips_corrupt_lines(self, tmp_path):
+    def test_read_skips_corrupt_lines(self, tmp_path):
         root = tmp_path / "runs"
-        with Ledger(root) as led:
-            led.record(_record())
+        led = Ledger(root)
+        rec = _record()
+        led.record(rec)
         with (root / "records.jsonl").open("a") as fh:
             fh.write("{not json\n")
-        with Ledger(root) as led:
-            assert led.reindex() == 1
+        assert len(led) == 1
+        assert [r.run_id for r in led.history()] == [rec.run_id]
+
+    def test_torn_append_costs_only_itself(self, tmp_path):
+        """A writer killed mid-append leaves a line without its newline;
+        the next record starts a line of its own instead of joining it."""
+        root = tmp_path / "runs"
+        led = Ledger(root)
+        first = _record()
+        led.record(first)
+        torn = json.dumps(_record().to_dict())
+        with (root / "records.jsonl").open("a") as fh:
+            fh.write(torn[: len(torn) // 2])
+        after = _record(wall_s=2.0)
+        led.record(after)
+        assert led.get(after.run_id).wall_s == 2.0
+        assert len(led) == 2
+        assert [r.run_id for r in led.history()][-1] == first.run_id
 
     def test_default_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "elsewhere"))
         assert default_ledger_dir() == str(tmp_path / "elsewhere")
-        with Ledger() as led:
-            assert led.root == tmp_path / "elsewhere"
+        assert Ledger().root == tmp_path / "elsewhere"
 
 
 class TestDiff:

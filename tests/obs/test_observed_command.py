@@ -27,8 +27,7 @@ class TestLedgerRecording:
         ledger_dir = tmp_path / "runs"
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
         assert _route(netlist_file) == 0
-        with Ledger(ledger_dir) as led:
-            runs = led.history()
+        runs = Ledger(ledger_dir).history()
         assert len(runs) == 1
         record = runs[0]
         assert record.command == "route"
@@ -50,15 +49,13 @@ class TestLedgerRecording:
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "env"))
         explicit = tmp_path / "explicit"
         assert _route(netlist_file, "--ledger-dir", str(explicit)) == 0
-        with Ledger(explicit) as led:
-            assert len(led) == 1
+        assert len(Ledger(explicit)) == 1
 
     def test_bench_records_workload_at_scale(self, tmp_path, monkeypatch):
         ledger_dir = tmp_path / "runs"
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
         assert main(["bench", "Test1", "--scale", "0.1"]) == 0
-        with Ledger(ledger_dir) as led:
-            record = led.history()[0]
+        record = Ledger(ledger_dir).history()[0]
         assert record.command == "bench"
         assert record.workload == "Test1@0.1"
 
@@ -68,8 +65,7 @@ class TestObsSubcommands:
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
         assert _route(netlist_file) == 0
         assert _route(netlist_file) == 0
-        with Ledger(ledger_dir) as led:
-            runs = led.history()
+        runs = Ledger(ledger_dir).history()
         return [r.run_id for r in reversed(runs)]  # oldest first
 
     def test_history_lists_runs(self, netlist_file, tmp_path, monkeypatch, capsys):
@@ -107,11 +103,11 @@ class TestObsSubcommands:
 
         ledger_dir = tmp_path / "runs"
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
-        with Ledger(ledger_dir) as led:
-            a = make_record("bench", "w", {}, wall_s=1.0)
-            b = make_record("bench", "w", {}, wall_s=3.0)
-            led.record(a)
-            led.record(b)
+        led = Ledger(ledger_dir)
+        a = make_record("bench", "w", {}, wall_s=1.0)
+        b = make_record("bench", "w", {}, wall_s=3.0)
+        led.record(a)
+        led.record(b)
         assert main(["obs", "diff", a.run_id, b.run_id, "--gate"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 

@@ -121,8 +121,8 @@ class TestStores:
         store = ArtifactStore(tmp_path / "cache")
         art = DesignArtifact({"netlist_text": "x", "width": 3, "height": 3, "num_layers": 1})
         art.hash = "abc123"
-        nbytes = store.save(art, "load_design")
-        assert nbytes > 0
+        nbytes, published = store.publish(art, "load_design")
+        assert nbytes > 0 and published
         assert store.has("abc123")
         back = store.load("abc123")
         assert isinstance(back, DesignArtifact)
@@ -148,16 +148,32 @@ class TestStores:
         store = ArtifactStore(tmp_path / "cache")
         art = GridArtifact({"width": 1, "height": 1, "num_layers": 1})
         art.hash = "h1"
-        store.save(art, "build_grid")
+        store.publish(art, "build_grid")
         path = tmp_path / "cache" / "h1.json"
         path.write_text(path.read_text().replace('"schema": 1', '"schema": 999'))
         assert store.load("h1") is None
+
+    def test_record_with_a_tenant_key_still_loads(self, tmp_path):
+        """Records published before the store dropped its tenant field
+        carry a ``"tenant"`` key; they stay readable."""
+        import json
+
+        store = ArtifactStore(tmp_path / "cache")
+        art = GridArtifact({"width": 1, "height": 1, "num_layers": 1})
+        art.hash = "h3"
+        store.publish(art, "build_grid")
+        path = tmp_path / "cache" / "h3.json"
+        record = json.loads(path.read_text())
+        assert "tenant" not in record
+        path.write_text(json.dumps({**record, "tenant": "acme"}, sort_keys=True))
+        assert store.load("h3").payload == art.payload
+        assert [e.hash for e in store.entries()] == ["h3"]
 
     def test_memory_store_entries_and_clean(self):
         store = MemoryStore()
         art = GridArtifact({"width": 1, "height": 1, "num_layers": 1})
         art.hash = "h2"
-        store.save(art, "build_grid")
+        store.publish(art, "build_grid")
         entries = store.entries()
         assert len(entries) == 1 and entries[0].kind == "grid"
         assert store.clean() == 1
@@ -168,6 +184,6 @@ class TestStores:
         for i in range(3):
             art = GridArtifact({"width": i + 1, "height": 1, "num_layers": 1})
             art.hash = f"h{i}"
-            store.save(art, "build_grid")
+            store.publish(art, "build_grid")
         assert store.clean() == 3
         assert store.entries() == []

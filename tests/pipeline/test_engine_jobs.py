@@ -95,8 +95,8 @@ class _RacingStore:
             return None
         return self._real.load(hash)
 
-    def save(self, artifact, stage):
-        return self._real.save(artifact, stage)
+    def publish(self, artifact, stage):
+        return self._real.publish(artifact, stage)
 
     def single_flight(self, key, timeout_s=600.0):
         from contextlib import contextmanager

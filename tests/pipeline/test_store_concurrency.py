@@ -43,7 +43,7 @@ def _same_key_worker(root, key, barrier, results):
 
 
 def _distinct_keys_worker(root, writer_no, keys_per_writer, barrier, results):
-    store = ArtifactStore(root, tenant=f"w{writer_no}")
+    store = ArtifactStore(root)
     barrier.wait()
     for k in range(keys_per_writer):
         store.publish(_grid(f"w{writer_no}k{k}", width=writer_no + 1), "build_grid")

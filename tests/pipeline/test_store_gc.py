@@ -1,10 +1,10 @@
-"""GC policy, metadata index, and cache-dir resolution."""
+"""GC policy, last use by mtime, and cache-dir resolution."""
 
+import os
 import time
 
 from repro import obs
 from repro.pipeline import ArtifactStore, GridArtifact, default_cache_dir
-from repro.pipeline.store import INDEX_FILE
 
 
 def _put(store, hash, payload_bytes=0):
@@ -12,7 +12,12 @@ def _put(store, hash, payload_bytes=0):
         {"width": 2, "height": 2, "num_layers": 1, "pad": "x" * payload_bytes}
     )
     art.hash = hash
-    store.save(art, "build_grid")
+    store.publish(art, "build_grid")
+
+
+def _backdate(store, hash, days):
+    stamp = time.time() - days * 86400
+    os.utime(store.root / f"{hash}.json", (stamp, stamp))
 
 
 class TestCacheDirResolution:
@@ -36,25 +41,31 @@ class TestCacheDirResolution:
         assert config.cache_dir == str(tmp_path / "envcache")
 
 
-class TestMetadataIndex:
-    def test_hits_and_tenant_tracked(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache", tenant="acme")
-        _put(store, "aaa")
-        store.load("aaa")
-        store.load("aaa")
-        (entry,) = store.entries()
-        assert entry.tenant == "acme"
-        assert entry.hits == 2
-        assert entry.last_used_unix > 0
+class TestLastUse:
+    """A hit sets the entry file's mtime, which the GC reads as last use."""
 
-    def test_index_is_disposable(self, tmp_path):
+    def test_hit_protects_entry_from_lru_eviction(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
-        _put(store, "bbb")
-        (tmp_path / "cache" / INDEX_FILE).unlink()
-        assert store.load("bbb") is not None
-        (entry,) = store.entries()
-        assert entry.hash == "bbb"
-        assert entry.hits == 0  # derived metadata is lost, artifacts are not
+        _put(store, "hot", payload_bytes=4000)
+        _put(store, "cold", payload_bytes=4000)
+        _backdate(store, "hot", 2)
+        _backdate(store, "cold", 1)
+        store.load("hot")
+        total = sum(e.bytes for e in store.entries())
+        assert store.gc(max_bytes=total - 1) == 1
+        assert not store.has("cold")
+        assert store.has("hot")
+
+    def test_hit_resets_age(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        _put(store, "used")
+        _put(store, "idle")
+        _backdate(store, "used", 10)
+        _backdate(store, "idle", 10)
+        store.load("used")
+        assert store.gc(max_age_days=7) == 1
+        assert store.has("used")
+        assert not store.has("idle")
 
 
 class TestGC:
@@ -68,16 +79,7 @@ class TestGC:
         store = ArtifactStore(tmp_path / "cache")
         _put(store, "old")
         _put(store, "new")
-        # Backdate "old" in its record; drop the index so age falls back
-        # to record timestamps (a cache inherited without its index).
-        import json
-
-        path = tmp_path / "cache" / "old.json"
-        stale = time.time() - 10 * 86400
-        rec = json.loads(path.read_text())
-        rec["created_unix"] = stale
-        path.write_text(json.dumps(rec, sort_keys=True))
-        (tmp_path / "cache" / INDEX_FILE).unlink()
+        _backdate(store, "old", 10)
         with obs.session() as ob:
             assert store.gc(max_age_days=7) == 1
             assert ob.registry.total("store_gc_removed_total") == 1
@@ -89,7 +91,7 @@ class TestGC:
         _put(store, "cold", payload_bytes=4000)
         _put(store, "warm", payload_bytes=4000)
         time.sleep(0.02)
-        store.load("warm")  # bump hit + last_used
+        store.load("warm")  # refresh last use
         total = sum(e.bytes for e in store.entries())
         removed = store.gc(max_bytes=total - 1)
         assert removed == 1

@@ -8,6 +8,8 @@ on any input they must reproduce the object-per-edge oracles
 and assert bit-identical outcomes.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -239,7 +241,11 @@ graph_ops = st.lists(
 
 def _relation(uf):
     """The union-find's content, free of its root choices: each net's
-    smallest fellow member and the net's parity relative to it."""
+    smallest fellow member and the net's parity relative to it. Reads a
+    copy, because ``find`` compresses paths: a write between a batch and
+    its rollback that the batch's journal did not record would leave a
+    parent link to a net the rollback removes."""
+    uf = copy.deepcopy(uf)
     anchors = {}
     out = {}
     for net in NODES:
@@ -260,6 +266,15 @@ class TestIncrementalHardParity:
         ("batch", 1, [(2, ScenarioType.T1A, True, 1)]),
         ("batch", 0, [(3, ScenarioType.T1A, True, 1)]),
         ("remove", 1),
+    ])
+    # a check that compressed paths between a batch and its undo broke
+    # the rollback (a parent link to the removed net 1)
+    @example([
+        ("batch", 0, [(2, ScenarioType.T1A, False, 1)]),
+        ("batch", 1, [(0, ScenarioType.T2A, False, 1),
+                      (3, ScenarioType.T1A, False, 1),
+                      (0, ScenarioType.T1A, False, 1)]),
+        ("undo",),
     ])
     # two nets of one hard component removed before a single repair
     @example([

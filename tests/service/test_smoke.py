@@ -105,6 +105,5 @@ class TestSmoke:
     def test_both_runs_in_ledger(self, smoke):
         snap1, snap2 = smoke["snaps"]
         assert snap1["run_id"] and snap2["run_id"]
-        with Ledger(smoke["ledger_dir"]) as ledger:
-            runs = {r.run_id for r in ledger.history(limit=50)}
+        runs = {r.run_id for r in Ledger(smoke["ledger_dir"]).history(limit=50)}
         assert {snap1["run_id"], snap2["run_id"]} <= runs
