@@ -16,7 +16,7 @@ from .edge_store import EdgeStore
 from .odd_cycle import ParityUnionFind
 from .constraint_graph import OverlayConstraintGraph
 from .constraint_graph_soa import SoAOverlayConstraintGraph
-from .pseudo_color import pseudo_color
+from .pseudo_coloring import pseudo_color
 from .color_flip import flip_colors, optimal_tree_coloring
 from .cut_conflict import CutConflict, CutConflictChecker
 

@@ -79,6 +79,10 @@ class SearchRequest:
     sources: Sequence[Tuple[int, Point]]  # (layer, point) candidates
     targets: Sequence[Tuple[int, Point]]
     max_expansions: int = 400_000
+    #: A path an earlier attempt found and its commit rejected. While it
+    #: is still a path of this search, its cost bounds the guidance
+    #: solve; it never changes the result. The dict oracle ignores it.
+    incumbent: Optional[Sequence[Node]] = None
 
     def __post_init__(self) -> None:
         if not self.sources or not self.targets:
@@ -365,7 +369,13 @@ class AStarRouter:
                 return None
             if expansions == trigger:
                 gd, thr = self._guidance_map(
-                    entry_grid, is_target, best_g, target_idx, source_idx
+                    entry_grid,
+                    (xlo, xhi, ylo, yhi),
+                    is_target,
+                    best_g,
+                    target_idx,
+                    source_idx,
+                    request.incumbent,
                 )
 
             layer = idx // layer_stride
@@ -460,27 +470,37 @@ class AStarRouter:
     def _guidance_map(
         self,
         entry: np.ndarray,
+        bounds: Bounds,
         is_target,
         best_g,
         target_idx: Sequence[int],
         source_idx: Sequence[int],
+        incumbent: Optional[Sequence[Node]],
     ) -> Tuple[Optional[memoryview], float]:
         """Activate corridor guidance for a running search.
 
-        ``entry`` is the search's own entry-cost grid (inf where
-        impassable), ``best_g`` its g-scores so far. Returns the flat
-        cost-to-go map as a float64 memoryview and the corridor bound
-        ``thr``, or ``(None, inf)`` for a degenerate window (the search
-        stays unguided).
+        ``entry`` is the search's own entry-cost grid over the window
+        ``bounds`` (inf where impassable), ``best_g`` its g-scores so far.
+        Returns the flat cost-to-go map as a float64 memoryview and the
+        corridor bound ``thr``, or ``(None, inf)`` for a degenerate window
+        (the search stays unguided).
 
         The cheapest ``best_g`` over ``target_idx`` is the cost of a path
-        already found, so the backward solve stops at its prune
-        threshold (see :mod:`repro.router.guidance`): every prune
-        decision equals the full map's.
+        already found, and so is the ``incumbent``'s cost when this
+        search can still walk it; the backward solve stops at the prune
+        threshold of the cheaper (see :mod:`repro.router.guidance`):
+        every prune decision equals the full map's.
         """
         inf = float("inf")
-        # inf until a target has been pushed: then the solve is full.
-        limit = prune_threshold(min(best_g[t] for t in target_idx))
+        # inf until a target has been pushed and without a usable
+        # incumbent: then the solve is full.
+        found = min(best_g[t] for t in target_idx)
+        walked = (
+            self._walk_cost(incumbent, entry, bounds, source_idx, is_target)
+            if incumbent
+            else inf
+        )
+        limit = prune_threshold(min(found, walked))
         params = self.params
         dmap = future_cost_map(
             entry,
@@ -493,14 +513,71 @@ class AStarRouter:
         )
         if dmap is None:
             return None, inf
-        obs.counter_inc(
-            "guidance_builds_total", solve="bounded" if limit < inf else "full"
-        )
+        if walked < found:
+            solve = "incumbent"
+        else:
+            solve = "bounded" if found < inf else "full"
+        obs.counter_inc("guidance_builds_total", solve=solve)
         self.total_guided_searches += 1
         d = memoryview(dmap.reshape(-1))
         e = memoryview(entry.reshape(-1))
         t = min(e[s] + d[s] for s in source_idx)
         return d, (prune_threshold(t) if t < inf else -inf)
+
+    def _walk_cost(
+        self,
+        nodes: Sequence[Node],
+        entry: np.ndarray,
+        bounds: Bounds,
+        source_idx: Sequence[int],
+        is_target,
+    ) -> float:
+        """What the search would pay for ``nodes``, or inf when it can't.
+
+        The walk must start at one of the search's sources, end at a
+        target, stay in the window ``bounds`` and make only the moves the
+        heap loop makes. It is priced as the loop adds g-scores: the
+        source's entry, then ``g + step + entry`` per move; a cell the
+        search cannot enter prices it at inf.
+        """
+        inf = float("inf")
+        xlo, xhi, ylo, yhi = bounds
+        wy = yhi - ylo + 1
+        layer_stride = (xhi - xlo + 1) * wy
+        num_layers = entry.shape[0]
+        horizontal = self._horizontal
+        params = self.params
+        alpha = params.alpha
+        wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
+        e = memoryview(entry.reshape(-1))
+        g = inf
+        prev = None
+        for layer, x, y in nodes:
+            if not (0 <= layer < num_layers and xlo <= x <= xhi and ylo <= y <= yhi):
+                return inf
+            idx = layer * layer_stride + (x - xlo) * wy + (y - ylo)
+            if prev is None:
+                if idx not in source_idx:
+                    return inf
+                g = e[idx]
+            else:
+                pl, px, py = prev
+                dx, dy = abs(x - px), abs(y - py)
+                if layer != pl:
+                    if abs(layer - pl) != 1 or dx or dy:
+                        return inf
+                    step = params.beta
+                elif dx + dy != 1:
+                    return inf
+                elif (dx == 1) == horizontal[layer]:
+                    step = alpha
+                elif wrong_way:
+                    step = wrong_way
+                else:
+                    return inf
+                g = g + step + e[idx]
+            prev = (layer, x, y)
+        return g if prev is not None and is_target[idx] else inf
 
     # ------------------------------------------------------------------ #
     # Internals

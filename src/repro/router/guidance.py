@@ -30,7 +30,13 @@ activation, ``ub = min g(target)`` is the cost of a real path, so
 prune_threshold(ub)``: cells with ``d <= limit`` get their exact
 distance, and cells beyond get ``inf`` — pruned either way, since
 ``g >= 0`` and ``prune_threshold`` is monotone (``thr <= limit``). The
-optimal source lies inside the limit, so ``T`` is unchanged too.
+optimal source lies inside the limit, so ``T`` is unchanged too. A
+retry's search also carries the path its previous attempt found
+(``SearchRequest.incumbent``). When that path still starts at a source,
+ends at a target, stays in the window and makes only the search's own
+moves, its cost on the search's ``entry`` grid, summed as the search
+sums g-scores, is a real path's cost as well, and ``ub`` is the cheaper
+of the two.
 
 Construction: the map is solved over the search's own ``entry`` grid
 (the folded per-cell cost, ``inf`` where impassable). The window graph
@@ -41,8 +47,10 @@ enabled), and every in-edge of an impassable cell, like every invalid
 slot, carries ``inf``, which ``scipy.sparse.csgraph`` treats as a
 non-edge — and one multi-source ``dijkstra(min_only=True)`` from the
 target cells solves it in C.
-Structures (indices/indptr/step tables) are LRU-cached per window shape
-so repeat searches only pay the data fill. The property tests pin the
+Skeletons (indices, indptr, step tables and boundary slots; no weights)
+are LRU-cached per padded window shape, and every solve writes its
+weights into one shared buffer set as the skeleton's data, so repeat
+searches only pay that fill. The property tests pin the
 map to a scalar reference Dijkstra and to an independent pure-numpy
 Bellman–Ford sweep.
 """
@@ -88,14 +96,15 @@ def prune_threshold(total: float) -> float:
 class _CsrStructure:
     """Shape-dependent CSR skeleton: indices, indptr, slot step tables.
 
-    Everything except the per-call edge weights. The weight of every
-    in-edge of cell ``v`` in the *reverse* graph is ``step + A[v]``
-    (``A`` = folded cell cost, ``inf`` when impassable), so a call only
-    broadcasts ``A`` across the slot columns and masks the static
-    boundary slots — no Python per-cell work.
+    Everything except the per-call edge weights, which live in the one
+    shared buffer of :func:`_weights`. The weight of every in-edge of
+    cell ``v`` in the *reverse* graph is ``step + A[v]`` (``A`` = folded
+    cell cost, ``inf`` when impassable), so a call only broadcasts ``A``
+    across the slot columns and masks the static boundary slots — no
+    Python per-cell work.
     """
 
-    __slots__ = ("n", "k", "graph", "data2d", "steps", "invalid_idx")
+    __slots__ = ("n", "k", "graph", "steps", "invalid_idx")
 
     def __init__(
         self,
@@ -160,16 +169,12 @@ class _CsrStructure:
             steps[:, 0, 0, 3] = beta
 
         indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
-        data = np.full(n * k, _INF, dtype=np.float64)
-        graph = _sp.csr_matrix(
-            (data, cols.ravel(), indptr), shape=(n, n), copy=False
-        )
         self.n = n
         self.k = k
-        self.graph = graph
-        # Contiguous view into the matrix's own data buffer: per-call
-        # weight fills write straight into the graph.
-        self.data2d = graph.data.reshape(n, k)
+        # Each solve sets its own weights as the data (under ``_lock``).
+        self.graph = _sp.csr_matrix(
+            (_weights(n * k), cols.ravel(), indptr), shape=(n, n), copy=False
+        )
         self.steps = steps
         # Flat positions of the boundary slots — integer fancy indexing
         # is cheaper than a boolean mask of the whole (n, k) plane on
@@ -178,8 +183,22 @@ class _CsrStructure:
 
 
 _structures: "OrderedDict[tuple, _CsrStructure]" = OrderedDict()
-_STRUCT_CACHE_MAX = 32
+_STRUCT_CACHE_MAX = 64
 _lock = threading.Lock()
+_weight_buf = np.empty(0, dtype=np.float64)
+
+
+def _weights(size: int) -> np.ndarray:
+    """The first ``size`` slots of the shared edge-weight buffer.
+
+    Call under ``_lock``. A skeleton keeps the buffer it last solved
+    with; the buffer at least doubles when it grows, so the outgrown
+    buffers skeletons still hold add up to less than the current one.
+    """
+    global _weight_buf
+    if _weight_buf.size < size:
+        _weight_buf = np.empty(max(size, 2 * _weight_buf.size), dtype=np.float64)
+    return _weight_buf[:size]
 
 
 def _structure_for(
@@ -253,14 +272,16 @@ def future_cost_map(
             beta,
             wrong_way,
         )
-        # Broadcast-add straight into the CSR data buffer, then stamp the
+        # Broadcast-add straight into the weight buffer, then stamp the
         # boundary slots; no (n, k) temporary.
+        data = _weights(struct.n * struct.k)
         np.add(
             entry_p.reshape(num_layers, pwx, pwy, 1),
             struct.steps,
-            out=struct.data2d.reshape(num_layers, pwx, pwy, struct.k),
+            out=data.reshape(num_layers, pwx, pwy, struct.k),
         )
-        struct.graph.data[struct.invalid_idx] = _INF
+        data[struct.invalid_idx] = _INF
+        struct.graph.data = data
         targets = np.flatnonzero(tmask.ravel())
         dist = _csg.dijkstra(
             struct.graph, indices=targets, min_only=True, limit=limit

@@ -40,33 +40,48 @@ def overlay_cost_grid(
     ``delta_tip`` per directly abutting foreign cell and ``gamma`` per
     foreign cell at distance two behind a free cell (the type 2-b tip
     gap). Returns ``cost[layer, x - xlo, y - ylo]`` (float64).
+
+    One padded copy of the window serves every layer, and the foreign
+    and free masks are computed once over it. Each direction adds
+    exactly one of 0, ``delta_tip`` or ``gamma`` (a foreign neighbour is
+    never free), so ``delta_tip * mid + gamma * tip`` with the per-cell
+    counts ``mid`` and ``tip`` (0 to 2 each) is the per-direction sum
+    bit for bit.
     """
     xlo, xhi, ylo, yhi = bounds
     num_layers = occ.shape[0]
     wx, wy = xhi - xlo + 1, yhi - ylo + 1
-    cost = np.zeros((num_layers, wx, wy), dtype=np.float64)
     pad = 2
+    view = np.full(
+        (num_layers, wx + 2 * pad, wy + 2 * pad), _SENTINEL, dtype=occ.dtype
+    )
+    src_xlo, src_xhi = max(xlo - pad, 0), min(xhi + pad + 1, occ.shape[1])
+    src_ylo, src_yhi = max(ylo - pad, 0), min(yhi + pad + 1, occ.shape[2])
+    view[
+        :,
+        src_xlo - (xlo - pad) : src_xhi - (xlo - pad),
+        src_ylo - (ylo - pad) : src_yhi - (ylo - pad),
+    ] = occ[:, src_xlo:src_xhi, src_ylo:src_yhi]
+    # 0/1 bytes, so sums count and ``&`` is the logical and.
+    foreign = ((view >= 0) & (view != own)).view(np.uint8)
+    free = (view == _FREE).view(np.uint8)
+    mid = np.empty((num_layers, wx, wy), dtype=np.uint8)
+    tip = np.empty_like(mid)
+    tip_back = np.empty((wx, wy), dtype=np.uint8)
     for layer in range(num_layers):
-        view = np.full((wx + 2 * pad, wy + 2 * pad), _SENTINEL, dtype=occ.dtype)
-        src_xlo, src_xhi = max(xlo - pad, 0), min(xhi + pad + 1, occ.shape[1])
-        src_ylo, src_yhi = max(ylo - pad, 0), min(yhi + pad + 1, occ.shape[2])
-        view[
-            src_xlo - (xlo - pad) : src_xhi - (xlo - pad),
-            src_ylo - (ylo - pad) : src_yhi - (ylo - pad),
-        ] = occ[layer, src_xlo:src_xhi, src_ylo:src_yhi]
-        # Shifted *views* into the padded window (pad >= |shift|, so a
-        # slice sees exactly what np.roll-then-crop would, minus the two
-        # full-array copies per shift).
+        # Shifted *views* into the padded window (pad >= |shift|): no
+        # copies per shift.
+        f, e = foreign[layer], free[layer]
         if horizontal[layer]:
-            shifted = lambda s: view[pad + s : pad + s + wx, pad : pad + wy]
+            shifted = lambda a, s: a[pad + s : pad + s + wx, pad : pad + wy]
         else:
-            shifted = lambda s: view[pad : pad + wx, pad + s : pad + s + wy]
-        for sign in (1, -1):
-            mid = shifted(sign)
-            far = shifted(2 * sign)
-            foreign_mid = (mid >= 0) & (mid != own)
-            tip_gap = (mid == _FREE) & (far >= 0) & (far != own)
-            cost[layer] += delta_tip * foreign_mid + gamma * tip_gap
+            shifted = lambda a, s: a[pad : pad + wx, pad + s : pad + s + wy]
+        np.add(shifted(f, 1), shifted(f, -1), out=mid[layer])
+        np.bitwise_and(shifted(e, 1), shifted(f, 2), out=tip[layer])
+        np.bitwise_and(shifted(e, -1), shifted(f, -2), out=tip_back)
+        tip[layer] += tip_back
+    cost = np.multiply(mid, delta_tip, dtype=np.float64)
+    cost += np.multiply(tip, gamma, dtype=np.float64)
     return cost
 
 

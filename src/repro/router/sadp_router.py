@@ -241,7 +241,7 @@ class SadpRouter:
                 # Last chance: open the window wide (capped — on big dies
                 # a whole-grid window makes failing nets very expensive).
                 margin = min(max(self.grid.width, self.grid.height), 48)
-            found = self.engine.search(request, extra_margin=margin)
+            trunk = found = self.engine.search(request, extra_margin=margin)
             if found is not None and net.taps:
                 found = self._connect_taps(net, found, margin)
             if found is None:
@@ -262,6 +262,9 @@ class SadpRouter:
                 self._post_route(net.net_id)
                 return route
             route.ripups += 1
+            # The rejected trunk usually still runs through the next, wider
+            # window; its cost then bounds that search's guidance solve.
+            request.incumbent = trunk.nodes
 
         if allow_chain and self._blockers:
             return self._route_with_eviction(net, route)

@@ -2,7 +2,7 @@
 
 from repro.color import Color
 from repro.core import ConstraintEdge, OverlayConstraintGraph, ScenarioType
-from repro.core.pseudo_color import pseudo_color
+from repro.core.pseudo_coloring import pseudo_color
 
 
 def edge(u, v, stype, **kw):

@@ -16,6 +16,7 @@ The differential harness (``tests/router/test_differential.py``) also
 checks every trigger against the oracles.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -23,9 +24,10 @@ import pytest
 from repro import obs
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.geometry import Point
-from repro.grid import RoutingGrid
+from repro.grid import CellState, Direction, RoutingGrid
 from repro.netlist import Netlist
 from repro.router import AStarRouter, CostParams, SadpRouter, SearchRequest
+from repro.router.astar import search_window
 
 
 def _engine(grid, params, trigger, **kwargs):
@@ -41,6 +43,32 @@ def _random_occupancy(grid, rng, fill):
             for y in range(grid.height):
                 if rng.random() < fill:
                     grid.occupy(layer, Point(x, y), rng.randrange(1, 20))
+
+
+def _random_windows(seed):
+    """A random 26 x 26 grid with penalties and overlay terms, and
+    twelve random single-pin requests over it (two nets, six each)."""
+    rng = random.Random(seed)
+    grid = RoutingGrid(26, 26)
+    _random_occupancy(grid, rng, fill=0.12)
+    penalties = {
+        (rng.randrange(3), rng.randrange(26), rng.randrange(26)): rng.uniform(1, 9)
+        for _ in range(30)
+    }
+    params = CostParams()
+    kwargs = dict(
+        penalty_map=penalties,
+        overlay_terms=(params.gamma, params.delta_tip),
+    )
+    requests = []
+    for net_id in (100, 101):
+        for _ in range(6):
+            src = Point(rng.randrange(26), rng.randrange(26))
+            dst = Point(rng.randrange(26), rng.randrange(26))
+            requests.append(
+                SearchRequest(net_id=net_id, sources=[(0, src)], targets=[(0, dst)])
+            )
+    return grid, params, kwargs, requests
 
 
 def _assert_same_found(guided, plain):
@@ -59,32 +87,15 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("trigger", [1, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_occupancy_with_overlay_and_penalties(self, seed, trigger):
-        rng = random.Random(seed)
-        grid = RoutingGrid(26, 26)
-        _random_occupancy(grid, rng, fill=0.12)
-        penalties = {
-            (rng.randrange(3), rng.randrange(26), rng.randrange(26)): rng.uniform(1, 9)
-            for _ in range(30)
-        }
-        params = CostParams()
-        kwargs = dict(
-            penalty_map=penalties,
-            overlay_terms=(params.gamma, params.delta_tip),
-        )
+        grid, params, kwargs, requests = _random_windows(seed)
         plain = _engine(grid, params, -1, **kwargs)
         guided = _engine(grid, params, trigger, **kwargs)
-        for net_id in (100, 101):
-            plain.active_net = guided.active_net = net_id
-            for _ in range(6):
-                src = Point(rng.randrange(26), rng.randrange(26))
-                dst = Point(rng.randrange(26), rng.randrange(26))
-                req = SearchRequest(
-                    net_id=net_id, sources=[(0, src)], targets=[(0, dst)]
-                )
-                _assert_same_found(
-                    guided.search(req, extra_margin=4),
-                    plain.search(req, extra_margin=4),
-                )
+        for req in requests:
+            plain.active_net = guided.active_net = req.net_id
+            _assert_same_found(
+                guided.search(req, extra_margin=4),
+                plain.search(req, extra_margin=4),
+            )
         assert guided.total_guided_searches > 0
         assert plain.total_guided_searches == 0
         assert guided.total_expansions <= plain.total_expansions
@@ -164,6 +175,169 @@ class TestEngineEquivalence:
         _assert_same_found(auto.search(req), plain.search(req))
         assert plain._last_stats[0] > auto.guidance_trigger
         assert auto.total_guided_searches == 1
+
+
+_MARGIN = 4
+_SOLVES = ("full", "bounded", "incumbent")
+
+
+def _labelled_search(engine, req):
+    """Search ``req``; return (nodes, cost, expansions, maps built,
+    guidance builds by ``solve`` label)."""
+    guided_before = engine.total_guided_searches
+    with obs.session() as ob:
+        found = engine.search(req, extra_margin=_MARGIN)
+        labels = {s: ob.registry.value("guidance_builds_total", solve=s) for s in _SOLVES}
+    return (
+        found.nodes if found else None,
+        found.cost if found else None,
+        engine._last_stats[0],
+        engine.total_guided_searches - guided_before,
+        labels,
+    )
+
+
+def _passable(grid, net_id, layer, x, y):
+    return grid.in_bounds(layer, Point(x, y)) and grid.owner(
+        layer, Point(x, y)
+    ) in (int(CellState.FREE), net_id)
+
+
+def _horizontal(grid, layer):
+    return grid.layer_direction(layer) is Direction.HORIZONTAL
+
+
+def _bounce(path, wanted):
+    """``path`` with an out-and-back move to the first neighbour ``m`` of
+    one of its nodes for which ``wanted(node, m)`` holds, or None."""
+    for i, (l, x, y) in enumerate(path):
+        for m in (
+            (l, x - 1, y), (l, x + 1, y), (l, x, y - 1), (l, x, y + 1),
+            (l - 1, x, y), (l + 1, x, y),
+        ):
+            if wanted((l, x, y), m):
+                return path[: i + 1] + [m] + path[i:]
+    return None
+
+
+def _walk_out(path, grid, net_id, window):
+    """``path`` with a walk along one node's preferred direction to just
+    past the window's edge and back, every cell on the die and passable;
+    or None."""
+    xlo, xhi, ylo, yhi = window
+    for i, (l, x, y) in enumerate(path):
+        dx, dy = (1, 0) if _horizontal(grid, l) else (0, 1)
+        for sign in (1, -1):
+            out = []
+            cx, cy = x, y
+            while xlo <= cx <= xhi and ylo <= cy <= yhi:
+                cx, cy = cx + sign * dx, cy + sign * dy
+                if not _passable(grid, net_id, l, cx, cy):
+                    break
+                out.append((l, cx, cy))
+            else:
+                back = out[-2::-1] + [(l, x, y)]
+                return path[: i + 1] + out + back + path[i + 1 :]
+    return None
+
+
+def _incumbent_cases(seed):
+    """Over ``_random_windows(seed)``: each request whose search (trigger
+    1) builds a full map, with its optimal path, a costlier legal path,
+    and walks that break one rule each (``None`` where a rule could not
+    be broken alone)."""
+    grid, params, kwargs, requests = _random_windows(seed)
+    plain = _engine(grid, params, -1, **kwargs)
+    guided = _engine(grid, params, 1, **kwargs)
+    cases = []
+    for req in requests:
+        plain.active_net = guided.active_net = req.net_id
+        found = plain.search(req, extra_margin=_MARGIN)
+        if found is None or len(found.nodes) < 3:
+            continue
+        base = _labelled_search(guided, req)
+        if base[4] != {"full": 1, "bounded": 0, "incumbent": 0}:
+            continue
+        path = found.nodes
+        # A legal, costlier path: the optimum under a toll on its interior.
+        toll = dict(kwargs["penalty_map"])
+        for node in path[1:-1]:
+            toll[node] = toll.get(node, 0.0) + 50.0
+        detour = _engine(
+            grid, params, -1, penalty_map=toll, overlay_terms=kwargs["overlay_terms"]
+        )
+        detour.active_net = req.net_id
+        costlier = detour.search(req, extra_margin=_MARGIN).nodes
+        window = search_window(
+            [p for _, p in req.sources] + [p for _, p in req.targets],
+            params.search_margin + _MARGIN, grid.width, grid.height,
+        )
+        xlo, xhi, ylo, yhi = window
+
+        def enterable(m, passable):
+            """``m`` lies in the window and is (not) passable."""
+            return (
+                0 <= m[0] < grid.num_layers
+                and xlo <= m[1] <= xhi
+                and ylo <= m[2] <= yhi
+                and _passable(grid, req.net_id, *m) == passable
+            )
+
+        def preferred_or_via(node, m):
+            return m[0] != node[0] or (m[1] != node[1]) == _horizontal(grid, node[0])
+
+        mid = len(path) // 2
+        broken = {
+            "skips a cell": path[:mid] + path[mid + 1 :],
+            "steps the wrong way": _bounce(
+                path, lambda n, m: not preferred_or_via(n, m) and enterable(m, True)
+            ),
+            "starts off a source": path[1:],
+            "ends off a target": path[:-1],
+            "leaves the window": _walk_out(path, grid, req.net_id, window),
+            "crosses an impassable cell": _bounce(
+                path, lambda n, m: preferred_or_via(n, m) and enterable(m, False)
+            ),
+        }
+        cases.append((guided, req, base, path, costlier, broken))
+    return cases
+
+
+class TestIncumbent:
+    """A retry's ``SearchRequest.incumbent`` bounds the guidance solve by
+    its own cost and changes nothing else; a walk the search could not
+    make is ignored."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_legal_incumbent_bounds_the_solve_and_changes_nothing(self, seed):
+        cases = _incumbent_cases(seed)
+        assert any(path != costlier for _, _, _, path, costlier, _ in cases)
+        for guided, req, base, path, costlier, _ in cases:
+            for incumbent in (path, costlier):
+                got = _labelled_search(
+                    guided, dataclasses.replace(req, incumbent=incumbent)
+                )
+                assert got[:4] == base[:4]
+                assert got[4] == {"full": 0, "bounded": 0, "incumbent": 1}
+
+    def test_illegal_incumbents_are_ignored(self):
+        seen = dict.fromkeys(
+            ("skips a cell", "steps the wrong way", "starts off a source",
+             "ends off a target", "leaves the window",
+             "crosses an impassable cell"),
+            0,
+        )
+        for seed in (0, 1, 2):
+            for guided, req, base, _, _, broken in _incumbent_cases(seed):
+                for rule, walk in broken.items():
+                    if walk is None:
+                        continue
+                    seen[rule] += 1
+                    got = _labelled_search(
+                        guided, dataclasses.replace(req, incumbent=walk)
+                    )
+                    assert got == base, rule
+        assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize(
@@ -264,9 +438,10 @@ def test_default_search_counters_are_pinned(circuit, scale, counts):
 
 
 class TestBuildCounter:
-    """``guidance_builds_total{solve=bounded|full}``: one increment per
-    built map, labelled by whether the backward solve stopped at the
-    best path already found."""
+    """``guidance_builds_total{solve=full|bounded|incumbent}``: one
+    increment per built map, labelled by what stopped the backward solve:
+    nothing, the best path the search already found, or the path a
+    retry's previous attempt found."""
 
     def test_route_records_bounded_solves(self):
         spec = spec_by_name("Test1")
@@ -278,6 +453,21 @@ class TestBuildCounter:
             total = ob.registry.total("guidance_builds_total")
         assert bounded > 0
         assert total == router.engine.total_guided_searches
+
+    def test_route_split_is_pinned(self):
+        """Test1@0.3, design seed 2014: 14 retries whose rejected path
+        still runs through the new window bound solves that would
+        otherwise be full."""
+        grid, nets = generate_benchmark(spec_by_name("Test1"), scale=0.3, seed=2014)
+        with obs.session() as ob:
+            router = SadpRouter(grid, nets)
+            router.route_all()
+            split = tuple(
+                ob.registry.value("guidance_builds_total", solve=s) for s in _SOLVES
+            )
+            total = ob.registry.total("guidance_builds_total")
+        assert split == (16, 32, 14)
+        assert total == router.engine.total_guided_searches == 62
 
     def test_forced_activation_solves_the_full_window(self):
         """Trigger 1 activates after the first expansion, before any
