@@ -19,53 +19,72 @@ Quickstart::
 The top-level namespace re-exports the pieces a user typically needs; the
 subpackages (``repro.core``, ``repro.decompose``, ``repro.baselines``,
 ``repro.bench``, ``repro.viz``) hold the full machinery.
+
+The re-exports and subpackages resolve on first use (PEP 562), so
+``import repro`` alone, and a command that routes nothing, loads
+neither numpy nor scipy.
 """
 
-from .color import Color, ColorPair
-from .errors import (
-    ColoringError,
-    DecompositionError,
-    DesignRuleError,
-    GeometryError,
-    GridError,
-    NetlistError,
-    ReproError,
-    RoutingError,
-)
-from .geometry import Point, Rect, Segment
-from .grid import Direction, RoutingGrid, Via
-from .netlist import Net, Netlist, Pin, read_netlist, write_netlist
-from .router import CostParams, NetRoute, RoutingResult, SadpRouter
-from .rules import DesignRules
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Color",
-    "ColorPair",
-    "Point",
-    "Rect",
-    "Segment",
-    "Direction",
-    "RoutingGrid",
-    "Via",
-    "Net",
-    "Netlist",
-    "Pin",
-    "read_netlist",
-    "write_netlist",
-    "CostParams",
-    "NetRoute",
-    "RoutingResult",
-    "SadpRouter",
-    "DesignRules",
-    "ReproError",
-    "GeometryError",
-    "DesignRuleError",
-    "GridError",
-    "NetlistError",
-    "RoutingError",
-    "ColoringError",
-    "DecompositionError",
-    "__version__",
-]
+#: Re-exported name -> the submodule it comes from.
+_EXPORTS = {
+    "Color": "color",
+    "ColorPair": "color",
+    "Point": "geometry",
+    "Rect": "geometry",
+    "Segment": "geometry",
+    "Direction": "grid",
+    "RoutingGrid": "grid",
+    "Via": "grid",
+    "Net": "netlist",
+    "Netlist": "netlist",
+    "Pin": "netlist",
+    "read_netlist": "netlist",
+    "write_netlist": "netlist",
+    "CostParams": "router",
+    "NetRoute": "router",
+    "RoutingResult": "router",
+    "SadpRouter": "router",
+    "DesignRules": "rules",
+    "ReproError": "errors",
+    "GeometryError": "errors",
+    "DesignRuleError": "errors",
+    "GridError": "errors",
+    "NetlistError": "errors",
+    "RoutingError": "errors",
+    "ColoringError": "errors",
+    "DecompositionError": "errors",
+}
+
+#: Subpackages reachable as attributes of ``repro`` without an import.
+_SUBMODULES = frozenset(
+    {
+        "color",
+        "core",
+        "errors",
+        "geometry",
+        "grid",
+        "netlist",
+        "obs",
+        "router",
+        "rules",
+        "units",
+    }
+)
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -105,13 +105,10 @@ def _cmd_route(args: argparse.Namespace) -> int:
         height=args.height,
         num_layers=args.layers,
     )
-    with observed_command(args, command="route", netlist=args.netlist) as oc:
+    with observed_command(args, command="route", netlist=args.netlist):
         pipe = Pipeline(config, store=MemoryStore())
         targets = ("report",) if args.report else ("route",)
-        run = pipe.run(
-            targets=targets, context={"want_router_trace": bool(args.trace)}
-        )
-        oc.router_trace = run.context.get("router_trace")
+        run = pipe.run(targets=targets)
         _print_route_outputs(args, run)
         result = run.artifact("routing").result()
     return _route_exit_code(result)
@@ -121,16 +118,9 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     from .pipeline import ALL_STAGES, Pipeline, observed_command
 
     config = _pipeline_config_from_args(args)
-    with observed_command(
-        args, command="pipeline run", design=args.design
-    ) as oc:
+    with observed_command(args, command="pipeline run", design=args.design):
         pipe = Pipeline(config)
-        run = pipe.run(
-            targets=ALL_STAGES,
-            force=args.force,
-            context={"want_router_trace": bool(args.trace)},
-        )
-        oc.router_trace = run.context.get("router_trace")
+        run = pipe.run(targets=ALL_STAGES, force=args.force)
         print(run.to_text())
         _print_route_outputs(args, run)
         verify = run.artifact("verify")
@@ -663,13 +653,6 @@ def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="do not record this run in the run ledger",
     )
-    sub_parser.add_argument(
-        "--prom-port",
-        type=int,
-        metavar="PORT",
-        help="serve Prometheus metrics on 127.0.0.1:PORT/metrics "
-        "for the duration of the command (0 picks a free port)",
-    )
     _add_ledger_dir_flag(sub_parser)
 
 
@@ -687,7 +670,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
+        # An OSError names its path (an unwritable --out, --svg or
+        # --trace); exit 2, not the 1 of an unrouted net.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, Optional
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import Span, Tracer
@@ -143,11 +144,15 @@ def session(fresh: bool = True) -> Iterator[Observability]:
 
 
 class _NullSpan:
-    """Shared do-nothing span for the disabled path."""
+    """Shared do-nothing span for the disabled path.
+
+    Its ``attrs`` is read-only: the one instance serves every disabled
+    span, so a write there would show up on all of them.
+    """
 
     __slots__ = ()
     duration_s = 0.0
-    attrs: dict = {}
+    attrs: Mapping[str, Any] = MappingProxyType({})
 
     def __enter__(self) -> "_NullSpan":
         return self

@@ -1,6 +1,6 @@
 """JSONL run-log export, validation, and the per-phase runtime table.
 
-One run log is a JSON-Lines file merging three event streams:
+One run log is a JSON-Lines file merging these record types:
 
 * ``{"type": "meta", ...}`` — exactly one, the first line: schema
   version, tool version, environment provenance (git sha, package
@@ -10,8 +10,10 @@ One run log is a JSON-Lines file merging three event streams:
   taken at export time).
 * ``{"type": "resource", ...}`` — at most one: the resource sampler's
   run summary and per-span peaks, when a sampler ran.
-* ``{"type": "router_event", ...}`` — one per :class:`RouterTrace`
-  event, when a trace is supplied.
+
+The router's routes, rip-ups, removals, evictions and flips are
+recorded on its spans (``route_net``, ``commit_net``, ``rip_up_net``,
+``color_flip``), not as records of their own.
 
 The format is documented in ``docs/OBSERVABILITY.md``;
 :func:`validate_run_jsonl` enforces it (CI's smoke job runs it against a
@@ -55,7 +57,6 @@ def _backend(observability):
 def export_run_jsonl(
     path: Union[str, Path],
     observability=None,
-    router_trace=None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """Write the merged run log; returns the path written.
@@ -98,17 +99,6 @@ def export_run_jsonl(
                     "type": "resource",
                     "summary": sampler.summary(),
                     "by_span": sampler.by_span(),
-                }
-            )
-
-    if router_trace is not None:
-        for event in router_trace.events:
-            lines.append(
-                {
-                    "type": "router_event",
-                    "kind": event.kind,
-                    "net_id": event.net_id,
-                    "details": event.details,
                 }
             )
 
@@ -171,16 +161,6 @@ def _check_resource(record: Dict[str, Any], where: str, errors: List[str]) -> No
         errors.append(f"{where}: resource by_span must be an object or absent")
 
 
-def _check_router_event(record: Dict[str, Any], where: str, errors: List[str]) -> None:
-    if not isinstance(record.get("kind"), str):
-        errors.append(f"{where}: router_event kind missing or mistyped")
-    net_id = record.get("net_id")
-    if net_id is not None and not isinstance(net_id, int):
-        errors.append(f"{where}: router_event net_id must be int or null")
-    if not isinstance(record.get("details"), dict):
-        errors.append(f"{where}: router_event details must be an object")
-
-
 def validate_run_jsonl(path: Union[str, Path]) -> List[str]:
     """Check a run log against the documented schema.
 
@@ -234,8 +214,6 @@ def validate_run_jsonl(path: Union[str, Path]) -> List[str]:
                 errors.append(f"{where}: duplicate resource record")
             resource_seen = True
             _check_resource(record, where, errors)
-        elif rtype == "router_event":
-            _check_router_event(record, where, errors)
         else:
             errors.append(f"{where}: unknown record type {rtype!r}")
 

@@ -10,13 +10,8 @@
   ``name_count`` and ``name_sum`` series.
 
 :func:`validate_prometheus_text` is the matching line-by-line checker
-(used by the tests and the CI obs-smoke job), and
-:func:`start_http_exporter` serves the live registry on a stdlib
-``http.server`` thread — the scrape endpoint for routing-as-a-service::
-
-    exporter = start_http_exporter(port=9095)
-    ...                       # route, serve, ...
-    exporter.stop()           # and curl :9095/metrics in between
+(used by the tests and the CI obs-smoke job). The routing service's
+``GET /metrics`` serves this format with :data:`CONTENT_TYPE`.
 
 No third-party client library: the format is simple, and the router
 must not grow a runtime dependency for it.
@@ -25,9 +20,7 @@ must not grow a runtime dependency for it.
 from __future__ import annotations
 
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: (quantile label, Histogram.summary() key) exposed per histogram.
 QUANTILES: Tuple[Tuple[str, str], ...] = (("0.5", "p50"), ("0.95", "p95"))
@@ -165,85 +158,5 @@ def validate_prometheus_text(text: str) -> List[str]:
     return problems
 
 
-# ---------------------------------------------------------------------- #
-# Scrape endpoint
-# ---------------------------------------------------------------------- #
-
+#: The exposition format's HTTP ``Content-Type``.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-class PromExporter:
-    """``http.server`` thread serving ``/metrics``.
-
-    ``registry=None`` binds the endpoint to whatever backend is active
-    at scrape time (:func:`repro.obs.get_active`), so one exporter can
-    outlive many enable/disable cycles; an explicit registry pins it.
-    """
-
-    def __init__(
-        self,
-        registry=None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.registry = registry
-        exporter = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                if self.path.rstrip("/") not in ("", "/metrics"):
-                    self.send_error(404, "try /metrics")
-                    return
-                body = exporter.render().encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # silence per-scrape spam
-                return None
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def render(self) -> str:
-        registry = self.registry
-        if registry is None:
-            from . import get_active
-
-            ob = get_active()
-            registry = ob.registry if ob is not None else None
-        if registry is None:
-            return "# no active metrics registry\n"
-        return to_prometheus(registry)
-
-    def start(self) -> "PromExporter":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-prom-exporter",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self._server.server_close()
-
-
-def start_http_exporter(
-    port: int = 0, registry=None, host: str = "127.0.0.1"
-) -> PromExporter:
-    """Create and start a metrics endpoint; returns the live exporter
-    (``exporter.port`` reports the bound port when ``port=0``)."""
-    return PromExporter(registry=registry, host=host, port=port).start()

@@ -92,7 +92,7 @@ def _fmt_bytes(n: int) -> str:
 @dataclass
 class PipelineRun:
     """Outcome of :meth:`Pipeline.run`: artifacts by kind plus per-stage
-    records and the run-local context (live router, router trace, ...)."""
+    records and the run-local context (the live router, ...)."""
 
     config: PipelineConfig
     records: List[StageRecord] = field(default_factory=list)

@@ -13,9 +13,7 @@ place that handles the observability flags now:
   provenance, so ``repro obs history`` / ``repro obs diff`` can compare
   any two runs;
 * the **resource sampler** — started whenever observability is on, so
-  peak RSS / CPU land in the phase table and the ledger;
-* ``--prom-port N`` — serve the live registry on ``/metrics`` for the
-  duration of the command.
+  peak RSS / CPU land in the phase table and the ledger.
 
 On exit it prints/exports what was asked, records the ledger entry
 (success *and* failure — the record's ``outcome`` says which), and
@@ -47,8 +45,6 @@ class ObservedCommand:
     def __init__(self, meta: Dict[str, Any]) -> None:
         #: Run-log metadata (merged into the JSONL meta line).
         self.meta = meta
-        #: A :class:`~repro.router.RouterTrace` to merge into the run log.
-        self.router_trace: Optional[Any] = None
         #: The ledger id of the recorded run (set on exit when the
         #: ledger is on).
         self.run_id: Optional[str] = None
@@ -119,13 +115,11 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
     /ledger flags.
 
     ``args`` is the parsed argparse namespace; commands without any obs
-    flags simply run unobserved. The yielded handle's ``router_trace``
-    and ``meta`` feed the JSONL export; its ``run_id`` reports the
-    ledger entry afterwards.
+    flags simply run unobserved. The yielded handle's ``meta`` feeds the
+    JSONL export; its ``run_id`` reports the ledger entry afterwards.
     """
     wants_metrics = bool(getattr(args, "metrics", False))
     trace_path = getattr(args, "trace", None)
-    prom_port = getattr(args, "prom_port", None)
     # The ledger defaults on for every command that grew the flag pair;
     # commands without them (scenarios, validate-trace) stay unrecorded.
     wants_ledger = hasattr(args, "no_ledger") and not getattr(
@@ -133,7 +127,7 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
     )
     ledger_dir = getattr(args, "ledger_dir", None)
     handle = ObservedCommand(dict(meta))
-    if not (wants_metrics or trace_path or wants_ledger or prom_port is not None):
+    if not (wants_metrics or trace_path or wants_ledger):
         yield handle
         return
 
@@ -141,20 +135,10 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
 
     ob = obs.enable()
     ob.start_resource_sampler()
-    exporter = None
-    if prom_port is not None:
-        from ..obs.prom import start_http_exporter
-
-        exporter = start_http_exporter(port=prom_port)
-        print(
-            f"serving metrics at http://127.0.0.1:{exporter.port}/metrics",
-            file=sys.stderr,
-        )
     outcome = "error"
     t0 = time.perf_counter()
     try:
         yield handle
-        outcome = "ok"
         ob.stop_resource_sampler()  # freeze peaks before reporting
         if wants_metrics:
             print()
@@ -162,10 +146,9 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
             print()
             print(ob.registry.to_text())
         if trace_path:
-            path = obs.export_run_jsonl(
-                trace_path, router_trace=handle.router_trace, meta=handle.meta
-            )
+            path = obs.export_run_jsonl(trace_path, meta=handle.meta)
             print(f"run log written to {path}")
+        outcome = "ok"
     finally:
         wall_s = time.perf_counter() - t0
         ob.stop_resource_sampler()
@@ -191,6 +174,4 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
                     )
             except Exception as exc:  # never fail the command over telemetry
                 print(f"ledger: record failed: {exc}", file=sys.stderr)
-        if exporter is not None:
-            exporter.stop()
         obs.disable()

@@ -165,9 +165,7 @@ class RouteStage(Stage):
     """Grid + netlist → routing result + coloring digest.
 
     The live router is exposed to the caller through ``context["router"]``
-    (and a :class:`~repro.router.RouterTrace` through
-    ``context["router_trace"]`` when ``context["want_router_trace"]`` is
-    set) — both are run-local and never serialized.
+    — run-local and never serialized.
     """
 
     name = "route"
@@ -194,10 +192,6 @@ class RouteStage(Stage):
         else:
             router = _router_factory(config.router)(grid, netlist, **options)
         context["router"] = router
-        if context.get("want_router_trace"):
-            from ..router import RouterTrace
-
-            context["router_trace"] = RouterTrace(router)
         result = router.route_all()
         context["result"] = result
 

@@ -13,7 +13,6 @@ from .guidance import future_cost_map, prune_threshold
 from .overlay_cache import overlay_cost_grid
 from .result import NetRoute, RoutingResult
 from .sadp_router import SadpRouter
-from .trace import RouterTrace, TraceEvent
 from .io import load_result, save_result
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "NetRoute",
     "RoutingResult",
     "SadpRouter",
-    "RouterTrace",
-    "TraceEvent",
     "save_result",
     "load_result",
 ]

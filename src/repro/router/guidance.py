@@ -47,10 +47,11 @@ enabled), and every in-edge of an impassable cell, like every invalid
 slot, carries ``inf``, which ``scipy.sparse.csgraph`` treats as a
 non-edge — and one multi-source ``dijkstra(min_only=True)`` from the
 target cells solves it in C.
-Skeletons (indices, indptr, step tables and boundary slots; no weights)
+Skeletons (indices, step tables and boundary slots; no weights)
 are LRU-cached per padded window shape, and every solve writes its
 weights into one shared buffer set as the skeleton's data, so repeat
-searches only pay that fill. The property tests pin the
+searches only pay that fill. Skeletons with the same slot count share
+one ``indptr`` array. The property tests pin the
 map to a scalar reference Dijkstra and to an independent pure-numpy
 Bellman–Ford sweep.
 """
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as _sp
@@ -168,17 +169,17 @@ class _CsrStructure:
             steps[:, 0, 0, 2] = alpha
             steps[:, 0, 0, 3] = beta
 
-        indptr = np.arange(0, n * k + 1, k, dtype=np.int32)
         self.n = n
         self.k = k
         # Each solve sets its own weights as the data (under ``_lock``).
         self.graph = _sp.csr_matrix(
-            (_weights(n * k), cols.ravel(), indptr), shape=(n, n), copy=False
+            (_weights(n * k), cols.ravel(), _indptr(n, k)), shape=(n, n), copy=False
         )
         self.steps = steps
         # Flat positions of the boundary slots — integer fancy indexing
         # is cheaper than a boolean mask of the whole (n, k) plane on
-        # every fill.
+        # every fill. Kept int64: numpy converts an int32 index array on
+        # every ``data[idx] = inf``, which made that write about 2x slower.
         self.invalid_idx = np.flatnonzero(invalid.reshape(-1))
 
 
@@ -186,6 +187,7 @@ _structures: "OrderedDict[tuple, _CsrStructure]" = OrderedDict()
 _STRUCT_CACHE_MAX = 64
 _lock = threading.Lock()
 _weight_buf = np.empty(0, dtype=np.float64)
+_indptr_bufs: Dict[int, np.ndarray] = {}
 
 
 def _weights(size: int) -> np.ndarray:
@@ -199,6 +201,21 @@ def _weights(size: int) -> np.ndarray:
     if _weight_buf.size < size:
         _weight_buf = np.empty(max(size, 2 * _weight_buf.size), dtype=np.float64)
     return _weight_buf[:size]
+
+
+def _indptr(n: int, k: int) -> np.ndarray:
+    """``arange(0, n*k + 1, k)`` as a prefix of one shared int32 array.
+
+    Call under ``_lock``. Every skeleton with ``k`` slots per cell shares
+    the array for ``k``; it at least doubles when it grows, like
+    :func:`_weights`, and skeletons keep the outgrown ones they were
+    built on.
+    """
+    buf = _indptr_bufs.get(k)
+    if buf is None or buf.size <= n:
+        size = n + 1 if buf is None else max(n + 1, 2 * buf.size)
+        buf = _indptr_bufs[k] = np.arange(0, size * k, k, dtype=np.int32)
+    return buf[: n + 1]
 
 
 def _structure_for(

@@ -208,10 +208,16 @@ class SadpRouter:
         ob = obs.get_active()
         if ob is None:
             return self._route_net(net, preserve_penalties, allow_chain)
-        with ob.tracer.span("route_net", net_id=net.net_id) as sp:
+        with ob.tracer.span(
+            "route_net", net_id=net.net_id, pins=net.pin_count
+        ) as sp:
             route = self._route_net(net, preserve_penalties, allow_chain)
-        sp.attrs["success"] = route.success
-        sp.attrs["ripups"] = route.ripups
+        sp.attrs.update(
+            success=route.success,
+            ripups=route.ripups,
+            wirelength=route.wirelength,
+            vias=route.via_count,
+        )
         ob.registry.histogram("route_net_seconds").observe(sp.duration_s)
         ob.registry.counter(
             "nets_routed_total", success="yes" if route.success else "no"
@@ -283,7 +289,11 @@ class SadpRouter:
 
     def _route_with_eviction(self, net: Net, route: NetRoute) -> NetRoute:
         """Depth-one chained rip-up: evict blockers, route, reroute them."""
-        obs.counter_inc("evictions_total")
+        ob = obs.get_active()
+        if ob is not None:
+            ob.registry.counter("evictions_total").inc()
+            # The innermost open span is this net's own ``route_net``.
+            ob.tracer.current().attrs["blockers"] = sorted(self._blockers)
         victims = [v for v in sorted(self._blockers) if v in self._committed][:2]
         evicted = []
         for victim in victims:
@@ -437,6 +447,8 @@ class SadpRouter:
                 else ("hard_odd_cycle" if offending_cells else "path_penalised")
             )
             ob.registry.counter("ripups_total", reason=reason).inc()
+            # The innermost open span is the rejected attempt's commit_net.
+            ob.tracer.current().attrs["ripup"] = reason
         self._tear_down(net_id)
         if offending_cells:
             # Penalise only the fragments that caused the violation.
@@ -521,7 +533,8 @@ class SadpRouter:
                     induced += cost
         if induced > self.params.flip_threshold:
             cap = self.params.flip_scope_cap
-            with obs.span("color_flip", net_id=net_id, scope="component"):
+            flips_before = self._flip_count
+            with obs.span("color_flip", net_id=net_id, scope="component") as sp:
                 for layer in range(self.grid.num_layers):
                     graph = self.graphs[layer]
                     if net_id not in graph:
@@ -539,6 +552,8 @@ class SadpRouter:
                     self._flip_count += 1
                     obs.counter_inc("color_flips_total", scope="component")
                     self._refresh_cuts(new_colors.keys())
+            if obs.is_enabled():
+                sp.attrs["flips"] = self._flip_count - flips_before
 
     def _rescue_pass(self, result: RoutingResult) -> None:
         """One more attempt for every failed net, with the layout final.
@@ -590,13 +605,14 @@ class SadpRouter:
     def rip_up_net(self, net_id: int) -> None:
         """Completely remove a committed net (public: used by repair and
         by callers doing incremental ECO-style editing)."""
-        affected = {
-            (sc.net_b if sc.net_a == net_id else sc.net_a)
-            for sc in self._scenarios_by_net.get(net_id, ())
-        }
-        self._tear_down(net_id)
-        self._refresh_cuts(affected)
-        self._committed.discard(net_id)
+        with obs.span("rip_up_net", net_id=net_id):
+            affected = {
+                (sc.net_b if sc.net_a == net_id else sc.net_a)
+                for sc in self._scenarios_by_net.get(net_id, ())
+            }
+            self._tear_down(net_id)
+            self._refresh_cuts(affected)
+            self._committed.discard(net_id)
 
     def _final_flip(self) -> None:
         """Fig. 19 line 16: full-layout color flipping after routing."""

@@ -48,6 +48,12 @@ class TestDisabledMode:
         obs.disable()
         assert obs.span("x") is obs.span("y")
 
+    def test_null_span_attrs_are_read_only(self):
+        obs.disable()
+        with pytest.raises(TypeError):
+            obs.span("a").attrs["k"] = 1
+        assert dict(obs.span("b").attrs) == {}
+
     def test_counter_inc_is_noop(self):
         obs.disable()
         obs.counter_inc("anything_total", 5)  # must not raise or allocate

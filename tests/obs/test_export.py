@@ -48,22 +48,6 @@ class TestExport:
         kinds = {m["metric"]: m["kind"] for m in metrics}
         assert kinds == {"ripups_total": "counter", "route_net_seconds": "histogram"}
 
-    def test_exports_router_trace_events(self, tmp_path):
-        from repro.router.trace import RouterTrace, TraceEvent
-
-        trace = RouterTrace()
-        trace.events.append(TraceEvent("rip_up", 4, {"reason": "cut_conflict"}))
-        path = export_run_jsonl(tmp_path / "run.jsonl", router_trace=trace)
-        events = [r for r in _lines(path) if r["type"] == "router_event"]
-        assert events == [
-            {
-                "type": "router_event",
-                "kind": "rip_up",
-                "net_id": 4,
-                "details": {"reason": "cut_conflict"},
-            }
-        ]
-
     def test_export_without_backend_still_valid(self, tmp_path):
         obs.disable()
         path = export_run_jsonl(tmp_path / "run.jsonl")

@@ -155,17 +155,6 @@ class TestObsSubcommands:
         assert payload["command"] == "route"
 
 
-class TestPromFlag:
-    def test_prom_port_serves_during_command(
-        self, netlist_file, tmp_path, monkeypatch, capsys
-    ):
-        # port 0 binds a free port; the exporter line reports it on stderr
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "runs"))
-        assert _route(netlist_file, "--prom-port", "0") == 0
-        err = capsys.readouterr().err
-        assert "/metrics" in err
-
-
 class TestTraceStillWorks:
     def test_trace_export_includes_resource_record(
         self, netlist_file, tmp_path, monkeypatch

@@ -1,14 +1,8 @@
-"""Prometheus exposition: format validity, summaries, the HTTP exporter."""
+"""Prometheus exposition: format validity and summaries."""
 
-import urllib.error
-import urllib.request
-
-from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import (
-    PromExporter,
     sanitize_name,
-    start_http_exporter,
     to_prometheus,
     validate_prometheus_text,
 )
@@ -100,48 +94,3 @@ class TestValidator:
     def test_sum_count_belong_to_summary_family(self):
         text = "# TYPE s summary\ns_sum 1.5\ns_count 3\n"
         assert validate_prometheus_text(text) == []
-
-
-class TestExporter:
-    def test_scrape_pinned_registry(self):
-        exporter = PromExporter(registry=_registry()).start()
-        try:
-            url = f"http://127.0.0.1:{exporter.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as resp:
-                assert resp.status == 200
-                assert "version=0.0.4" in resp.headers["Content-Type"]
-                body = resp.read().decode("utf-8")
-        finally:
-            exporter.stop()
-        assert validate_prometheus_text(body) == []
-        assert "nets_routed_total 21" in body
-
-    def test_scrape_follows_active_backend(self):
-        exporter = start_http_exporter(port=0)
-        url = f"http://127.0.0.1:{exporter.port}/metrics"
-        try:
-            with urllib.request.urlopen(url, timeout=5) as resp:
-                assert "no active metrics registry" in resp.read().decode()
-            with obs.session() as ob:
-                ob.registry.counter("live_total").inc(5)
-                with urllib.request.urlopen(url, timeout=5) as resp:
-                    assert "live_total 5" in resp.read().decode()
-        finally:
-            exporter.stop()
-
-    def test_unknown_path_is_404(self):
-        exporter = PromExporter(registry=_registry()).start()
-        try:
-            url = f"http://127.0.0.1:{exporter.port}/nope"
-            try:
-                urllib.request.urlopen(url, timeout=5)
-                assert False, "expected HTTP 404"
-            except urllib.error.HTTPError as err:
-                assert err.code == 404
-        finally:
-            exporter.stop()
-
-    def test_stop_is_idempotent(self):
-        exporter = PromExporter(registry=MetricsRegistry()).start()
-        exporter.stop()
-        exporter.stop()

@@ -210,6 +210,19 @@ class TestCli:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--trace"])
+def test_unwritable_output_path_is_clean_error(netlist_file, tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "dir" / "artifact.out"
+    rc = main(
+        ["route", str(netlist_file), "--width", "30", "--height", "30", flag, str(target)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
 class TestAnalysis:
     @pytest.fixture
     def routed(self):
