@@ -24,11 +24,9 @@ Commands
 
 ``bench``
     Route one of the paper's benchmarks (Test1..Test10) at a given scale,
-    with the proposed router or a baseline — or drive the routing service
-    with a concurrent mixed workload::
+    with the proposed router or a baseline::
 
         python -m repro bench Test1 --scale 0.2 --router gao-pan
-        python -m repro bench load --clients 8 --jobs 32 --json -
 
 ``serve``
     The multi-tenant routing job service: an async HTTP API
@@ -243,40 +241,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_load(args: argparse.Namespace) -> int:
-    from .bench.load import report_to_json, run_load
-
-    report = run_load(
-        url=args.url,
-        clients=args.clients,
-        jobs=args.jobs,
-        duplicate_fraction=args.duplicates,
-        circuit=args.load_circuit,
-        scale=args.scale,
-        seed=args.seed,
-        timeout_s=args.timeout,
-        service_workers=args.service_workers,
-        cache_dir=getattr(args, "cache_dir", None),
-    )
-    print(report.to_text())
-    if args.json:
-        text = report_to_json(report)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-            print(f"load report written to {args.json}")
-    return 0 if report.failed == 0 else 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
     from .bench import run_baseline, run_proposed, rows_to_table
     from .bench.workloads import spec_by_name
     from .pipeline import observed_command
 
-    if args.circuit == "load":
-        return _cmd_bench_load(args)
     spec = spec_by_name(args.circuit)
     with observed_command(
         args,
@@ -468,15 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flag(pclean)
     pclean.set_defaults(func=_cmd_pipeline_clean)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run a paper benchmark, or 'load' for the service load harness",
-    )
-    bench.add_argument(
-        "circuit",
-        help="Test1..Test10, or 'load' to drive the routing service "
-        "with concurrent clients",
-    )
+    bench = sub.add_parser("bench", help="run a paper benchmark")
+    bench.add_argument("circuit", help="Test1..Test10")
     bench.add_argument("--scale", type=float, default=0.15, help="instance scale (0, 1]")
     bench.add_argument("--seed", type=int, default=2014)
     bench.add_argument(
@@ -486,49 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which router to run",
     )
     _add_obs_flags(bench)
-    load_group = bench.add_argument_group("bench load")
-    load_group.add_argument(
-        "--url",
-        default=None,
-        help="target a running service (default: start one internally)",
-    )
-    load_group.add_argument(
-        "--clients", type=int, default=4, help="concurrent client threads"
-    )
-    load_group.add_argument(
-        "--jobs", type=int, default=16, help="total jobs to submit"
-    )
-    load_group.add_argument(
-        "--duplicates",
-        type=float,
-        default=0.5,
-        help="fraction of jobs submitting the identical design (dedup mix)",
-    )
-    load_group.add_argument(
-        "--load-circuit",
-        default="Test1",
-        help="benchmark the load mix is built from (default Test1)",
-    )
-    load_group.add_argument(
-        "--timeout", type=float, default=600.0, help="per-job wait budget (s)"
-    )
-    load_group.add_argument(
-        "--service-workers",
-        type=int,
-        default=2,
-        help="worker processes for the internally-started service",
-    )
-    load_group.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the machine-readable load report ('-' for stdout)",
-    )
-    load_group.add_argument(
-        "--cache-dir",
-        default=None,
-        help="artifact store for the internal service "
-        "(default $REPRO_CACHE_DIR or .repro_cache)",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(

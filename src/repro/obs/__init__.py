@@ -64,28 +64,11 @@ __all__ = [
 
 
 class Observability:
-    """One run's worth of telemetry: a registry, a tracer, and an
-    optional background resource sampler."""
+    """One run's worth of telemetry: a registry and a tracer."""
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
-        #: Optional :class:`~repro.obs.resource.ResourceSampler`;
-        #: started on demand, stopped automatically on disable().
-        self.sampler = None
-
-    def start_resource_sampler(self, interval_s: float = 0.1):
-        """Start (or return the already-running) background sampler."""
-        if self.sampler is None:
-            from .resource import ResourceSampler
-
-            self.sampler = ResourceSampler(self.tracer, interval_s=interval_s)
-        self.sampler.start()
-        return self.sampler
-
-    def stop_resource_sampler(self) -> None:
-        if self.sampler is not None:
-            self.sampler.stop()
 
 
 #: The process-wide backend; ``None`` means observability is off.
@@ -106,8 +89,6 @@ def enable(fresh: bool = True) -> Observability:
 
 def disable() -> None:
     global _active
-    if _active is not None:
-        _active.stop_resource_sampler()
     _active = None
 
 
@@ -133,8 +114,6 @@ def session(fresh: bool = True) -> Iterator[Observability]:
     try:
         yield ob
     finally:
-        if ob is not previous:
-            ob.stop_resource_sampler()
         _active = previous
 
 

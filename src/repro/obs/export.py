@@ -8,8 +8,6 @@ One run log is a JSON-Lines file merging these record types:
 * ``{"type": "span", ...}`` — one per finished tracer span.
 * ``{"type": "metric", ...}`` — one per registry instrument (snapshot
   taken at export time).
-* ``{"type": "resource", ...}`` — at most one: the resource sampler's
-  run summary and per-span peaks, when a sampler ran.
 
 The router's routes, rip-ups, removals, evictions and flips are
 recorded on its spans (``route_net``, ``commit_net``, ``rip_up_net``,
@@ -92,15 +90,6 @@ def export_run_jsonl(
             record = dict(entry)
             record["type"] = "metric"
             lines.append(record)
-        sampler = getattr(ob, "sampler", None)
-        if sampler is not None and sampler.samples:
-            lines.append(
-                {
-                    "type": "resource",
-                    "summary": sampler.summary(),
-                    "by_span": sampler.by_span(),
-                }
-            )
 
     with path.open("w", encoding="utf-8") as fh:
         for record in lines:
@@ -153,14 +142,6 @@ def _check_metric(record: Dict[str, Any], where: str, errors: List[str]) -> None
         errors.append(f"{where}: {kind} value must be a number")
 
 
-def _check_resource(record: Dict[str, Any], where: str, errors: List[str]) -> None:
-    if not isinstance(record.get("summary"), dict):
-        errors.append(f"{where}: resource summary must be an object")
-    by_span = record.get("by_span")
-    if by_span is not None and not isinstance(by_span, dict):
-        errors.append(f"{where}: resource by_span must be an object or absent")
-
-
 def validate_run_jsonl(path: Union[str, Path]) -> List[str]:
     """Check a run log against the documented schema.
 
@@ -178,7 +159,6 @@ def validate_run_jsonl(path: Union[str, Path]) -> List[str]:
         return [f"{path}: empty file — expected at least a meta line"]
 
     spans: List[Tuple[str, Dict[str, Any]]] = []
-    resource_seen = False
     for lineno, raw in enumerate(raw_lines, start=1):
         where = f"line {lineno}"
         if not raw.strip():
@@ -209,11 +189,6 @@ def validate_run_jsonl(path: Union[str, Path]) -> List[str]:
             spans.append((where, record))
         elif rtype == "metric":
             _check_metric(record, where, errors)
-        elif rtype == "resource":
-            if resource_seen:
-                errors.append(f"{where}: duplicate resource record")
-            resource_seen = True
-            _check_resource(record, where, errors)
         else:
             errors.append(f"{where}: unknown record type {rtype!r}")
 
@@ -270,50 +245,11 @@ def phase_totals(observability=None) -> Dict[str, float]:
     return out
 
 
-def _span_to_phase() -> Dict[str, str]:
-    """span name -> phase label, per the PHASE_SPANS folding."""
-    mapping: Dict[str, str] = {}
-    for phase, names in PHASE_SPANS:
-        for name in names:
-            mapping[name] = phase
-        for name in SELF_PHASE_SPANS.get(phase, ()):
-            mapping[name] = phase
-    return mapping
-
-
-def resource_phase_columns(observability=None) -> Dict[str, Dict[str, float]]:
-    """Per-phase resource attribution from the sampler, when one ran.
-
-    Returns ``{phase: {"peak_rss_mb": ..., "mean_cpu_pct": ...}}`` for
-    every phase at least one sample landed in (a sample belongs to the
-    phase of the innermost span open when it was taken). Empty when no
-    sampler ran — callers can unconditionally merge.
-    """
-    ob = _backend(observability)
-    sampler = getattr(ob, "sampler", None) if ob is not None else None
-    if sampler is None or not sampler.samples:
-        return {}
-    to_phase = _span_to_phase()
-    out: Dict[str, Dict[str, float]] = {}
-    acc: Dict[str, List] = {}
-    for sample in sampler.samples:
-        phases = {to_phase[name] for name in sample.span_names if name in to_phase}
-        for phase in phases:
-            acc.setdefault(phase, []).append(sample)
-    for phase, group in acc.items():
-        out[phase] = {
-            "peak_rss_mb": round(max(s.rss_bytes for s in group) / 1e6, 3),
-            "mean_cpu_pct": round(sum(s.cpu_pct for s in group) / len(group), 2),
-        }
-    return out
-
-
 def phase_table(observability=None, total_span: str = "route_all") -> str:
     """The per-phase runtime table (search / graph / flip / ...).
 
     ``total_span`` names the span whose duration is 100%; phases outside
-    the listed ones show up as 'other'. When the resource sampler ran,
-    the table grows peak-RSS and mean-CPU columns attributed per phase.
+    the listed ones show up as 'other'.
     """
     ob = _backend(observability)
     if ob is None:
@@ -322,11 +258,8 @@ def phase_table(observability=None, total_span: str = "route_all") -> str:
     counts = ob.tracer.counts_by_name()
     total = totals.get(total_span, 0.0)
     phases = phase_totals(ob)
-    resources = resource_phase_columns(ob)
 
     header = f"{'phase':12s} {'seconds':>10s} {'share':>7s} {'spans':>8s}"
-    if resources:
-        header += f" {'peakMB':>8s} {'cpu%':>7s}"
     lines = ["per-phase runtime", header, "-" * len(header)]
     accounted = 0.0
     for phase, names in PHASE_SPANS:
@@ -338,14 +271,7 @@ def phase_table(observability=None, total_span: str = "route_all") -> str:
             continue
         accounted += seconds
         share = f"{100.0 * seconds / total:6.1f}%" if total > 0 else "      -"
-        line = f"{phase:12s} {seconds:10.4f} {share:>7s} {n:8d}"
-        if resources:
-            res = resources.get(phase)
-            if res is not None:
-                line += f" {res['peak_rss_mb']:8.1f} {res['mean_cpu_pct']:7.1f}"
-            else:
-                line += f" {'-':>8s} {'-':>7s}"
-        lines.append(line)
+        lines.append(f"{phase:12s} {seconds:10.4f} {share:>7s} {n:8d}")
     if total > 0:
         other = max(0.0, total - accounted)
         lines.append(f"{'other':12s} {other:10.4f} {100.0 * other / total:6.1f}% {'-':>8s}")

@@ -3,9 +3,10 @@
 The ledger is the repo's memory of its own performance. Every CLI
 ``route`` / ``pipeline run`` / ``bench`` invocation (and each service
 job) appends one :class:`RunRecord` — config hash, workload, git sha +
-package provenance, per-phase seconds, counter totals, resource peaks,
-outcome — so regressions can be attributed change by change instead of
-eyeballed from a point-in-time record.
+package provenance, per-phase seconds, counter totals, outcome, and for
+a CLI run the process's peak RSS (one ``getrusage`` reading at exit) —
+so regressions can be attributed change by change instead of eyeballed
+from a point-in-time record.
 
 Storage layout under ``.repro_runs/`` (override with ``--ledger-dir``
 or ``REPRO_LEDGER_DIR``):
@@ -404,14 +405,17 @@ def diff_runs(
                 _flag(ca, cb, th.counter_pct, th.counter_min),
             )
         )
-    for name in ("peak_rss_mb", "mean_rss_mb"):
-        if name in a.resources or name in b.resources:
-            ra = float(a.resources.get(name, 0.0))
-            rb = float(b.resources.get(name, 0.0))
-            flag = _flag(ra, rb, th.rss_pct, th.rss_min_mb)
-            if name == "mean_rss_mb" and flag == "regression":
-                flag = "ok"  # peak is the gated quantity; mean is context
-            rows.append(DiffRow("resource", name, ra, rb, flag))
+    if "peak_rss_mb" in a.resources or "peak_rss_mb" in b.resources:
+        ra, rb = a.peak_rss_mb, b.peak_rss_mb
+        rows.append(
+            DiffRow(
+                "resource",
+                "peak_rss_mb",
+                ra,
+                rb,
+                _flag(ra, rb, th.rss_pct, th.rss_min_mb),
+            )
+        )
     comparable = (
         a.workload == b.workload and a.config_hash == b.config_hash
     )

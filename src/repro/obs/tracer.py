@@ -60,22 +60,18 @@ class Tracer:
         self.epoch = time.perf_counter()
         self.finished: List[Span] = []
         self._next_id = 0
-        # Per-thread span stacks, keyed by thread ident rather than held
-        # in a ``threading.local``: the resource sampler reads *other*
-        # threads' stacks to attribute samples to the active span, which
-        # thread-local storage cannot offer.
-        self._stacks: Dict[int, List[Span]] = {}
+        self._local = threading.local()
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
 
     def _stack(self) -> List[Span]:
-        ident = threading.get_ident()
-        stack = self._stacks.get(ident)
-        if stack is None:
-            stack = self._stacks[ident] = []
-        return stack
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
@@ -100,26 +96,6 @@ class Tracer:
     def current(self) -> Optional[Span]:
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def active_leaves(self) -> List[Span]:
-        """Innermost open span of every thread with a non-empty stack.
-
-        Called from the resource-sampler thread without locking: span
-        enter/exit only appends/pops under the GIL, so the worst a race
-        can produce is a just-closed span — harmless for attribution.
-        """
-        leaves: List[Span] = []
-        try:
-            stacks = list(self._stacks.values())
-        except RuntimeError:  # pragma: no cover - dict resized mid-copy
-            return leaves
-        for stack in stacks:
-            if stack:
-                try:
-                    leaves.append(stack[-1])
-                except IndexError:  # pragma: no cover - popped mid-read
-                    pass
-        return leaves
 
     # ------------------------------------------------------------------ #
     # Aggregation

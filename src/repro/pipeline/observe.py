@@ -9,11 +9,9 @@ place that handles the observability flags now:
   export the JSONL run log, exactly as before;
 * the **run ledger** (on by default, ``--no-ledger`` opts out) — every
   invocation appends a :class:`~repro.obs.ledger.RunRecord` with config
-  hash, per-phase seconds, counter totals, resource peaks and
+  hash, per-phase seconds, counter totals, the process's peak RSS and
   provenance, so ``repro obs history`` / ``repro obs diff`` can compare
-  any two runs;
-* the **resource sampler** — started whenever observability is on, so
-  peak RSS / CPU land in the phase table and the ledger.
+  any two runs.
 
 On exit it prints/exports what was asked, records the ledger entry
 (success *and* failure — the record's ``outcome`` says which), and
@@ -22,6 +20,7 @@ switches observability back off — even when the command raises.
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -65,6 +64,16 @@ def _workload_from_meta(meta: Dict[str, Any]) -> str:
     return ""
 
 
+def _peak_rss_mb() -> float:
+    """This process's high-water RSS in MB (10^6 bytes).
+
+    One CLI command is one process, so this is the run's peak. Linux
+    reports ``ru_maxrss`` in KiB.
+    """
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(kib * 1024 / 1e6, 3)
+
+
 def record_run(
     ob,
     *,
@@ -75,11 +84,12 @@ def record_run(
     wall_s: float,
     ledger_dir: Optional[str] = None,
     meta: Optional[Dict[str, Any]] = None,
+    resources: Optional[Dict[str, float]] = None,
 ):
     """Append one :class:`RunRecord` built from the live backend.
 
-    Shared by :func:`observed_command` and the bench harness's
-    ``--ledger`` mode; returns the record.
+    Shared by :func:`observed_command` and the service's workers;
+    returns the record.
     """
     from ..obs.export import phase_totals
     from ..obs.ledger import Ledger, make_record
@@ -91,9 +101,6 @@ def record_run(
     }
     for name in counters:
         counters[name] = ob.registry.total(name)
-    resources: Dict[str, float] = {}
-    if ob.sampler is not None and ob.sampler.samples:
-        resources = ob.sampler.summary()
     record = make_record(
         command,
         workload,
@@ -102,7 +109,7 @@ def record_run(
         wall_s=wall_s,
         phases={k: round(v, 6) for k, v in phase_totals(ob).items()},
         counters=counters,
-        resources=resources,
+        resources=resources or {},
         meta=meta or {},
     )
     Ledger(ledger_dir).record(record)
@@ -134,12 +141,10 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
     from .. import obs
 
     ob = obs.enable()
-    ob.start_resource_sampler()
     outcome = "error"
     t0 = time.perf_counter()
     try:
         yield handle
-        ob.stop_resource_sampler()  # freeze peaks before reporting
         if wants_metrics:
             print()
             print(obs.phase_table())
@@ -151,7 +156,6 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
         outcome = "ok"
     finally:
         wall_s = time.perf_counter() - t0
-        ob.stop_resource_sampler()
         if wants_ledger:
             try:
                 record = record_run(
@@ -162,6 +166,7 @@ def observed_command(args: Any, **meta: Any) -> Iterator[ObservedCommand]:
                     outcome=outcome,
                     wall_s=wall_s,
                     ledger_dir=ledger_dir,
+                    resources={"peak_rss_mb": _peak_rss_mb()},
                 )
                 handle.run_id = record.run_id
                 if outcome == "ok":

@@ -169,7 +169,9 @@ class RouteStage(Stage):
     """
 
     name = "route"
-    version = "1"
+    #: "2": the routing artifact's ``total_ripups`` counts every
+    #: rejected commit, so version-1 artifacts must not be served.
+    version = "2"
     inputs = ("design", "grid")
     outputs = ("routing", "coloring")
 

@@ -45,6 +45,7 @@ class RoutingResult:
     overlay_nm: float = 0.0
     hard_overlays: int = 0
     cut_conflicts: int = 0
+    #: Rejected commits over the whole run, retried attempts included.
     total_ripups: int = 0
     color_flips: int = 0
     cpu_seconds: float = 0.0

@@ -92,6 +92,9 @@ class SadpRouter:
         self._scenarios_by_net: Dict[int, List[DetectedScenario]] = {}
         self._penalties: Dict[Tuple[int, int, int], float] = {}
         self._flip_count = 0
+        #: Every rejected commit, including those of attempts that a
+        #: rescue, repair or eviction retry later replaced.
+        self._ripup_count = 0
         self._blockers: Set[int] = set()
         self._committed: Set[int] = set()
         self._evicted_routes: Dict[int, NetRoute] = {}
@@ -188,7 +191,7 @@ class SadpRouter:
             layer: dict(coloring) for layer, coloring in enumerate(self.colorings)
         }
         self._collect_metrics(result)
-        result.total_ripups = sum(r.ripups for r in result.routes.values())
+        result.total_ripups = self._ripup_count
         result.color_flips = self._flip_count
         return result
 
@@ -268,6 +271,7 @@ class SadpRouter:
                 self._post_route(net.net_id)
                 return route
             route.ripups += 1
+            self._ripup_count += 1
             # The rejected trunk usually still runs through the next, wider
             # window; its cost then bounds that search's guidance solve.
             request.incumbent = trunk.nodes

@@ -16,8 +16,8 @@ traffic mostly costs cache lookups.
     report = client.artifact(job["job_id"], "report")
     service.stop()
 
-CLI front-ends: ``repro serve`` (foreground server) and
-``repro bench load`` (the concurrency/throughput harness). See
+CLI front-end: ``repro serve`` (foreground server). perfbench's
+``service-mix`` workload measures its latency and throughput. See
 ``docs/SERVICE.md``.
 """
 

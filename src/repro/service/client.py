@@ -1,9 +1,10 @@
 """Minimal stdlib HTTP client for the routing service.
 
-Shared by the load bench (``repro bench load``), the CI service-smoke
-job, and the tests — one connection per request (the server always
-answers ``Connection: close``), JSON in/out, and a blocking
-:meth:`ServiceClient.wait` that polls a job to its terminal state.
+Shared by perfbench's ``service-mix`` workload and the tests (the
+service smoke test drives a live ``repro serve`` process with it) — one
+connection per request (the server always answers ``Connection:
+close``), JSON in/out, and a blocking :meth:`ServiceClient.wait` that
+polls a job to its terminal state.
 """
 
 from __future__ import annotations

@@ -28,14 +28,15 @@ API (all JSON)::
     GET  /healthz                   liveness
 
 The server is embeddable (``start_background()`` runs the loop in a
-daemon thread and returns once the port is bound — tests and the load
-bench use that) or foreground (``serve_forever()`` for ``repro serve``).
+daemon thread and returns once the port is bound — tests and perfbench
+use that) or foreground (``serve_forever()`` for ``repro serve``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -491,14 +492,25 @@ class RoutingService:
         return self
 
     def serve_forever(self) -> None:
-        """Foreground serving (``repro serve``); Ctrl-C stops cleanly."""
+        """Foreground serving (``repro serve``); Ctrl-C or SIGTERM stops
+        cleanly, worker processes included."""
         self.pool.start()
+        # SIGTERM's default action ends the process without running the
+        # ``finally`` below, which would leave the workers running. In the
+        # main thread (the only one that may set a handler) it raises
+        # KeyboardInterrupt instead, like Ctrl-C. The workers are already
+        # forked, so they keep the default action.
+        previous = None
+        if threading.current_thread() is threading.main_thread():
+            previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             asyncio.run(self._serve())
         except KeyboardInterrupt:
             pass
         finally:
             self.pool.stop()
+            if previous is not None:
+                signal.signal(signal.SIGTERM, previous)
 
     def stop(self) -> None:
         if self._loop is not None and self._server is not None:

@@ -91,8 +91,6 @@ class TestValidatorExtensions:
                 with ob.tracer.span("astar_search"):
                     pass
             ob.registry.counter("x_total").inc()
-            ob.start_resource_sampler(interval_s=0.005)
-            ob.sampler.stop()
             path = export_run_jsonl(tmp_path / "run.jsonl")
         assert validate_run_jsonl(path) == []
 
@@ -121,10 +119,14 @@ class TestValidatorExtensions:
         )
         assert any("ends before it starts" in p for p in validate_run_jsonl(path))
 
-    def test_duplicate_resource_record_rejected(self, tmp_path):
+    def test_resource_record_is_unknown_type(self, tmp_path):
+        """A ``resource`` record, as older versions wrote, is reported like
+        any other unknown type."""
         resource = {"type": "resource", "summary": {}, "by_span": {}}
-        path = _write_log(tmp_path, [_meta(), resource, dict(resource)])
-        assert any("duplicate resource" in p for p in validate_run_jsonl(path))
+        path = _write_log(tmp_path, [_meta(), resource])
+        assert any(
+            "unknown record type 'resource'" in p for p in validate_run_jsonl(path)
+        )
 
     def test_cli_validate_trace_rejects_broken_log(self, tmp_path, capsys):
         from repro.cli import main

@@ -156,7 +156,7 @@ class TestObsSubcommands:
 
 
 class TestTraceStillWorks:
-    def test_trace_export_includes_resource_record(
+    def test_trace_export_has_no_resource_record(
         self, netlist_file, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "runs"))
@@ -168,6 +168,7 @@ class TestTraceStillWorks:
         ]
         assert types[0] == "meta"
         assert "span" in types
+        assert "resource" not in types  # peak RSS lives in the ledger
         from repro.obs import validate_run_jsonl
 
         assert validate_run_jsonl(trace) == []

@@ -1,7 +1,10 @@
-"""Tests for the recovery machinery: rescue pass, flip scope cap."""
+"""Tests for the recovery machinery: rescue pass, flip scope cap, and
+the rip-up count across the retries that replace a net's route."""
 
 import pytest
 
+from repro import obs
+from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.errors import RoutingError
 from repro.geometry import Point
 from repro.grid import RoutingGrid
@@ -94,3 +97,15 @@ class TestRescuePass:
         result = SadpRouter(grid, Netlist(nets)).route_all()
         assert result.cut_conflicts == 0
         assert result.hard_overlays == 0
+
+
+class TestRipupCount:
+    def test_total_ripups_counts_every_rejected_commit(self):
+        """Rescue, repair and eviction retries replace a net's route, so
+        summing the final routes' rip-ups (23 here) drops the rejected
+        attempts that came before; the result counts all of them."""
+        grid, nets = generate_benchmark(spec_by_name("Test1"), scale=0.3, seed=2014)
+        with obs.session() as ob:
+            result = SadpRouter(grid, nets).route_all()
+        assert result.total_ripups == ob.registry.total("ripups_total") == 85
+        assert sum(r.ripups for r in result.routes.values()) < result.total_ripups

@@ -10,10 +10,25 @@ multi-process service; the contract under test:
 * both jobs resolve to byte-identical artifacts;
 * ``GET /metrics`` passes the Prometheus exposition validator;
 * both runs land in the run ledger.
+
+:func:`test_serve_process_under_concurrent_load` drives ``repro serve``
+as its own process: concurrent duplicate and fresh submissions from
+several tenants, then SIGTERM, after which no worker may outlive it.
 """
+
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.ledger import Ledger
 from repro.obs.prom import validate_prometheus_text
 from repro.service import RoutingService, ServiceClient
@@ -107,3 +122,116 @@ class TestSmoke:
         assert snap1["run_id"] and snap2["run_id"]
         runs = {r.run_id for r in Ledger(smoke["ledger_dir"]).history(limit=50)}
         assert {snap1["run_id"], snap2["run_id"]} <= runs
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _serving_url(proc, deadline_s):
+    """Read the server's stderr until it prints its address.
+
+    A thread keeps draining the pipe afterwards, so the server never
+    blocks on a full stderr.
+    """
+    lines = queue.Queue()
+
+    def pump():
+        for line in proc.stderr:
+            lines.put(line)
+        lines.put(None)
+
+    threading.Thread(target=pump, daemon=True).start()
+    deadline = time.monotonic() + deadline_s
+    seen = []
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            pytest.fail(f"no 'serving at' line within {deadline_s}s: {seen}")
+        try:
+            line = lines.get(timeout=remaining)
+        except queue.Empty:
+            continue
+        if line is None:
+            pytest.fail(f"server exited before serving: {seen}")
+        seen.append(line.rstrip())
+        if line.startswith("serving at "):
+            return line.split()[2]
+
+
+def test_serve_process_under_concurrent_load(tmp_path):
+    """``repro serve`` with 2 worker processes: 6 concurrent jobs from 3
+    tenants (one design three times, three fresh seeds) route each
+    distinct design once, /metrics is valid, the jobs run outside the
+    server process, and SIGTERM stops the server and all its workers."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0",
+            "--service-workers", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--ledger-dir", str(tmp_path / "runs"),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    worker_pids = set()
+    try:
+        url = _serving_url(proc, deadline_s=60)
+        payloads = [{"circuit": "Test1", "scale": 0.1, "seed": 2014}] * 3 + [
+            {"circuit": "Test1", "scale": 0.1, "seed": seed}
+            for seed in (2015, 2016, 2017)
+        ]
+
+        def run(i):
+            client = ServiceClient(url, tenant=f"tenant-{i % 3}")
+            job = client.submit(payloads[i])
+            snap = client.wait(job["job_id"], timeout_s=120)
+            return snap, client.events(job["job_id"])
+
+        with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+            results = list(pool.map(run, range(len(payloads))))
+        worker_pids = {
+            e["pid"]
+            for _, events in results
+            for e in events
+            if e["event"] == "job_started"
+        }
+
+        assert [snap["status"] for snap, _ in results] == ["done"] * 6
+        route_runs = sum(len(_route_runs(events)) for _, events in results)
+        assert route_runs == 4  # one per distinct design
+        assert validate_prometheus_text(ServiceClient(url).metrics()) == []
+        assert worker_pids and proc.pid not in worker_pids
+
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in worker_pids):
+            assert time.monotonic() < deadline, (
+                f"workers outlived the server: "
+                f"{sorted(p for p in worker_pids if _alive(p))}"
+            )
+            time.sleep(0.05)
+    finally:
+        if proc.poll() is None:  # failed before the SIGTERM above
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        for pid in worker_pids:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

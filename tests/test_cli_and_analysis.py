@@ -72,6 +72,8 @@ class TestCli:
     def test_unknown_circuit_errors(self, capsys):
         assert main(["bench", "Test42"]) == 2
         assert "error" in capsys.readouterr().err
+        assert main(["bench", "load"]) == 2
+        assert "unknown benchmark 'load'" in capsys.readouterr().err
 
     def test_route_with_metrics_and_trace(self, netlist_file, tmp_path, capsys):
         from repro import obs
