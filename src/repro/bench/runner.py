@@ -20,9 +20,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from ..errors import PipelineError
 from ..obs.export import phase_totals
 from ..router.result import RoutingResult
-from .workloads import BenchmarkSpec, generate_benchmark
+from .workloads import BenchmarkSpec
 
 
 @dataclass
@@ -134,19 +135,6 @@ def run_proposed(
     )
 
 
-#: Baseline router classes the pipeline's route stage knows by name.
-def _router_name_for(factory: Callable) -> Optional[str]:
-    from ..baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
-    from ..router import SadpRouter
-
-    return {
-        SadpRouter: "ours",
-        GaoPanTrimRouter: "gao-pan",
-        CutNoMergeRouter: "cut16",
-        DuTrimRouter: "du",
-    }.get(factory)
-
-
 def run_baseline(
     router_factory: Callable,
     label: str,
@@ -157,26 +145,27 @@ def run_baseline(
 ) -> BenchRow:
     """Route a benchmark with one of the baseline routers.
 
-    ``router_factory(grid, netlist, **kwargs)`` must build the router;
-    the same seed reproduces the identical instance the proposed router
-    saw, so rows are directly comparable. Known router classes go through
-    the pipeline (sharing cached upstream artifacts); unrecognized
-    factories fall back to direct routing.
+    ``router_factory`` is a router class the pipeline's route stage
+    knows by name (:func:`repro.pipeline.stages.router_class`); the cell
+    goes through the pipeline, so it shares cached upstream artifacts,
+    and the same seed reproduces the identical instance the proposed
+    router saw, so rows are directly comparable. ``kwargs`` go to the
+    router's constructor.
     """
-    name = _router_name_for(router_factory)
-    if name is not None:
-        return run_cell(
-            spec,
-            router=name,
-            label=label,
-            scale=scale,
-            seed=seed,
-            router_options=kwargs or None,
-        )
-    grid, nets = generate_benchmark(spec, scale=scale, seed=seed)
-    before = phase_totals()
-    result = router_factory(grid, nets, **kwargs).route_all()
-    return _fill_phases(BenchRow.from_result(spec.name, label, result), before)
+    from ..pipeline import KNOWN_ROUTERS
+    from ..pipeline.stages import router_class
+
+    names = [n for n in KNOWN_ROUTERS if router_class(n) is router_factory]
+    if not names:
+        raise PipelineError(f"{router_factory!r} is not a known router")
+    return run_cell(
+        spec,
+        router=names[0],
+        label=label,
+        scale=scale,
+        seed=seed,
+        router_options=kwargs or None,
+    )
 
 
 def run_matrix(

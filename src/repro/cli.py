@@ -53,6 +53,10 @@ from typing import List, Optional
 from . import __version__
 from .errors import ReproError
 
+#: ``--router`` choices: ``repro.pipeline.KNOWN_ROUTERS``, restated because
+#: a command must not import the pipeline before it runs.
+ROUTERS = ("ours", "gao-pan", "cut16", "du")
+
 
 def _route_exit_code(result) -> int:
     """Nonzero when anything is wrong with the committed result: an
@@ -242,8 +246,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
-    from .bench import run_baseline, run_proposed, rows_to_table
+    from .bench import rows_to_table, run_cell
     from .bench.workloads import spec_by_name
     from .pipeline import observed_command
 
@@ -256,17 +259,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         router=args.router,
     ):
-        if args.router == "ours":
-            row = run_proposed(spec, scale=args.scale, seed=args.seed)
-        else:
-            factory = {
-                "gao-pan": GaoPanTrimRouter,
-                "cut16": CutNoMergeRouter,
-                "du": DuTrimRouter,
-            }[args.router]
-            row = run_baseline(
-                factory, args.router, spec, scale=args.scale, seed=args.seed
-            )
+        row = run_cell(spec, router=args.router, scale=args.scale, seed=args.seed)
         print(rows_to_table([row], caption=f"{spec.name} @ scale {args.scale}"))
     return 0
 
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--seed", type=int, default=2014, help="benchmark seed")
     prun.add_argument(
         "--router",
-        choices=("ours", "gao-pan", "cut16", "du"),
+        choices=ROUTERS,
         default="ours",
         help="which router the route stage uses",
     )
@@ -411,9 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     pshow.add_argument("--layers", type=int, default=3)
     pshow.add_argument("--scale", type=float, default=0.15)
     pshow.add_argument("--seed", type=int, default=2014)
-    pshow.add_argument(
-        "--router", choices=("ours", "gao-pan", "cut16", "du"), default="ours"
-    )
+    pshow.add_argument("--router", choices=ROUTERS, default="ours")
     _add_cache_flag(pshow)
     pshow.set_defaults(func=_cmd_pipeline_show)
 
@@ -444,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=2014)
     bench.add_argument(
         "--router",
-        choices=("ours", "gao-pan", "cut16", "du"),
+        choices=ROUTERS,
         default="ours",
         help="which router to run",
     )

@@ -187,16 +187,14 @@ def optimal_tree_coloring(
 
 
 def flip_colors(
-    graph: ConstraintGraph,
-    scope: Optional[Set[int]] = None,
-    refine: bool = True,
+    graph: ConstraintGraph, scope: Optional[Set[int]] = None
 ) -> Dict[int, Color]:
     """Optimal color assignment of the graph (or of ``scope``'s components).
 
     Runs the paper's spanning-tree DP (optimal when the contracted soft
-    structure is a forest), then — with ``refine`` — a bounded greedy
-    sweep over *all* edges, which can only improve on cyclic components
-    whose non-tree edges the DP ignored.
+    structure is a forest), then a bounded greedy sweep over *all*
+    edges, which can only improve on cyclic components whose non-tree
+    edges the DP ignored.
 
     Returns a fresh net -> color mapping for every net in scope, each
     component colored afresh. Raises :class:`~repro.errors.ColoringError`
@@ -217,14 +215,14 @@ def flip_colors(
 
     result: Dict[int, Color] = {}
     for comp in components:
-        result.update(_color_component(graph, comp, refine, ColoringError))
+        result.update(_color_component(graph, comp, ColoringError))
     return result
 
 
 def _color_component(
-    graph: ConstraintGraph, comp: Set[int], refine: bool, ColoringError
+    graph: ConstraintGraph, comp: Set[int], ColoringError
 ) -> Dict[int, Color]:
-    """Contract + maximum spanning forest + DP (+ refine) for one component."""
+    """Contract + maximum spanning forest + DP + refine for one component."""
     ug = graph.contract_component(comp)
     if ug is None:
         raise ColoringError("hard-constraint odd cycle: no legal coloring")
@@ -242,8 +240,7 @@ def _color_component(
             {n: adjacency[n] for n in tree_nodes}, ug.self_cost, unit
         )
         unit_colors.update(tree_colors)
-    if refine:
-        _refine_unit_colors(ug, unit_colors)
+    _refine_unit_colors(ug, unit_colors)
     result: Dict[int, Color] = {}
     for u, color in unit_colors.items():
         for net, parity in ug.members[u]:

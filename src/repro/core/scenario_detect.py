@@ -150,13 +150,9 @@ class VectorScenarioDetector:
     part of the contract.
     """
 
-    def __init__(self, num_layers: int, include_trivial: bool = False) -> None:
+    def __init__(self, num_layers: int) -> None:
         self._layers = [_LayerShapes(bucket_size=8) for _ in range(num_layers)]
         self._rows_by_net: Dict[int, List[Tuple[int, int]]] = {}
-        # Types 2-c, 2-d and 3-e never induce side overlay; the paper drops
-        # them from the constraint graph ("the three scenarios are not
-        # considered"). Pass include_trivial=True to see them anyway.
-        self._include_trivial = include_trivial
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -215,7 +211,6 @@ class VectorScenarioDetector:
         remain.
         """
         radius = NEIGHBOUR_RADIUS
-        skip_trivial = not self._include_trivial
         out: List[DetectedScenario] = []
         for layer, rect, a_h in records:
             shapes = self._layers[layer]
@@ -272,9 +267,10 @@ class VectorScenarioDetector:
                     lo = dx if dx < dy else dy
                     hi = dx if dx > dy else dy
                     code = _ORTH_CODE[lo if lo < 2 else 2][hi if hi < 2 else 2]
-                if code < 0:
-                    continue
-                if skip_trivial and _SCEN_TRIVIAL[code]:
+                # Types 2-c, 2-d and 3-e never induce side overlay; the
+                # paper drops them from the constraint graph ("the three
+                # scenarios are not considered").
+                if code < 0 or _SCEN_TRIVIAL[code]:
                     continue
                 out.append(
                     DetectedScenario(

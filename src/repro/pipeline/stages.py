@@ -146,8 +146,9 @@ class BuildGridStage(Stage):
         return {"grid": GridArtifact(payload)}
 
 
-#: Router factories by config name; baselines imported lazily.
-def _router_factory(name: str) -> Callable:
+def router_class(name: str) -> Callable:
+    """The router class of a config name (``KNOWN_ROUTERS``); the
+    baselines are imported only when one is asked for."""
     if name == "ours":
         from ..router import SadpRouter
 
@@ -183,16 +184,12 @@ class RouteStage(Stage):
         netlist = inputs["design"].netlist()
         options = dict(config.router_options or {})
         if config.router == "ours":
-            from ..router import SadpRouter
-
-            kwargs: Dict[str, Any] = {
+            options = {
                 "params": config.cost_params(),
                 "order": config.order,
+                **options,
             }
-            kwargs.update(options)
-            router = SadpRouter(grid, netlist, **kwargs)
-        else:
-            router = _router_factory(config.router)(grid, netlist, **options)
+        router = router_class(config.router)(grid, netlist, **options)
         context["router"] = router
         result = router.route_all()
         context["result"] = result

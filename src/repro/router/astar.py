@@ -1,10 +1,12 @@
 """Overlay-aware A* search on the multi-layer grid.
 
 The search space is (layer, x, y). Within a layer, moves follow the
-layer's preferred direction only (SADP lines are unidirectional); direction
-changes go through vias. Sources and targets may have several candidate
-locations (the multi-pin-candidate benchmarks), so the search is
-multi-source / multi-target.
+layer's preferred direction only (SADP lines are unidirectional; there
+are no wrong-way jogs); direction changes go through vias, which lets
+the heuristic add an admissible lower bound on the vias still needed.
+Sources and targets may have several candidate locations (the
+multi-pin-candidate benchmarks), so the search is multi-source /
+multi-target.
 
 The per-cell cost implements Eq. (5): wirelength, via count, the type 2-b
 penalty, plus transient rip-up penalties injected by the outer loop.
@@ -243,7 +245,6 @@ class AStarRouter:
         alpha = params.alpha
         beta = params.beta
         inf = float("inf")
-        wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
         horizontal = self._horizontal
 
         # Window-local flat state (entry costs here, g-scores and parent
@@ -277,24 +278,21 @@ class AStarRouter:
         all_targets_horizontal = all(horizontal[l] for l in target_layers)
         all_targets_vertical = all(not horizontal[l] for l in target_layers)
         vb = [0.0] * (num_layers * 4)
-        if not wrong_way:
-            # Wrong-way jogs cross directions without vias; the via lower
-            # bound would overestimate and break admissibility.
-            for layer in range(num_layers):
-                for dx_pos in (0, 1):
-                    for dy_pos in (0, 1):
-                        extra = 0
-                        if dy_pos:
-                            if horizontal[layer]:
-                                extra += 1
-                            if all_targets_horizontal:
-                                extra += 1 if horizontal[layer] else 0
-                        if dx_pos:
-                            if not horizontal[layer]:
-                                extra += 1
-                            if all_targets_vertical:
-                                extra += 1 if not horizontal[layer] else 0
-                        vb[layer * 4 + dx_pos * 2 + dy_pos] = beta * extra
+        for layer in range(num_layers):
+            for dx_pos in (0, 1):
+                for dy_pos in (0, 1):
+                    extra = 0
+                    if dy_pos:
+                        if horizontal[layer]:
+                            extra += 1
+                        if all_targets_horizontal:
+                            extra += 1 if horizontal[layer] else 0
+                    if dx_pos:
+                        if not horizontal[layer]:
+                            extra += 1
+                        if all_targets_vertical:
+                            extra += 1 if not horizontal[layer] else 0
+                    vb[layer * 4 + dx_pos * 2 + dy_pos] = beta * extra
 
         counter = itertools.count()
         best_g = [inf] * n
@@ -385,21 +383,16 @@ class AStarRouter:
             x = xlo + lx
             y = ylo + ly
 
-            # In-layer steps: the preferred direction at cost alpha, and —
-            # when enabled — wrong-way jogs at alpha * wrong_way_factor.
+            # In-layer steps, along the preferred direction only.
             if horizontal[layer]:
-                steps = ((lx - 1, ly, -wy, alpha), (lx + 1, ly, wy, alpha))
-                if wrong_way:
-                    steps += ((lx, ly - 1, -1, wrong_way), (lx, ly + 1, 1, wrong_way))
+                steps = ((lx - 1, ly, -wy), (lx + 1, ly, wy))
             else:
-                steps = ((lx, ly - 1, -1, alpha), (lx, ly + 1, 1, alpha))
-                if wrong_way:
-                    steps += ((lx - 1, ly, -wy, wrong_way), (lx + 1, ly, wy, wrong_way))
-            for nlx, nly, didx, step_cost in steps:
+                steps = ((lx, ly - 1, -1), (lx, ly + 1, 1))
+            for nlx, nly, didx in steps:
                 if not (0 <= nlx < wx and 0 <= nly < wy):
                     continue
                 nidx = idx + didx
-                ng = g + step_cost + entry[nidx]
+                ng = g + alpha + entry[nidx]
                 if ng < best_g[nidx]:
                     if gd is not None and ng + gd[nidx] > thr:
                         continue
@@ -507,7 +500,6 @@ class AStarRouter:
             self._horizontal,
             params.alpha,
             params.beta,
-            params.wrong_way_factor,
             np.frombuffer(is_target, dtype=bool).reshape(entry.shape),
             limit=limit,
         )
@@ -547,8 +539,6 @@ class AStarRouter:
         num_layers = entry.shape[0]
         horizontal = self._horizontal
         params = self.params
-        alpha = params.alpha
-        wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
         e = memoryview(entry.reshape(-1))
         g = inf
         prev = None
@@ -567,12 +557,8 @@ class AStarRouter:
                     if abs(layer - pl) != 1 or dx or dy:
                         return inf
                     step = params.beta
-                elif dx + dy != 1:
-                    return inf
-                elif (dx == 1) == horizontal[layer]:
-                    step = alpha
-                elif wrong_way:
-                    step = wrong_way
+                elif dx + dy == 1 and (dx == 1) == horizontal[layer]:
+                    step = params.alpha
                 else:
                     return inf
                 g = g + step + e[idx]

@@ -33,12 +33,6 @@ class CostParams:
     #: penalty keeps chains rare while still allowing the odd-cycle merges
     #: the paper advertises.
     delta_tip: float = 0.5
-    #: Wrong-way routing: cost multiplier for steps against a layer's
-    #: preferred direction. 0 (the default, and the paper's model) forbids
-    #: wrong-way segments entirely; values > 1 allow short jogs without a
-    #: layer change, which activates the orthogonal overlay scenarios
-    #: (2-c/2-d/3-b/3-c) within a single layer.
-    wrong_way_factor: float = 0.0
     #: Per-net flipping skips components larger than this (they are
     #: re-optimised once, in the final full-layout pass) — keeps the
     #: sequential loop near-linear on large designs.
@@ -56,12 +50,6 @@ class CostParams:
             raise RoutingError("beta, gamma and ripup_penalty must be >= 0")
         if self.delta_tip < 0:
             raise RoutingError("delta_tip must be >= 0")
-        if self.wrong_way_factor < 0:
-            raise RoutingError("wrong_way_factor must be >= 0")
-        if 0 < self.wrong_way_factor < 1:
-            raise RoutingError(
-                "wrong_way_factor below 1 would prefer wrong-way to preferred"
-            )
         if self.flip_scope_cap < 1:
             raise RoutingError("flip_scope_cap must be >= 1")
         if self.max_ripup_iterations < 0:

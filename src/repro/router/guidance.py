@@ -3,12 +3,12 @@
 A guidance map is the exact cost-to-go ``d(n)``: for every window cell
 ``n = (layer, x, y)``, the cheapest cost of reaching *any* search target
 from ``n`` under the same edge costs the forward search pays — ``alpha``
-per preferred-direction step, ``alpha * wrong_way_factor`` per wrong-way
-jog, ``beta`` per via, plus the folded per-cell extra cost (the Eq. (5)
-overlay term and rip-up penalties) of every cell *entered*. ``d`` is
-computed backward from the targets over the frozen window, so it is an
-admissible **and** consistent heuristic by construction (it is the true
-remaining cost, which trivially satisfies ``d(u) <= w(u, v) + d(v)``).
+per preferred-direction step, ``beta`` per via, plus the folded per-cell
+extra cost (the Eq. (5) overlay term and rip-up penalties) of every cell
+*entered*. ``d`` is computed backward from the targets over the frozen
+window, so it is an admissible **and** consistent heuristic by
+construction (it is the true remaining cost, which trivially satisfies
+``d(u) <= w(u, v) + d(v)``).
 
 The A* search uses the map as a **corridor bound** rather than as a
 replacement ordering heuristic: with ``T = min_src(g_src + d(src))``
@@ -41,26 +41,24 @@ of the two.
 Construction: the map is solved over the search's own ``entry`` grid
 (the folded per-cell cost, ``inf`` where impassable). The window graph
 is assembled as a fixed-slot CSR matrix with fully vectorized numpy
-index arithmetic — per-cell in-edges are ``[via down, in-layer back,
-in-layer forward, via up]`` (plus the two wrong-way slots when
-enabled), and every in-edge of an impassable cell, like every invalid
-slot, carries ``inf``, which ``scipy.sparse.csgraph`` treats as a
-non-edge — and one multi-source ``dijkstra(min_only=True)`` from the
-target cells solves it in C.
+index arithmetic — per-cell in-edges are the four slots ``[via down,
+in-layer back, in-layer forward, via up]``, and every in-edge of an
+impassable cell, like every invalid slot, carries ``inf``, which
+``scipy.sparse.csgraph`` treats as a non-edge — and one multi-source
+``dijkstra(min_only=True)`` from the target cells solves it in C.
 Skeletons (indices, step tables and boundary slots; no weights)
 are LRU-cached per padded window shape, and every solve writes its
 weights into one shared buffer set as the skeleton's data, so repeat
-searches only pay that fill. Skeletons with the same slot count share
-one ``indptr`` array. The property tests pin the
-map to a scalar reference Dijkstra and to an independent pure-numpy
-Bellman–Ford sweep.
+searches only pay that fill. All skeletons share one ``indptr``
+array. The property tests pin the map to a scalar reference Dijkstra
+and to an independent pure-numpy Bellman–Ford sweep.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as _sp
@@ -82,6 +80,9 @@ AUTO_TRIGGER_EXPANSIONS = 192
 _SHAPE_PAD = 8
 
 _INF = float("inf")
+
+#: In-edges per cell: via down, in-layer back, in-layer forward, via up.
+_SLOTS = 4
 
 
 def prune_threshold(total: float) -> float:
@@ -105,7 +106,7 @@ class _CsrStructure:
     Python per-cell work.
     """
 
-    __slots__ = ("n", "k", "graph", "steps", "invalid_idx")
+    __slots__ = ("n", "graph", "steps", "invalid_idx")
 
     def __init__(
         self,
@@ -115,67 +116,40 @@ class _CsrStructure:
         horizontal: Tuple[bool, ...],
         alpha: float,
         beta: float,
-        wrong_way: float,
     ) -> None:
         stride = wx * wy
         n = num_layers * stride
         hl = np.asarray(horizontal[:num_layers], dtype=bool)
-        if wrong_way:
-            offsets = [-stride, -wy, -1, 1, wy, stride]
-        else:
-            off = np.where(hl, wy, 1).astype(np.int64)[:, None, None]
-            offsets = [-stride, -off, off, stride]
-        k = len(offsets)
+        off = np.where(hl, wy, 1).astype(np.int64)[:, None, None]
+        offsets = [-stride, -off, off, stride]
         idx = np.arange(n, dtype=np.int64).reshape(num_layers, wx, wy)
 
-        cols = np.empty((n, k), dtype=np.int32)
-        invalid = np.zeros((num_layers, wx, wy, k), dtype=bool)
-        steps = np.empty((num_layers, 1, 1, k), dtype=np.float64)
-        ww = alpha * wrong_way
+        cols = np.empty((n, _SLOTS), dtype=np.int32)
+        invalid = np.zeros((num_layers, wx, wy, _SLOTS), dtype=bool)
         for s, off_s in enumerate(offsets):
             # Wrapped columns stay in-range; every wrapped slot is masked
             # invalid below, and invalid slots carry inf weights which
             # csgraph treats as non-edges.
             cols[:, s] = ((idx + off_s) % n).ravel()
-        if wrong_way:
-            # slots: [-stride, -wy(x-1), -1(y-1), +1(y+1), +wy(x+1), +stride]
-            invalid[:, :, :, 0][0] = True
-            invalid[:, :, :, 5][-1] = True
-            invalid[:, 0, :, 1] = True
-            invalid[:, -1, :, 4] = True
-            invalid[:, :, 0, 2] = True
-            invalid[:, :, -1, 3] = True
-            step_x = np.where(hl, alpha, ww)
-            step_y = np.where(hl, ww, alpha)
-            steps[:, 0, 0, 0] = beta
-            steps[:, 0, 0, 1] = step_x
-            steps[:, 0, 0, 2] = step_y
-            steps[:, 0, 0, 3] = step_y
-            steps[:, 0, 0, 4] = step_x
-            steps[:, 0, 0, 5] = beta
-        else:
-            # slots: [-stride, -off(preferred back), +off(forward), +stride]
-            invalid[:, :, :, 0][0] = True
-            invalid[:, :, :, 3][-1] = True
-            for layer in range(num_layers):
-                if hl[layer]:
-                    invalid[layer, 0, :, 1] = True
-                    invalid[layer, -1, :, 2] = True
-                else:
-                    invalid[layer, :, 0, 1] = True
-                    invalid[layer, :, -1, 2] = True
-            steps[:, 0, 0, 0] = beta
-            steps[:, 0, 0, 1] = alpha
-            steps[:, 0, 0, 2] = alpha
-            steps[:, 0, 0, 3] = beta
+        # slots: [-stride, -off(preferred back), +off(forward), +stride]
+        invalid[:, :, :, 0][0] = True
+        invalid[:, :, :, 3][-1] = True
+        for layer in range(num_layers):
+            if hl[layer]:
+                invalid[layer, 0, :, 1] = True
+                invalid[layer, -1, :, 2] = True
+            else:
+                invalid[layer, :, 0, 1] = True
+                invalid[layer, :, -1, 2] = True
 
         self.n = n
-        self.k = k
         # Each solve sets its own weights as the data (under ``_lock``).
         self.graph = _sp.csr_matrix(
-            (_weights(n * k), cols.ravel(), _indptr(n, k)), shape=(n, n), copy=False
+            (_weights(n * _SLOTS), cols.ravel(), _indptr(n)),
+            shape=(n, n),
+            copy=False,
         )
-        self.steps = steps
+        self.steps = np.array([beta, alpha, alpha, beta], dtype=np.float64)
         # Flat positions of the boundary slots — integer fancy indexing
         # is cheaper than a boolean mask of the whole (n, k) plane on
         # every fill. Kept int64: numpy converts an int32 index array on
@@ -187,7 +161,7 @@ _structures: "OrderedDict[tuple, _CsrStructure]" = OrderedDict()
 _STRUCT_CACHE_MAX = 64
 _lock = threading.Lock()
 _weight_buf = np.empty(0, dtype=np.float64)
-_indptr_bufs: Dict[int, np.ndarray] = {}
+_indptr_buf = np.empty(0, dtype=np.int32)
 
 
 def _weights(size: int) -> np.ndarray:
@@ -203,19 +177,18 @@ def _weights(size: int) -> np.ndarray:
     return _weight_buf[:size]
 
 
-def _indptr(n: int, k: int) -> np.ndarray:
-    """``arange(0, n*k + 1, k)`` as a prefix of one shared int32 array.
+def _indptr(n: int) -> np.ndarray:
+    """``arange(0, n*_SLOTS + 1, _SLOTS)`` as a prefix of one shared array.
 
-    Call under ``_lock``. Every skeleton with ``k`` slots per cell shares
-    the array for ``k``; it at least doubles when it grows, like
-    :func:`_weights`, and skeletons keep the outgrown ones they were
-    built on.
+    Call under ``_lock``. Every skeleton shares the int32 array; it at
+    least doubles when it grows, like :func:`_weights`, and skeletons
+    keep the outgrown ones they were built on.
     """
-    buf = _indptr_bufs.get(k)
-    if buf is None or buf.size <= n:
-        size = n + 1 if buf is None else max(n + 1, 2 * buf.size)
-        buf = _indptr_bufs[k] = np.arange(0, size * k, k, dtype=np.int32)
-    return buf[: n + 1]
+    global _indptr_buf
+    if _indptr_buf.size <= n:
+        size = max(n + 1, 2 * _indptr_buf.size)
+        _indptr_buf = np.arange(0, size * _SLOTS, _SLOTS, dtype=np.int32)
+    return _indptr_buf[: n + 1]
 
 
 def _structure_for(
@@ -225,14 +198,11 @@ def _structure_for(
     horizontal: Tuple[bool, ...],
     alpha: float,
     beta: float,
-    wrong_way: float,
 ) -> _CsrStructure:
-    key = (num_layers, wx, wy, horizontal, alpha, beta, wrong_way)
+    key = (num_layers, wx, wy, horizontal, alpha, beta)
     struct = _structures.get(key)
     if struct is None:
-        struct = _CsrStructure(
-            num_layers, wx, wy, horizontal, alpha, beta, wrong_way
-        )
+        struct = _CsrStructure(num_layers, wx, wy, horizontal, alpha, beta)
         _structures[key] = struct
     _structures.move_to_end(key)
     while len(_structures) > _STRUCT_CACHE_MAX:
@@ -245,7 +215,6 @@ def future_cost_map(
     horizontal: Sequence[bool],
     alpha: float,
     beta: float,
-    wrong_way: float,
     target_mask: np.ndarray,
     limit: float = _INF,
 ) -> Optional[np.ndarray]:
@@ -287,15 +256,14 @@ def future_cost_map(
             tuple(bool(h) for h in horizontal[:num_layers]),
             alpha,
             beta,
-            wrong_way,
         )
         # Broadcast-add straight into the weight buffer, then stamp the
         # boundary slots; no (n, k) temporary.
-        data = _weights(struct.n * struct.k)
+        data = _weights(struct.n * _SLOTS)
         np.add(
             entry_p.reshape(num_layers, pwx, pwy, 1),
             struct.steps,
-            out=data.reshape(num_layers, pwx, pwy, struct.k),
+            out=data.reshape(num_layers, pwx, pwy, _SLOTS),
         )
         data[struct.invalid_idx] = _INF
         struct.graph.data = data

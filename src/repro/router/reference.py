@@ -95,7 +95,6 @@ class ReferenceAStarRouter(AStarRouter):
         tyhi = max(p.y for p in target_pts)
         alpha = params.alpha
         beta = params.beta
-        wrong_way = alpha * params.wrong_way_factor if params.wrong_way_factor else 0.0
         use_inline = self._overlay_terms is not None
         pen_map = self._penalty_map
         overlay_cb = self._overlay_cb
@@ -136,10 +135,6 @@ class ReferenceAStarRouter(AStarRouter):
         all_targets_vertical = all(not horizontal[l] for l, _, _ in targets)
 
         def via_bound(layer: int, dx: int, dy: int) -> float:
-            if wrong_way:
-                # Wrong-way jogs cross directions without vias; the via
-                # lower bound would overestimate and break admissibility.
-                return 0.0
             extra = 0
             if dy > 0:
                 if horizontal[layer]:
@@ -205,23 +200,18 @@ class ReferenceAStarRouter(AStarRouter):
                 self.last_outcome = "budget_exhausted"
                 return None
 
-            # In-layer steps: the preferred direction at cost alpha, and —
-            # when enabled — wrong-way jogs at alpha * wrong_way_factor.
+            # In-layer steps, along the preferred direction only.
             if horizontal[layer]:
-                steps = ((x - 1, y, alpha), (x + 1, y, alpha))
-                if wrong_way:
-                    steps += ((x, y - 1, wrong_way), (x, y + 1, wrong_way))
+                steps = ((x - 1, y), (x + 1, y))
             else:
-                steps = ((x, y - 1, alpha), (x, y + 1, alpha))
-                if wrong_way:
-                    steps += ((x - 1, y, wrong_way), (x + 1, y, wrong_way))
-            for nx, ny, step_cost in steps:
+                steps = ((x, y - 1), (x, y + 1))
+            for nx, ny in steps:
                 if not (xlo <= nx <= xhi and ylo <= ny <= yhi):
                     continue
                 owner = occ[layer, nx, ny]
                 if owner != _FREE and owner != net_id:
                     continue
-                ng = g + step_cost + cell_cost(layer, nx, ny)
+                ng = g + alpha + cell_cost(layer, nx, ny)
                 nxt = (layer, nx, ny)
                 if ng < best_g.get(nxt, inf):
                     best_g[nxt] = ng

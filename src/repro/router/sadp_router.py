@@ -34,7 +34,7 @@ from ..core import (
 )
 from ..core.constraint_graph_soa import ConstraintGraph
 from ..core.cut_conflict import CriticalCut
-from ..geometry import Point, Segment
+from ..geometry import Point, Rect, Segment
 from ..grid import RoutingGrid
 from ..netlist import Net, Netlist
 from .astar import AStarRouter, SearchRequest, SearchResult, extend_with_taps
@@ -131,7 +131,8 @@ class SadpRouter:
     # Public API
     # ------------------------------------------------------------------ #
 
-    #: Rounds of the post-routing conflict-repair loop.
+    #: Rerouting rounds of the endgame's conflict-repair loop; up to
+    #: ``MAX_REPAIR_ROUNDS + 2`` shedding rounds follow them.
     MAX_REPAIR_ROUNDS = 4
 
     def route_all(self) -> RoutingResult:
@@ -156,35 +157,18 @@ class SadpRouter:
         # Endgame fixpoint: full-layout flipping (Fig. 19 line 16) can
         # re-introduce a type B pattern, and repair's reroutes only get
         # greedy colors — so alternate flip and repair until both the
-        # conflict set and the hard constraints are clean.
-        for round_idx in range(self.MAX_REPAIR_ROUNDS + 1):
+        # conflict set and the hard constraints are clean. From round
+        # MAX_REPAIR_ROUNDS on, a round sheds its offenders instead of
+        # rerouting them: the zero-conflict guarantee is unconditional.
+        for round_idx in range(2 * (self.MAX_REPAIR_ROUNDS + 1)):
             self._final_flip()
             self._refresh_all_cuts()
             conflicts = self.checker.all_conflicts()
             if not conflicts:
                 break
             self._repair_round(
-                result, conflicts, last_round=(round_idx == self.MAX_REPAIR_ROUNDS)
+                result, conflicts, shed=(round_idx >= self.MAX_REPAIR_ROUNDS)
             )
-        else:
-            # Ran out of rounds: the last repair force-unrouted the
-            # offenders; re-run the global coloring on what remains, and
-            # if that flip re-creates a conflict, trade the offender for
-            # routability outright — the zero-conflict guarantee is
-            # unconditional.
-            for _ in range(self.MAX_REPAIR_ROUNDS + 1):
-                self._final_flip()
-                self._refresh_all_cuts()
-                conflicts = self.checker.all_conflicts()
-                if not conflicts:
-                    break
-                for conflict in conflicts:
-                    net_id = max(
-                        set(conflict.first.nets) | set(conflict.second.nets)
-                    )
-                    if net_id in self._committed:
-                        self.rip_up_net(net_id)
-                        result.routes[net_id] = NetRoute(net_id=net_id)
         result.routes.update(self._evicted_routes)
         self._evicted_routes.clear()
         result.colorings = {
@@ -351,7 +335,7 @@ class SadpRouter:
             cells = [(sc.layer, sc.rect_a) for sc in merge_violations]
             for sc in merge_violations:
                 self._blockers.add(sc.net_b)
-            self._undo(net_id, found, offending_cells=cells)
+            self._undo(net_id, "merge_disabled", cells)
             return False
         offender_scs: List[DetectedScenario] = []
         with obs.span("ocg_update", net_id=net_id):
@@ -367,7 +351,7 @@ class SadpRouter:
             offending_cells = [(sc.layer, sc.rect_a) for sc in offender_scs]
             for sc in offender_scs:
                 self._blockers.add(sc.net_b if sc.net_a == net_id else sc.net_a)
-            self._undo(net_id, found, offending_cells=offending_cells)
+            self._undo(net_id, "hard_odd_cycle", offending_cells)
             return False
 
         # Pseudo-coloring (Fig. 19 line 11), then the cut-conflict check.
@@ -392,14 +376,12 @@ class SadpRouter:
             if flipped is not None:
                 cuts = flipped
             else:
-                # Conflict sites get penalised; pass an empty marker so
-                # the whole-path penalty is suppressed.
                 for conflict in conflicts:
                     for other in (*conflict.first.nets, *conflict.second.nets):
                         if other != net_id:
                             self._blockers.add(other)
                 self._penalise_conflicts(conflicts)
-                self._undo(net_id, found, suppress_path_penalty=True)
+                self._undo(net_id, "cut_conflict")
                 return False
 
         wire_rects = [
@@ -439,37 +421,28 @@ class SadpRouter:
     def _undo(
         self,
         net_id: int,
-        found: SearchResult,
-        offending_cells: Optional[List] = None,
-        suppress_path_penalty: bool = False,
+        reason: str,
+        cells: Sequence[Tuple[int, Rect]] = (),
     ) -> None:
+        """Take back a rejected commit; ``reason`` is the rip-up's cause.
+
+        ``cells`` are the ``(layer, rect)`` fragments that caused the
+        violation; they are penalised for the retry.
+        """
         ob = obs.get_active()
         if ob is not None:
-            reason = (
-                "cut_conflict"
-                if suppress_path_penalty
-                else ("hard_odd_cycle" if offending_cells else "path_penalised")
-            )
             ob.registry.counter("ripups_total", reason=reason).inc()
             # The innermost open span is the rejected attempt's commit_net.
             ob.tracer.current().attrs["ripup"] = reason
         self._tear_down(net_id)
-        if offending_cells:
-            # Penalise only the fragments that caused the violation.
-            for layer, rect in offending_cells:
-                for x in range(rect.xlo, rect.xhi):
-                    for y in range(rect.ylo, rect.yhi):
-                        key = (layer, x, y)
-                        self._penalties[key] = (
-                            self._penalties.get(key, 0.0)
-                            + 2 * self.params.ripup_penalty
-                        )
-        elif not suppress_path_penalty:
-            for layer, x, y in found.nodes:
-                key = (layer, x, y)
-                self._penalties[key] = (
-                    self._penalties.get(key, 0.0) + self.params.ripup_penalty
-                )
+        for layer, rect in cells:
+            for x in range(rect.xlo, rect.xhi):
+                for y in range(rect.ylo, rect.yhi):
+                    key = (layer, x, y)
+                    self._penalties[key] = (
+                        self._penalties.get(key, 0.0)
+                        + 2 * self.params.ripup_penalty
+                    )
 
     def _tear_down(self, net_id: int) -> None:
         """Remove a net from the detector, graphs, colorings, grid and
@@ -575,15 +548,15 @@ class SadpRouter:
         result.routes.update(self._evicted_routes)
         self._evicted_routes.clear()
 
-    def _repair_round(self, result: RoutingResult, conflicts, last_round: bool) -> None:
+    def _repair_round(self, result: RoutingResult, conflicts, shed: bool) -> None:
         """One round of conflict repair: rip up & reroute the offenders.
 
         The in-flow checks (color veto, own-color flip, rip-up) prevent
         most cut conflicts, but color flipping after later nets arrive can
         re-introduce a type B pattern. Repair restores the paper's
         zero-conflict guarantee: offenders are ripped up and rerouted with
-        penalties on the conflict sites; on the last round an offender is
-        left unrouted (traded for routability, never for a conflict).
+        penalties on the conflict sites; a shedding round leaves them
+        unrouted (traded for routability, never for a conflict).
         """
         obs.counter_inc("repair_rounds_total")
         offenders = []
@@ -594,12 +567,13 @@ class SadpRouter:
             if net_id not in seen:
                 seen.add(net_id)
                 offenders.append(net_id)
-        self._penalties.clear()
-        self._penalise_conflicts(conflicts)
+        if not shed:
+            self._penalties.clear()
+            self._penalise_conflicts(conflicts)
         for net_id in offenders:
             self.rip_up_net(net_id)
-            if last_round:
-                # Out of budget: leave the offender unrouted.
+            if shed:
+                # Out of rerouting rounds: leave the offender unrouted.
                 result.routes[net_id] = NetRoute(net_id=net_id)
                 continue
             net = self.netlist.by_id(net_id)

@@ -183,14 +183,6 @@ class JobRegistry:
             self.get(job_id)  # 404 on unknown
             return list(self._events[job_id][since:])
 
-    def active_count(self, tenant: str) -> int:
-        with self._lock:
-            return sum(
-                1
-                for j in self._jobs.values()
-                if j.tenant == tenant and not j.terminal
-            )
-
     # ------------------------------------------------------------------ #
     # Event application (the single state-transition choke point)
     # ------------------------------------------------------------------ #

@@ -80,7 +80,6 @@ class RoutingService:
         max_active_per_tenant: int = 8,
         ledger: bool = True,
         ledger_dir: Optional[str] = None,
-        pool_ctx: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port  # rebound to the real port once listening
@@ -95,11 +94,9 @@ class RoutingService:
             max_active=max_active_per_tenant, registry=self.metrics
         )
         if workers <= 0:
-            # Inline mode must stay single-threaded: per-job span counting
-            # uses the process-global obs backend.
-            self.pool: Any = InlineWorkerPool(1, self._on_event)
+            self.pool: Any = InlineWorkerPool(self._on_event)
         else:
-            self.pool = WorkerPool(workers, self._on_event, ctx=pool_ctx)
+            self.pool = WorkerPool(workers, self._on_event)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._thread: Optional[threading.Thread] = None

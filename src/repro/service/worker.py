@@ -10,9 +10,9 @@ in the ledger. It is process-agnostic: the same code runs
 * in a :class:`WorkerPool` — N persistent daemon processes draining a
   shared task queue, events flowing back over a result queue (the
   production shape: jobs survive GIL contention and crash in isolation);
-* in an :class:`InlineWorkerPool` — N daemon *threads* in the server
-  process (``--service-workers 0`` picks 1 thread; used by tests and
-  tiny deployments — no fork, fully deterministic).
+* in an :class:`InlineWorkerPool` — one daemon *thread* in the server
+  process (``--service-workers 0``; used by tests and tiny deployments
+  — no fork, fully deterministic).
 
 Both pools deliver events through a single ``on_event`` callback, which
 the server points at :meth:`JobRegistry.apply_event`.
@@ -162,11 +162,10 @@ class WorkerPool:
         self,
         workers: int,
         on_event: Callable[[Dict[str, Any]], None],
-        ctx: Optional[str] = None,
     ) -> None:
         self.workers = max(1, int(workers))
         self.on_event = on_event
-        method = ctx or ("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self._ctx = mp.get_context(method)
         self._tasks = self._ctx.Queue()
         self._events = self._ctx.Queue()
@@ -224,29 +223,22 @@ class InlineWorkerPool:
     """Thread-based pool with the same surface as :class:`WorkerPool`.
 
     Jobs run inside the server process — no fork, no pickling — which is
-    what tests and single-tenant embedded use want. Still bounded: N
-    threads drain one queue.
+    what tests and single-tenant embedded use want. One thread drains
+    the queue: per-job span counting uses the process-global obs
+    backend, which a second job thread would share.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        on_event: Callable[[Dict[str, Any]], None],
-    ) -> None:
-        self.workers = max(1, int(workers))
+    def __init__(self, on_event: Callable[[Dict[str, Any]], None]) -> None:
         self.on_event = on_event
         self._tasks: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
-        self._threads: List[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
 
     def start(self) -> "InlineWorkerPool":
-        if self._threads:
-            return self
-        for i in range(self.workers):
-            t = threading.Thread(
-                target=self._loop, name=f"repro-service-inline-{i}", daemon=True
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._loop, name="repro-service-inline", daemon=True
             )
-            t.start()
-            self._threads.append(t)
+            self._thread.start()
         return self
 
     def _loop(self) -> None:
@@ -260,8 +252,7 @@ class InlineWorkerPool:
         self._tasks.put(task)
 
     def stop(self) -> None:
-        for _ in self._threads:
+        if self._thread is not None:
             self._tasks.put(None)
-        for t in self._threads:
-            t.join(timeout=_STOP_JOIN_S)
-        self._threads = []
+            self._thread.join(timeout=_STOP_JOIN_S)
+            self._thread = None

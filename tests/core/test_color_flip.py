@@ -162,15 +162,9 @@ class TestRefinement:
                 edge(0, 2, ScenarioType.T3D),
             ]
         )
-        refined = flip_colors(g, refine=True)
+        refined = flip_colors(g)
         _, best = brute_force_coloring(g, [0, 1, 2, 3])
         assert dp_total(g, refined) == best
-
-    def test_refine_flag_off_still_legal(self):
-        g = OverlayConstraintGraph()
-        g.add_edges([edge(0, 1, ScenarioType.T1A), edge(1, 2, ScenarioType.T2A)])
-        colors = flip_colors(g, refine=False)
-        assert colors[0] != colors[1]
 
 
 class TestRecoloring:

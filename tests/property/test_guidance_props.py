@@ -12,7 +12,7 @@ facts about the map ``d``:
 Both are pinned here against a scalar reference Dijkstra over the same
 window graph, for the production solver (``csgraph``) and an independent
 pure-numpy oracle (``sweep``, below), across randomized shapes, blockage
-masks, cost grids, direction assignments, and wrong-way settings.
+masks, cost grids and direction assignments.
 
 A third property covers the bounded solve: a map stopped at
 ``limit = prune_threshold(ub)`` for any ``ub >= C*`` makes every prune
@@ -81,16 +81,15 @@ def _sweep_map(
     horizontal: Sequence[bool],
     alpha: float,
     beta: float,
-    wrong_way: float,
     target_mask: np.ndarray,
     max_iters: int = 64,
 ) -> Optional[np.ndarray]:
     num_layers, wx, wy = passable.shape
     hl = np.asarray(horizontal[:num_layers], dtype=bool)[:, None, None]
     entry = np.where(passable, cost, INF)
-    ww = alpha * wrong_way if wrong_way else INF
-    step_x = np.where(hl, alpha, ww)
-    step_y = np.where(hl, ww, alpha)
+    # A layer's lines run one way: the other axis is not a move at all.
+    step_x = np.where(hl, alpha, INF)
+    step_y = np.where(hl, INF, alpha)
     D = np.full(passable.shape, INF, dtype=np.float64)
     D[target_mask] = 0.0
     Wx = entry + step_x
@@ -117,20 +116,19 @@ def _sweep_map(
     return None  # did not converge; caller routes unguided
 
 
-def _map(backend, passable, cost, horizontal, alpha, beta, wrong_way, targets,
-         limit=INF):
+def _map(backend, passable, cost, horizontal, alpha, beta, targets, limit=INF):
     """The production map (``csgraph``) or the sweep oracle's, with
     ``future_cost_map``'s degenerate-window rule. The sweep always solves
     the whole window, which is still exact under any ``limit``."""
     if backend == "csgraph":
         return future_cost_map(
-            np.where(passable, cost, INF), horizontal, alpha, beta,
-            wrong_way, targets, limit=limit,
+            np.where(passable, cost, INF), horizontal, alpha, beta, targets,
+            limit=limit,
         )
     _, wx, wy = passable.shape
     if wx < 2 or wy < 2 or not targets.any():
         return None
-    return _sweep_map(passable, cost, horizontal, alpha, beta, wrong_way, targets)
+    return _sweep_map(passable, cost, horizontal, alpha, beta, targets)
 
 
 # ---------------------------------------------------------------------- #
@@ -138,30 +136,25 @@ def _map(backend, passable, cost, horizontal, alpha, beta, wrong_way, targets,
 # ---------------------------------------------------------------------- #
 
 
-def _moves(num_layers, wx, wy, horizontal, alpha, beta, wrong_way):
+def _moves(num_layers, wx, wy, horizontal, alpha, beta):
     """Yield every legal forward move ``(u, v, step)`` of the window."""
     for layer in range(num_layers):
         pref_x = horizontal[layer]
-        ww = alpha * wrong_way
         for x in range(wx):
             for y in range(wy):
                 u = (layer, x, y)
-                if x + 1 < wx:
-                    step = alpha if pref_x else ww
-                    if pref_x or wrong_way:
-                        yield u, (layer, x + 1, y), step
-                        yield (layer, x + 1, y), u, step
-                if y + 1 < wy:
-                    step = ww if pref_x else alpha
-                    if (not pref_x) or wrong_way:
-                        yield u, (layer, x, y + 1), step
-                        yield (layer, x, y + 1), u, step
+                if pref_x and x + 1 < wx:
+                    yield u, (layer, x + 1, y), alpha
+                    yield (layer, x + 1, y), u, alpha
+                if not pref_x and y + 1 < wy:
+                    yield u, (layer, x, y + 1), alpha
+                    yield (layer, x, y + 1), u, alpha
                 if layer + 1 < num_layers:
                     yield u, (layer + 1, x, y), beta
                     yield (layer + 1, x, y), u, beta
 
 
-def _reference_map(passable, cost, horizontal, alpha, beta, wrong_way, targets):
+def _reference_map(passable, cost, horizontal, alpha, beta, targets):
     """Cost-to-go by textbook Dijkstra on the reversed window graph.
 
     Edge ``u -> v`` costs ``step + cost[v]`` (the forward search pays the
@@ -170,9 +163,7 @@ def _reference_map(passable, cost, horizontal, alpha, beta, wrong_way, targets):
     """
     num_layers, wx, wy = passable.shape
     adj = {}  # v -> [(u, w(u, v))]: forward predecessors
-    for u, v, step in _moves(
-        num_layers, wx, wy, horizontal, alpha, beta, wrong_way
-    ):
+    for u, v, step in _moves(num_layers, wx, wy, horizontal, alpha, beta):
         if passable[v]:
             adj.setdefault(v, []).append((u, step + cost[v]))
     dist = np.full(passable.shape, INF)
@@ -220,8 +211,7 @@ def windows(draw):
     horizontal = tuple(draw(st.booleans()) for _ in range(num_layers))
     alpha = draw(st.sampled_from([1.0, 1.5]))
     beta = draw(st.sampled_from([2.0, 4.0]))
-    wrong_way = draw(st.sampled_from([0.0, 2.0]))
-    return passable, cost, horizontal, alpha, beta, wrong_way, targets
+    return passable, cost, horizontal, alpha, beta, targets
 
 
 BACKENDS = ["sweep", "csgraph"]
@@ -236,15 +226,13 @@ BACKENDS = ["sweep", "csgraph"]
 @given(windows())
 @settings(max_examples=60, deadline=None)
 def test_map_equals_reference_dijkstra(backend, window):
-    passable, cost, horizontal, alpha, beta, wrong_way, targets = window
-    d = _map(backend, passable, cost, horizontal, alpha, beta, wrong_way, targets)
+    passable, cost, horizontal, alpha, beta, targets = window
+    d = _map(backend, passable, cost, horizontal, alpha, beta, targets)
     if not targets.any():
         assert d is None
         return
     assert d is not None
-    ref = _reference_map(
-        passable, cost, horizontal, alpha, beta, wrong_way, targets
-    )
+    ref = _reference_map(passable, cost, horizontal, alpha, beta, targets)
     assert np.allclose(d, ref, rtol=1e-12, atol=1e-12, equal_nan=False), (
         f"{backend} map diverged from reference Dijkstra"
     )
@@ -273,14 +261,12 @@ def test_backends_agree(window):
 @given(windows())
 @settings(max_examples=40, deadline=None)
 def test_map_is_consistent(backend, window):
-    passable, cost, horizontal, alpha, beta, wrong_way, targets = window
+    passable, cost, horizontal, alpha, beta, targets = window
     d = _map(backend, *window)
     if d is None:
         return
     num_layers, wx, wy = passable.shape
-    for u, v, step in _moves(
-        num_layers, wx, wy, horizontal, alpha, beta, wrong_way
-    ):
+    for u, v, step in _moves(num_layers, wx, wy, horizontal, alpha, beta):
         if not (passable[u] and passable[v]):
             continue
         w = step + cost[v]
@@ -306,8 +292,7 @@ def test_degenerate_windows_return_none():
     cost = np.zeros(passable.shape)
     assert (
         future_cost_map(
-            np.where(passable, cost, INF), (True, False), 1.0, 4.0, 0.0,
-            targets,
+            np.where(passable, cost, INF), (True, False), 1.0, 4.0, targets,
         )
         is None
     )
@@ -316,7 +301,7 @@ def test_degenerate_windows_return_none():
     assert (
         future_cost_map(
             np.where(passable, np.zeros(passable.shape), INF), (True, False),
-            1.0, 4.0, 0.0, no_targets,
+            1.0, 4.0, no_targets,
         )
         is None
     )
@@ -340,14 +325,14 @@ def test_prune_threshold_pads_upward(total):
 @st.composite
 def searches(draw):
     """A window with half-unit costs (exact float ties), targets, sources."""
-    passable, _, horizontal, alpha, beta, wrong_way, targets = draw(windows())
+    passable, _, horizontal, alpha, beta, targets = draw(windows())
     assume(targets.any())
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     cost = rng.integers(0, 7, size=passable.shape) * 0.5
     free = np.argwhere(passable)
     count = min(len(free), draw(st.integers(min_value=1, max_value=3)))
     sources = [tuple(row) for row in free[rng.choice(len(free), count, replace=False)]]
-    return passable, cost, horizontal, alpha, beta, wrong_way, targets, sources
+    return passable, cost, horizontal, alpha, beta, targets, sources
 
 
 def _source_threshold(d, cost, sources):
@@ -379,8 +364,8 @@ def _bounded_matches_full(full, bounded, cost, sources):
 )
 @settings(max_examples=80, deadline=None)
 def test_bounded_map_keeps_every_prune_decision(backend, search, slack):
-    passable, cost, horizontal, alpha, beta, wrong_way, targets, sources = search
-    args = (passable, cost, horizontal, alpha, beta, wrong_way, targets)
+    passable, cost, horizontal, alpha, beta, targets, sources = search
+    args = (passable, cost, horizontal, alpha, beta, targets)
     full = _map(backend, *args)
     c_star = _source_threshold(full, cost, sources)
     assume(c_star < INF)
@@ -397,7 +382,7 @@ def test_limit_below_the_threshold_breaks_the_property():
     targets = np.zeros(passable.shape, dtype=bool)
     targets[0, 5, 0] = True
     sources = [(0, 0, 0)]
-    args = (np.where(passable, cost, INF), (True,), 1.0, 2.0, 0.0, targets)
+    args = (np.where(passable, cost, INF), (True,), 1.0, 2.0, targets)
     full = future_cost_map(*args)
     c_star = _source_threshold(full, cost, sources)
     assert c_star == 5.0

@@ -100,15 +100,6 @@ class TestEngineEquivalence:
             _assert_same(fast.search(req, extra_margin=3),
                          ref.search(req, extra_margin=3))
 
-    def test_wrong_way_jogs(self):
-        grid = RoutingGrid(20, 20)
-        params = CostParams(wrong_way_factor=2.0)
-        fast, ref = _engines(grid, params)
-        req = SearchRequest(
-            net_id=0, sources=[(0, Point(2, 2))], targets=[(0, Point(12, 9))]
-        )
-        _assert_same(fast.search(req), ref.search(req))
-
     def test_budget_exhaustion_matches(self):
         grid = RoutingGrid(20, 20)
         fast, ref = _engines(grid, CostParams())

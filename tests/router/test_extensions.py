@@ -1,8 +1,8 @@
-"""Tests for the wrong-way routing and net-ordering extensions."""
+"""Tests for preferred-direction routing and the net-ordering extension."""
 
 import pytest
 
-from repro.errors import NetlistError, RoutingError
+from repro.errors import NetlistError
 from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
@@ -11,6 +11,8 @@ from repro.router.astar import AStarRouter, SearchRequest
 
 
 class TestWrongWayRouting:
+    """There is no wrong-way routing: crossing a layer's lines takes vias."""
+
     def test_disabled_by_default(self):
         grid = RoutingGrid(20, 20)
         engine = AStarRouter(grid, CostParams())
@@ -19,48 +21,6 @@ class TestWrongWayRouting:
             SearchRequest(0, [(0, Point(5, 5))], [(0, Point(5, 8))])
         )
         assert found.via_count >= 2
-
-    def test_enabled_allows_jogs_without_vias(self):
-        grid = RoutingGrid(20, 20)
-        # Block the via layer completely: only wrong-way can succeed.
-        grid.block(1, Rect(0, 0, 20, 20))
-        grid.block(2, Rect(0, 0, 20, 20))
-        engine = AStarRouter(grid, CostParams(wrong_way_factor=3.0))
-        found = engine.search(
-            SearchRequest(0, [(0, Point(5, 5))], [(0, Point(5, 8))]),
-            extra_margin=5,
-        )
-        assert found is not None
-        assert found.via_count == 0
-
-    def test_wrong_way_is_penalised(self):
-        grid = RoutingGrid(20, 20)
-        engine = AStarRouter(grid, CostParams(wrong_way_factor=10.0))
-        # With cheap vias available, the router still prefers them.
-        found = engine.search(
-            SearchRequest(0, [(0, Point(5, 5))], [(0, Point(5, 12))]),
-            extra_margin=5,
-        )
-        assert found.via_count >= 2
-
-    def test_factor_validation(self):
-        with pytest.raises(RoutingError):
-            CostParams(wrong_way_factor=-1)
-        with pytest.raises(RoutingError):
-            CostParams(wrong_way_factor=0.5)
-
-    def test_full_flow_with_wrong_way(self):
-        grid = RoutingGrid(24, 24)
-        nets = Netlist(
-            [
-                Net(0, "a", Pin.at(2, 5), Pin.at(20, 5)),
-                Net(1, "b", Pin.at(2, 8), Pin.at(20, 12)),
-            ]
-        )
-        params = CostParams(wrong_way_factor=2.5)
-        result = SadpRouter(grid, nets, params=params).route_all()
-        assert result.routability == 1.0
-        assert result.cut_conflicts == 0
 
 
 class TestNetOrdering:

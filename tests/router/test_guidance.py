@@ -124,16 +124,6 @@ class TestEngineEquivalence:
                 plain.search(req, extra_margin=3),
             )
 
-    def test_wrong_way_jogs(self):
-        grid = RoutingGrid(20, 20)
-        params = CostParams(wrong_way_factor=2.0)
-        plain = _engine(grid, params, -1)
-        guided = _engine(grid, params, 1)
-        req = SearchRequest(
-            net_id=0, sources=[(0, Point(2, 2))], targets=[(0, Point(12, 9))]
-        )
-        _assert_same_found(guided.search(req), plain.search(req))
-
     def test_unreachable_target_fails_fast(self):
         """With no route to the target the map is all-inf, the corridor
         bound collapses, and the guided search drains its heap instead of

@@ -26,15 +26,6 @@ class TestSingleLayer:
         result = SadpRouter(grid, nets).route_all()
         assert not result.routes[0].success
 
-    def test_wrong_way_rescues_single_layer(self):
-        from repro.router import CostParams
-
-        grid = RoutingGrid(20, 20, layers=default_layer_stack(1))
-        nets = Netlist([Net(0, "a", Pin.at(2, 5), Pin.at(10, 9))])
-        params = CostParams(wrong_way_factor=2.0)
-        result = SadpRouter(grid, nets, params=params).route_all()
-        assert result.routes[0].success
-
 
 class TestTwoLayers:
     def test_hv_stack_routes_diagonal_nets(self):

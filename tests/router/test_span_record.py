@@ -73,7 +73,7 @@ def test_ripups_sit_on_the_rejected_commit(routed):
     assert reasons == {"hard_odd_cycle": 16}
     tally = {
         reason: int(ob.registry.value("ripups_total", reason=reason))
-        for reason in ("hard_odd_cycle", "cut_conflict", "path_penalised")
+        for reason in ("hard_odd_cycle", "cut_conflict", "merge_disabled")
     }
     assert {k: v for k, v in tally.items() if v} == dict(reasons)
 

@@ -69,6 +69,14 @@ class TestCli:
         assert main(["bench", "Test1", "--scale", "0.1", "--router", "gao-pan"]) == 0
         assert "gao-pan" in capsys.readouterr().out
 
+    def test_router_choices_are_the_pipelines(self):
+        """The CLI restates the route stage's router names, because it
+        must not import the pipeline at start-up."""
+        from repro.cli import ROUTERS
+        from repro.pipeline import KNOWN_ROUTERS
+
+        assert ROUTERS == KNOWN_ROUTERS
+
     def test_unknown_circuit_errors(self, capsys):
         assert main(["bench", "Test42"]) == 2
         assert "error" in capsys.readouterr().err
