@@ -6,6 +6,15 @@ The decomposition engine rasterises mask layers at a fixed resolution
 between nm coordinates and pixels, and provides the Euclidean-disc
 morphology (dilate / erode / close) that models isotropic spacer
 deposition and core-merge rules.
+
+Morphology is one shift-based kernel on plain arrays, which equals
+``scipy.ndimage``'s binary dilation, erosion and opening with their
+zero border (docs/PERFORMANCE.md, "Mask synthesis"). A centred box is
+separable: dilation ORs, and erosion ANDs, shifted slices along one axis
+and then the other, reading pixels outside the array as clear. A disc is
+the union of the centred boxes read off :func:`disc`'s rows, so its
+dilation is the OR of those boxes' dilations and its erosion the AND of
+their erosions; both are accumulated one row offset at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +38,104 @@ def disc(radius_px: int) -> np.ndarray:
     span = np.arange(-radius_px, radius_px + 1)
     xx, yy = np.meshgrid(span, span)
     return (xx * xx + yy * yy) <= radius_px * radius_px
+
+
+# ---------------------------------------------------------------------- #
+# Shift-based morphology kernel
+# ---------------------------------------------------------------------- #
+
+
+def _shift_into(out: np.ndarray, data: np.ndarray, axis: int, s: int, erode: bool) -> None:
+    """``out[i] |= data[i + s]`` along ``axis`` (``&=`` when ``erode``).
+
+    Pixels past the array's edge read as clear: erosion clears the ``|s|``
+    pixels whose partner lies outside, dilation leaves them.
+    """
+    o, d = (out, data) if axis == 0 else (out.T, data.T)
+    n = d.shape[0]
+    k = min(abs(s), n)
+    if s > 0:
+        dst, src, edge = o[: n - k], d[k:], o[n - k :]
+    else:
+        dst, src, edge = o[k:], d[: n - k], o[:k]
+    if erode:
+        dst &= src
+        edge[...] = False
+    else:
+        dst |= src
+
+
+def _segment(data: np.ndarray, axis: int, lo: int, hi: int, erode: bool) -> np.ndarray:
+    """OR (AND when ``erode``) of ``data`` shifted by every offset in
+    ``lo..hi`` along ``axis``; the range holds 0."""
+    out = data.copy()
+    for s in range(lo, hi + 1):
+        if s:
+            _shift_into(out, data, axis, s, erode)
+    return out
+
+
+def _disc(data: np.ndarray, radius: int, erode: bool) -> np.ndarray:
+    """Dilation (erosion when ``erode``) by ``disc(radius)``.
+
+    Row ``k`` of the disc spans ``half[k]`` px either side along axis 1,
+    so the disc is the union of the boxes ``(k, half[k])``. With ``S_k``
+    the row pass over ``half[k]`` and ``Y`` the one-pixel pass along axis
+    0, ``acc_k = Y(acc_{k+1}) op S_k`` ends at the union's result, because
+    ``Y`` applied ``k`` times is the ``k``-pixel pass and distributes over
+    ``op``. ``half`` rises as ``k`` falls, so one running row pass serves
+    every ``S_k``.
+    """
+    join = np.logical_and if erode else np.logical_or
+    half = disc(radius).sum(axis=1)[radius:] // 2
+    acc = data.copy()  # row ``radius`` is the disc's one pixel there
+    row = data.copy()  # data over [-width, width] along axis 1
+    width = 0
+    for k in range(radius - 1, -1, -1):
+        while width < half[k]:
+            width += 1
+            _shift_into(row, data, 1, width, erode)
+            _shift_into(row, data, 1, -width, erode)
+        acc = join(_segment(acc, 0, -1, 1, erode), row)
+    return acc
+
+
+def dilate_disc(data: np.ndarray, radius: int) -> np.ndarray:
+    """``binary_dilation(data, disc(radius))``."""
+    return _disc(data, radius, erode=False)
+
+
+def erode_disc(data: np.ndarray, radius: int) -> np.ndarray:
+    """``binary_erosion(data, disc(radius))``: the zero border erodes
+    pixels within ``radius`` of the edge."""
+    return _disc(data, radius, erode=True)
+
+
+def close_disc(data: np.ndarray, radius: int) -> np.ndarray:
+    """Closing by ``disc(radius)`` as if the plane beyond ``data`` were
+    clear: padding by ``radius`` keeps the erosion's border away from
+    everything the dilation grew."""
+    w, h = data.shape
+    closed = erode_disc(dilate_disc(np.pad(data, radius), radius), radius)
+    return closed[radius : radius + w, radius : radius + h]
+
+
+def dilate_box(data: np.ndarray, half0: int, half1: int) -> np.ndarray:
+    """Dilation by the centred ``(2*half0+1) x (2*half1+1)`` box; the 3x3
+    square is ``(1, 1)``."""
+    return _segment(_segment(data, 1, -half1, half1, False), 0, -half0, half0, False)
+
+
+def erode_box(data: np.ndarray, half0: int, half1: int) -> np.ndarray:
+    """Erosion by the centred ``(2*half0+1) x (2*half1+1)`` box."""
+    return _segment(_segment(data, 1, -half1, half1, True), 0, -half0, half0, True)
+
+
+def open_line(data: np.ndarray, length: int, axis: int) -> np.ndarray:
+    """Opening by a ``length``-px line along ``axis``: every run of at
+    least ``length`` set pixels along that axis, and nothing else."""
+    starts = _segment(data, axis, 0, length - 1, erode=True)  # a line fits from here
+    return _segment(starts, axis, 1 - length, 0, erode=False)
 
 
 class Bitmap:
@@ -141,29 +248,14 @@ class Bitmap:
     # ------------------------------------------------------------------ #
 
     def dilate(self, nm: int) -> "Bitmap":
-        r = self.px_radius(nm)
-        if r == 0 or not self.data.any():
-            return self.copy()
-        return self._like(ndimage.binary_dilation(self.data, structure=disc(r)))
+        return self._like(dilate_disc(self.data, self.px_radius(nm)))
 
     def erode(self, nm: int) -> "Bitmap":
-        r = self.px_radius(nm)
-        if r == 0 or not self.data.any():
-            return self.copy()
-        return self._like(ndimage.binary_erosion(self.data, structure=disc(r)))
+        return self._like(erode_disc(self.data, self.px_radius(nm)))
 
     def close(self, nm: int) -> "Bitmap":
         """Morphological closing: fuses gaps strictly smaller than 2*nm."""
-        r = self.px_radius(nm)
-        if r == 0 or not self.data.any():
-            return self.copy()
-        structure = disc(r)
-        # Pad so closing behaves correctly near the window border.
-        padded = np.pad(self.data, r, mode="constant")
-        closed = ndimage.binary_erosion(
-            ndimage.binary_dilation(padded, structure=structure), structure=structure
-        )
-        return self._like(closed[r:-r, r:-r])
+        return self._like(close_disc(self.data, self.px_radius(nm)))
 
     # ------------------------------------------------------------------ #
     # Measures

@@ -17,9 +17,12 @@ Implementation notes. Width is measured with directional line openings
 (a feature at least ``w_cut`` long in some direction survives); distance
 is measured with a morphological closing at ``d_cut/2`` — material the
 closing *adds* is exactly the region between cuts closer than ``d_cut``,
-and any of it landing on a target is a violation. Small pixel-wedge
-artefacts at rounded spacer corners are filtered by an evidence-area
-threshold of about one ``w_cut`` square.
+and any of it landing on a target is a violation. Both use the shift
+kernel of :mod:`.bitmap`. Small pixel-wedge artefacts at rounded spacer
+corners are filtered by an evidence-area threshold of about one
+``w_cut`` square. Evidence regions are labelled once; each region's size
+and centroid are read inside its ``find_objects`` box, so the scan costs
+what the regions cover, not one window per region.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage
 
+from .bitmap import close_disc, dilate_box, open_line
 from .masks import MaskSet
 
 
@@ -40,21 +44,6 @@ class BitmapCutConflict:
     kind: str  # 'min_width' or 'min_distance'
     evidence_px: int  # size of the violating region, in pixels
     location_nm: Tuple[int, int]  # centroid of the violating region
-
-
-def _centroid_nm(mask: np.ndarray, masks: MaskSet) -> Tuple[int, int]:
-    xs, ys = np.nonzero(mask)
-    res = masks.resolution
-    return (
-        masks.window.xlo + int(xs.mean()) * res,
-        masks.window.ylo + int(ys.mean()) * res,
-    )
-
-
-def _line(length_px: int, horizontal: bool) -> np.ndarray:
-    if horizontal:
-        return np.ones((length_px, 1), dtype=bool)
-    return np.ones((1, length_px), dtype=bool)
 
 
 def find_cut_conflicts(
@@ -70,57 +59,51 @@ def find_cut_conflicts(
 
     cut = masks.cut_mask.data
     target = masks.target_bmp.data
-    conflicts: List[BitmapCutConflict] = []
     if not cut.any():
-        return conflicts
+        return []
 
     # --- minimum width ---------------------------------------------------
     # A cut pixel is wide enough if a w_cut-long line fits through it in
     # either axis direction; everything else is narrow. Narrow material
     # directly against a target boundary is a violation.
     w_px = max(rules.w_cut // res, 1)
-    wide = ndimage.binary_opening(cut, structure=_line(w_px, True)) | (
-        ndimage.binary_opening(cut, structure=_line(w_px, False))
-    )
-    target_halo = ndimage.binary_dilation(
-        target, structure=np.ones((3, 3), dtype=bool)
-    )
-    narrow = cut & ~wide & target_halo
-    labels, n = ndimage.label(narrow, structure=np.ones((3, 3), dtype=bool))
-    for i in range(1, n + 1):
-        region = labels == i
-        evidence = int(region.sum())
-        if evidence >= min_evidence_px:
-            conflicts.append(
-                BitmapCutConflict(
-                    kind="min_width",
-                    evidence_px=evidence,
-                    location_nm=_centroid_nm(region, masks),
-                )
-            )
+    wide = open_line(cut, w_px, 0) | open_line(cut, w_px, 1)
+    narrow = cut & ~wide & dilate_box(target, 1, 1)
+    conflicts = _regions("min_width", narrow, min_evidence_px, masks)
 
     # --- minimum distance --------------------------------------------------
     # Closing at d_cut/2 fills any gap between cut material narrower than
     # d_cut; filled material over a target is the violation region.
     r_px = max(rules.d_cut // (2 * res), 1)
-    span = np.arange(-r_px, r_px + 1)
-    xx, yy = np.meshgrid(span, span)
-    structure = (xx * xx + yy * yy) <= r_px * r_px
-    padded = np.pad(cut, r_px, mode="constant")
-    closed = ndimage.binary_erosion(
-        ndimage.binary_dilation(padded, structure=structure), structure=structure
-    )[r_px:-r_px, r_px:-r_px]
-    bridges = closed & ~cut & target
-    labels, n = ndimage.label(bridges, structure=np.ones((3, 3), dtype=bool))
-    for i in range(1, n + 1):
-        region = labels == i
-        evidence = int(region.sum())
-        if evidence >= min_evidence_px:
+    bridges = close_disc(cut, r_px) & ~cut & target
+    conflicts += _regions("min_distance", bridges, min_evidence_px, masks)
+    return conflicts
+
+
+def _regions(
+    kind: str, evidence: np.ndarray, min_evidence_px: int, masks: MaskSet
+) -> List[BitmapCutConflict]:
+    """One conflict per 8-connected evidence region of at least
+    ``min_evidence_px`` pixels, in label order.
+
+    A region lies inside its ``find_objects`` box, so the box-local
+    pixels plus the box offset are the window's pixels of that label in
+    the same order, and the centroid sums the same integers.
+    """
+    labels, _ = ndimage.label(evidence, structure=np.ones((3, 3), dtype=bool))
+    res, window = masks.resolution, masks.window
+    conflicts = []
+    for label, box in enumerate(ndimage.find_objects(labels), start=1):
+        xs, ys = np.nonzero(labels[box] == label)
+        if xs.size >= min_evidence_px:
             conflicts.append(
                 BitmapCutConflict(
-                    kind="min_distance",
-                    evidence_px=evidence,
-                    location_nm=_centroid_nm(region, masks),
+                    kind=kind,
+                    evidence_px=int(xs.size),
+                    location_nm=(
+                        window.xlo + int((xs + box[0].start).mean()) * res,
+                        window.ylo + int((ys + box[1].start).mean()) * res,
+                    ),
                 )
             )
     return conflicts

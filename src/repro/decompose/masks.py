@@ -37,7 +37,7 @@ from ..errors import DecompositionError
 from ..geometry import Rect
 from ..rules import DesignRules
 from ..units import DEFAULT_BITMAP_RESOLUTION_NM
-from .bitmap import Bitmap
+from .bitmap import Bitmap, erode_box
 from .target import TargetPattern
 
 
@@ -127,13 +127,17 @@ def _merge_close_cores(
     can cascade through assist chains).
 
     Each pass measures only pairs whose bounding boxes are closer than
-    ``d_core``, and builds each lens on crops around the two components;
-    both shortcuts are exact (docs/PERFORMANCE.md, "Mask synthesis").
+    ``d_core``, and only over the boundary pixels that face the other
+    component; it builds each lens on crops around the two components.
+    All three shortcuts are exact (docs/PERFORMANCE.md, "Mask
+    synthesis").
     """
     d_core_px = rules.d_core / resolution
     # A lens pixel lies within reach = gap + 1 < d_core_px + 1 of both
-    # components, so per axis at most ceil(d_core_px) px from both boxes:
-    # boxes grown by ``pad`` hold every lens pixel.
+    # components, and the closest pixels of a pair whose gap is below
+    # d_core_px are less than d_core_px + 1 apart; per axis both are at
+    # most ceil(d_core_px) px from the other box. Boxes grown by ``pad``
+    # hold every lens pixel and every such closest pixel.
     pad = math.ceil(d_core_px) + 1
     data = core_raw.data.copy()
     eight = np.ones((3, 3), dtype=bool)
@@ -144,8 +148,7 @@ def _merge_close_cores(
         # Boundary pixels of each component, gathered inside its box;
         # pixel boxes give exact boundary-to-boundary gaps (a pixel is a
         # res x res nm square).
-        eroded = ndimage.binary_erosion(data, structure=eight)
-        boundary = data & ~eroded
+        boundary = data & ~erode_box(data, 1, 1)
         boxes = ndimage.find_objects(labels)
         lo = np.array([[s.start for s in box] for box in boxes])
         hi = np.array([[s.stop - 1 for s in box] for box in boxes])
@@ -164,8 +167,15 @@ def _merge_close_cores(
             )
             near = np.sqrt((sep * sep).sum(axis=1)) < d_core_px
             for j in (np.flatnonzero(near) + i + 1).tolist():
-                p = coords[i][:, None, :].astype(np.float64)
-                q = coords[j][None, :, :].astype(np.float64)
+                # Only pixels facing the other component can hold a gap
+                # below d_core: keep each side's pixels inside the other's
+                # box grown by ``pad``.
+                p = _facing(coords[i], lo[j] - pad, hi[j] + pad)
+                q = _facing(coords[j], lo[i] - pad, hi[i] + pad)
+                if not (len(p) and len(q)):
+                    continue
+                p = p[:, None, :].astype(np.float64)
+                q = q[None, :, :].astype(np.float64)
                 gap_axes = np.maximum(np.abs(p - q) - 1.0, 0.0)
                 gaps = np.sqrt((gap_axes ** 2).sum(axis=2))
                 gap_px = float(gaps.min())
@@ -204,6 +214,11 @@ def _merge_close_cores(
     out = Bitmap(core_raw.window, core_raw.resolution)
     out.data = data
     return out
+
+
+def _facing(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows of ``coords`` (pixel indices) inside the box ``lo..hi``."""
+    return coords[((coords >= lo) & (coords <= hi)).all(axis=1)]
 
 
 def _grown(box: tuple, pad: int, shape: tuple) -> tuple:

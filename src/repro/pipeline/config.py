@@ -11,12 +11,13 @@ invalidates decompose/verify but leaves routing artifacts valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Any, ClassVar, Dict, Optional
 
 from ..errors import PipelineError, ReproError
 from ..netlist.netlist import ROUTING_ORDERS
 from ..router.cost import CostParams
+from ..rules import DesignRules
 from ..units import DEFAULT_BITMAP_RESOLUTION_NM
 from .store import default_cache_dir
 
@@ -105,9 +106,20 @@ class PipelineConfig:
             raise PipelineError(
                 f"unknown router {self.router!r}; choose from {KNOWN_ROUTERS}"
             )
-        if self.bitmap_resolution <= 0:
+        # Rule lengths become pixel radii, and the decomposition window
+        # is snapped to DEFAULT_BITMAP_RESOLUTION_NM: a resolution must
+        # divide all of them.
+        lengths = (DEFAULT_BITMAP_RESOLUTION_NM, *astuple(DesignRules()))
+        res = self.bitmap_resolution
+        if not _is_int(res) or res <= 0 or any(length % res for length in lengths):
+            fits = [
+                d for d in range(1, DEFAULT_BITMAP_RESOLUTION_NM + 1)
+                if not any(length % d for length in lengths)
+            ]
             raise PipelineError(
-                f"bitmap_resolution must be positive, got {self.bitmap_resolution}"
+                f"bitmap_resolution {res!r} does not divide the "
+                f"{DEFAULT_BITMAP_RESOLUTION_NM} nm window snap and every "
+                f"design rule length; choose one of {fits} nm"
             )
         if self.order not in ROUTING_ORDERS:
             raise PipelineError(

@@ -1,5 +1,7 @@
 """Engine semantics: hashing, cache hits, targets, force, resume."""
 
+import re
+
 import pytest
 
 from repro.errors import PipelineError
@@ -171,6 +173,21 @@ class TestValidation:
     def test_bad_field_rejected(self, tmp_path, overrides, match):
         with pytest.raises(PipelineError, match=match):
             _config(tmp_path, **overrides).validate()
+
+    @pytest.mark.parametrize("resolution", [2, 10, 0, 5.0])
+    def test_bitmap_resolution_must_divide_the_rules(self, tmp_path, resolution):
+        """2 nm divides every rule length but not the 5 nm window snap; it
+        used to fail in the decompose stage, after routing. Now the config
+        is refused before any stage runs or any artifact is stored."""
+        config = _config(tmp_path, bitmap_resolution=resolution)
+        match = re.escape(f"bitmap_resolution {resolution!r}") + r".*\[1, 5\] nm"
+        with pytest.raises(PipelineError, match=match):
+            Pipeline(config).run()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("resolution", [1, 5])
+    def test_dividing_bitmap_resolution_accepted(self, tmp_path, resolution):
+        _config(tmp_path, bitmap_resolution=resolution).validate()
 
     def test_removed_knobs_are_not_fields(self, tmp_path):
         for knob in ("workers", "shard", "kernel", "guidance"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.color import Color
@@ -17,8 +18,19 @@ from repro.decompose import (
     verify_decomposition,
 )
 from repro.decompose import masks as masks_module
-from repro.decompose.bitmap import Bitmap
-from repro.decompose.masks import _merge_close_cores
+from repro.decompose import verify as verify_module
+from repro.decompose.bitmap import (
+    Bitmap,
+    close_disc,
+    dilate_box,
+    dilate_disc,
+    disc,
+    erode_box,
+    erode_disc,
+    open_line,
+)
+from repro.decompose.cuts import BitmapCutConflict, find_cut_conflicts
+from repro.decompose.masks import MaskSet, _merge_close_cores
 from repro.geometry import Rect
 from repro.router import SadpRouter
 from repro.rules import DesignRules
@@ -92,6 +104,69 @@ class TestMaskInvariants:
         # Hard overlays only exist where side overlay exists.
         if report.overlay.hard_overlay_count:
             assert report.overlay.side_overlay_nm > RULES.w_line
+
+
+# --------------------------------------------------------------------- #
+# Morphology: the shift kernel against scipy's binary morphology
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def raw_bitmaps(draw):
+    """Random boolean arrays of 1-24 px a side, many smaller than a
+    radius-7 disc (15 px), half of them with every border pixel set."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.random((w, h)) < draw(st.sampled_from([0.05, 0.3, 0.6, 0.95]))
+    if draw(st.booleans()):
+        data[[0, -1], :] = True
+        data[:, [0, -1]] = True
+    return data
+
+
+SQUARE = np.ones((3, 3), dtype=bool)
+KERNEL_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestKernelMatchesScipy:
+    @KERNEL_SETTINGS
+    @given(raw_bitmaps(), st.integers(0, 7))
+    def test_disc_dilation_and_erosion(self, data, radius):
+        structure = disc(radius)
+        assert np.array_equal(
+            dilate_disc(data, radius), ndimage.binary_dilation(data, structure)
+        )
+        assert np.array_equal(
+            erode_disc(data, radius), ndimage.binary_erosion(data, structure)
+        )
+
+    @KERNEL_SETTINGS
+    @given(raw_bitmaps(), st.integers(0, 7))
+    def test_padded_closing(self, data, radius):
+        structure = disc(radius)
+        padded = np.pad(data, radius)
+        closed = ndimage.binary_erosion(
+            ndimage.binary_dilation(padded, structure), structure
+        )
+        w, h = data.shape
+        expected = closed[radius : radius + w, radius : radius + h]
+        assert np.array_equal(close_disc(data, radius), expected)
+
+    @KERNEL_SETTINGS
+    @given(raw_bitmaps())
+    def test_square(self, data):
+        assert np.array_equal(dilate_box(data, 1, 1), ndimage.binary_dilation(data, SQUARE))
+        assert np.array_equal(erode_box(data, 1, 1), ndimage.binary_erosion(data, SQUARE))
+
+    @KERNEL_SETTINGS
+    @given(raw_bitmaps(), st.integers(1, 6))
+    def test_line_opening(self, data, length):
+        along_0 = np.ones((length, 1), dtype=bool)
+        along_1 = np.ones((1, length), dtype=bool)
+        assert np.array_equal(open_line(data, length, 0), ndimage.binary_opening(data, along_0))
+        assert np.array_equal(open_line(data, length, 1), ndimage.binary_opening(data, along_1))
 
 
 # --------------------------------------------------------------------- #
@@ -171,6 +246,66 @@ def _merge_close_cores_oracle(
     return out
 
 
+# Reference cut check: scipy morphology and one window-sized mask per
+# label, with the disc closing built in place. The production check must
+# report the same conflicts in the same order.
+def _find_cut_conflicts_oracle(masks: MaskSet, min_evidence_px: int = None):
+    res = masks.resolution
+    rules = masks.rules
+    if min_evidence_px is None:
+        min_evidence_px = max((rules.w_cut // res) ** 2 // 2, 2)
+    cut = masks.cut_mask.data
+    target = masks.target_bmp.data
+    conflicts = []
+    if not cut.any():
+        return conflicts
+    eight = np.ones((3, 3), dtype=bool)
+
+    def regions(kind, evidence):
+        labels, n = ndimage.label(evidence, structure=eight)
+        for i in range(1, n + 1):
+            region = labels == i
+            size = int(region.sum())
+            if size >= min_evidence_px:
+                xs, ys = np.nonzero(region)
+                location = (
+                    masks.window.xlo + int(xs.mean()) * res,
+                    masks.window.ylo + int(ys.mean()) * res,
+                )
+                conflicts.append(BitmapCutConflict(kind, size, location))
+
+    w_px = max(rules.w_cut // res, 1)
+    wide = ndimage.binary_opening(cut, structure=np.ones((w_px, 1), dtype=bool)) | (
+        ndimage.binary_opening(cut, structure=np.ones((1, w_px), dtype=bool))
+    )
+    regions("min_width", cut & ~wide & ndimage.binary_dilation(target, structure=eight))
+    r_px = max(rules.d_cut // (2 * res), 1)
+    span = np.arange(-r_px, r_px + 1)
+    xx, yy = np.meshgrid(span, span)
+    structure = (xx * xx + yy * yy) <= r_px * r_px
+    padded = np.pad(cut, r_px, mode="constant")
+    closed = ndimage.binary_erosion(
+        ndimage.binary_dilation(padded, structure=structure), structure=structure
+    )[r_px:-r_px, r_px:-r_px]
+    regions("min_distance", closed & ~cut & target)
+    return conflicts
+
+
+def _dilate_oracle(self: Bitmap, nm: int) -> Bitmap:
+    """``Bitmap.dilate`` on scipy's binary dilation."""
+    r = self.px_radius(nm)
+    if r == 0 or not self.data.any():
+        return self.copy()
+    return Bitmap(
+        self.window, self.resolution, ndimage.binary_dilation(self.data, structure=disc(r))
+    )
+
+
+MASK_NAMES = (
+    "target_bmp", "core_targets", "assist", "core_mask", "spacer", "cut_mask", "printed",
+)
+
+
 @st.composite
 def core_bitmaps(draw):
     """(core, keepout, resolution): many small rectangles on a small window.
@@ -222,16 +357,69 @@ class TestMergeMatchesOracle:
 
     @pytest.mark.parametrize("seed", [2014, 2015])
     def test_routed_designs(self, seed, monkeypatch):
-        """Every layer of two routed Test1@0.15 designs decomposes alike."""
+        """Every layer of two routed Test1@0.15 designs decomposes and
+        verifies alike: all seven masks and the whole report, every
+        ``EdgeOverlay`` and ``BitmapCutConflict`` in order."""
         grid, nets = generate_benchmark(spec_by_name("Test1"), scale=0.15, seed=seed)
         result = SadpRouter(grid, nets).route_all()
         layers = [routing_to_targets(grid, result, layer) for layer in range(grid.num_layers)]
         assert all(layers)
         fast = [synthesize_masks(targets, grid.rules) for targets in layers]
+        fast_reports = [verify_decomposition(masks) for masks in fast]
         monkeypatch.setattr(masks_module, "_merge_close_cores", _merge_close_cores_oracle)
+        monkeypatch.setattr(Bitmap, "dilate", _dilate_oracle)
+        monkeypatch.setattr(verify_module, "find_cut_conflicts", _find_cut_conflicts_oracle)
         slow = [synthesize_masks(targets, grid.rules) for targets in layers]
+        slow_reports = [verify_decomposition(masks) for masks in slow]
         for a, b in zip(fast, slow):
-            for name in ("core_mask", "cut_mask", "printed"):
+            for name in MASK_NAMES:
                 assert np.array_equal(getattr(a, name).data, getattr(b, name).data), name
-        # The designs exercise the merge itself, not only the pruning.
+        for a, b in zip(fast_reports, slow_reports):
+            assert a.overlay.edges == b.overlay.edges
+            assert a.cut_conflicts == b.cut_conflicts
+            assert a == b
+        # The designs exercise the merge itself, not only the pruning,
+        # and the cut check finds conflicts to compare.
         assert sum(masks.merged_bridges().count() for masks in fast) > 0
+        assert sum(len(report.cut_conflicts) for report in fast_reports) > 0
+
+
+@st.composite
+def cut_layouts(draw):
+    """A MaskSet holding only what the cut check reads, on a small 5 nm/px
+    window (w_cut is 4 px, the d_cut/2 closing 3 px): 2-14 target
+    rectangles of 1-12 px and 2-24 cut rectangles of 1-5 px, placed
+    anywhere, over the window edge included, with cut cleared off target.
+    Narrow cuts hug targets, and cuts sit closer than d_cut across them."""
+    res = 5
+    w, h = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = []
+    for count, size in ((draw(st.integers(2, 14)), 12), (draw(st.integers(2, 24)), 5)):
+        plane = np.zeros((w, h), dtype=bool)
+        for _ in range(count):
+            x0, y0 = rng.integers(-2, w), rng.integers(-2, h)
+            x1, y1 = x0 + rng.integers(1, size + 1), y0 + rng.integers(1, size + 1)
+            plane[max(x0, 0) : max(x1, 0), max(y0, 0) : max(y1, 0)] = True
+        planes.append(plane)
+    target, cut = planes[0], planes[1] & ~planes[0]
+    window = Rect(-20, 40, -20 + w * res, 40 + h * res)
+    empty = Bitmap(window, res)
+    return MaskSet(
+        window=window, resolution=res, rules=RULES, targets=[],
+        target_bmp=Bitmap(window, res, target), core_targets=empty, assist=empty,
+        core_mask=empty, spacer=empty, cut_mask=Bitmap(window, res, cut), printed=empty,
+    )
+
+
+class TestCutCheckMatchesOracle:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(cut_layouts(), st.sampled_from([None, 1, 3]))
+    def test_random_cut_layouts(self, masks, min_evidence_px):
+        """Below the default evidence floor (8 px here) min_width regions
+        show up too; the default run checks the floor itself."""
+        assert find_cut_conflicts(masks, min_evidence_px) == _find_cut_conflicts_oracle(
+            masks, min_evidence_px
+        )
