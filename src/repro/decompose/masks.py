@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -127,10 +127,10 @@ def _merge_close_cores(
     can cascade through assist chains).
 
     Each pass measures only pairs whose bounding boxes are closer than
-    ``d_core``, and only over the boundary pixels that face the other
-    component; it builds each lens on crops around the two components.
-    All three shortcuts are exact (docs/PERFORMANCE.md, "Mask
-    synthesis").
+    ``d_core``, found by a sweep over the boxes' x-starts, and only over
+    the boundary pixels that face the other component; it builds each
+    lens on crops around the two components. All these shortcuts are
+    exact (docs/PERFORMANCE.md, "Mask synthesis").
     """
     d_core_px = rules.d_core / resolution
     # A lens pixel lies within reach = gap + 1 < d_core_px + 1 of both
@@ -158,62 +158,84 @@ def _merge_close_cores(
         ]
         crops = {}  # component -> (grown box, distance transform on it)
         merged_any = False
-        for i in range(n - 1):
-            # Per axis every pixel pair is at least the box separation
-            # apart, and the gap below rises with it: pairs whose boxes
-            # are already d_core apart cannot merge.
-            sep = np.maximum(
-                np.maximum(lo[i + 1 :] - hi[i], lo[i] - hi[i + 1 :]) - 1, 0
+        for i, j in _near_pairs(lo, hi, d_core_px):
+            # Only pixels facing the other component can hold a gap
+            # below d_core: keep each side's pixels inside the other's
+            # box grown by ``pad``.
+            p = _facing(coords[i], lo[j] - pad, hi[j] + pad)
+            q = _facing(coords[j], lo[i] - pad, hi[i] + pad)
+            if not (len(p) and len(q)):
+                continue
+            p = p[:, None, :].astype(np.float64)
+            q = q[None, :, :].astype(np.float64)
+            gap_axes = np.maximum(np.abs(p - q) - 1.0, 0.0)
+            gaps = np.sqrt((gap_axes ** 2).sum(axis=2))
+            gap_px = float(gaps.min())
+            if gap_px >= d_core_px:
+                continue
+            # Lens between the two components: pixels close to both
+            # (centre-distance transforms, reach covering the gap).
+            # A crop holds its whole component, so its distances
+            # equal the full-window ones.
+            for k in (i, j):
+                if k not in crops:
+                    crop = _grown(boxes[k], pad, data.shape)
+                    crops[k] = (
+                        crop,
+                        ndimage.distance_transform_edt(labels[crop] != k + 1),
+                    )
+            (crop_i, dt_i), (crop_j, dt_j) = crops[i], crops[j]
+            # Every lens pixel lies in both crops (see ``pad``).
+            both = tuple(
+                slice(max(a.start, b.start), min(a.stop, b.stop))
+                for a, b in zip(crop_i, crop_j)
             )
-            near = np.sqrt((sep * sep).sum(axis=1)) < d_core_px
-            for j in (np.flatnonzero(near) + i + 1).tolist():
-                # Only pixels facing the other component can hold a gap
-                # below d_core: keep each side's pixels inside the other's
-                # box grown by ``pad``.
-                p = _facing(coords[i], lo[j] - pad, hi[j] + pad)
-                q = _facing(coords[j], lo[i] - pad, hi[i] + pad)
-                if not (len(p) and len(q)):
-                    continue
-                p = p[:, None, :].astype(np.float64)
-                q = q[None, :, :].astype(np.float64)
-                gap_axes = np.maximum(np.abs(p - q) - 1.0, 0.0)
-                gaps = np.sqrt((gap_axes ** 2).sum(axis=2))
-                gap_px = float(gaps.min())
-                if gap_px >= d_core_px:
-                    continue
-                # Lens between the two components: pixels close to both
-                # (centre-distance transforms, reach covering the gap).
-                # A crop holds its whole component, so its distances
-                # equal the full-window ones.
-                for k in (i, j):
-                    if k not in crops:
-                        crop = _grown(boxes[k], pad, data.shape)
-                        crops[k] = (
-                            crop,
-                            ndimage.distance_transform_edt(labels[crop] != k + 1),
-                        )
-                (crop_i, dt_i), (crop_j, dt_j) = crops[i], crops[j]
-                # Every lens pixel lies in both crops (see ``pad``).
-                both = tuple(
-                    slice(max(a.start, b.start), min(a.stop, b.stop))
-                    for a, b in zip(crop_i, crop_j)
-                )
-                reach = gap_px + 1.0
-                bridge = (dt_i[_local(both, crop_i)] <= reach) & (
-                    dt_j[_local(both, crop_j)] <= reach
-                )
-                if keepout is not None:
-                    # Merged material keeps spacer clearance from second
-                    # targets, like any other core material.
-                    bridge &= ~keepout.data[both]
-                if bridge.any():
-                    data[both] |= bridge
-                    merged_any = True
+            reach = gap_px + 1.0
+            bridge = (dt_i[_local(both, crop_i)] <= reach) & (
+                dt_j[_local(both, crop_j)] <= reach
+            )
+            if keepout is not None:
+                # Merged material keeps spacer clearance from second
+                # targets, like any other core material.
+                bridge &= ~keepout.data[both]
+            if bridge.any():
+                data[both] |= bridge
+                merged_any = True
         if not merged_any:
             break
     out = Bitmap(core_raw.window, core_raw.resolution)
     out.data = data
     return out
+
+
+def _near_pairs(
+    lo: np.ndarray, hi: np.ndarray, d_core_px: float
+) -> List[Tuple[int, int]]:
+    """The pairs ``(i, j)``, ``i < j``, ascending, of the boxes ``lo..hi``
+    (inclusive pixel indices, one row per box) closer than ``d_core_px``.
+
+    Per axis every pixel pair of two components is at least their box
+    separation ``max(lo_b − hi_a − 1, 0)`` apart, and the gap rises with
+    it, so pairs whose boxes are already ``d_core_px`` apart cannot merge.
+    Sort and sweep: with the boxes sorted by x-start, those starting no
+    earlier than box a and less than ``d_core_px`` past its x-end follow
+    it in one run. Only these candidates take the exact test.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    starts = lo[order, 0]
+    # An integer separation below d_core_px is at most ceil(d_core_px) - 1.
+    ends = np.searchsorted(starts, hi[order, 0] + math.ceil(d_core_px), side="right")
+    counts = ends - np.arange(1, len(order) + 1)
+    first = np.repeat(np.arange(len(order)), counts)
+    runs = np.repeat(np.cumsum(counts) - counts, counts)
+    second = first + 1 + np.arange(len(first)) - runs
+    i = np.minimum(order[first], order[second])
+    j = np.maximum(order[first], order[second])
+    sep = np.maximum(np.maximum(lo[j] - hi[i], lo[i] - hi[j]) - 1, 0)
+    near = np.sqrt((sep * sep).sum(axis=1)) < d_core_px
+    i, j = i[near], j[near]
+    ranked = np.lexsort((j, i))
+    return list(zip(i[ranked].tolist(), j[ranked].tolist()))
 
 
 def _facing(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Shared by perfbench's ``service-mix`` workload and the tests (the
 service smoke test drives a live ``repro serve`` process with it) — one
 connection per request (the server always answers ``Connection:
 close``), JSON in/out, and a blocking :meth:`ServiceClient.wait` that
-polls a job to its terminal state.
+follows a job's pushed event stream to its terminal state.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .jobs import ServiceError, TERMINAL_STATUSES
@@ -34,12 +35,14 @@ class ServiceClient:
     # Transport
     # ------------------------------------------------------------------ #
 
-    def _request(
+    @contextmanager
+    def _response(
         self,
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[int, bytes]:
+    ) -> Iterator[http.client.HTTPResponse]:
+        """The open response; ``timeout_s`` bounds each socket read."""
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout_s
         )
@@ -52,10 +55,22 @@ class ServiceClient:
             headers["Content-Type"] = "application/json"
         try:
             conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-            return resp.status, resp.read()
+            # The response owns the socket once the server answers
+            # ``Connection: close``; closing it frees the socket also
+            # when the caller stops before the end of the body.
+            with conn.getresponse() as resp:
+                yield resp
         finally:
             conn.close()
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[int, bytes]:
+        with self._response(method, path, body) as resp:
+            return resp.status, resp.read()
 
     def _json(
         self,
@@ -93,25 +108,32 @@ class ServiceClient:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._json("POST", f"/jobs/{job_id}/cancel")
 
-    def wait(
-        self, job_id: str, timeout_s: float = 300.0, poll_s: float = 0.05
-    ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state (or time out)."""
+    def wait(self, job_id: str, timeout_s: float = 300.0) -> Dict[str, Any]:
+        """Block until the job reaches a terminal state, then return its
+        snapshot. Follows the job's event stream, which the server closes
+        after the terminal event; the deadline is checked between lines,
+        and the server's keepalive bounds the time between them."""
         deadline = time.monotonic() + timeout_s
-        while True:
-            snap = self.job(job_id)
-            if snap["status"] in TERMINAL_STATUSES:
-                return snap
-            if time.monotonic() > deadline:
+        path = f"/jobs/{job_id}/events"
+        with self._response("GET", path) as resp:
+            if resp.status != 200:
                 raise ServiceError(
-                    f"job {job_id} still {snap['status']} after {timeout_s}s",
-                    status=504,
+                    f"GET {path} → {resp.status}", status=resp.status
                 )
-            time.sleep(poll_s)
+            while resp.readline() and time.monotonic() <= deadline:
+                pass
+        snap = self.job(job_id)
+        if snap["status"] not in TERMINAL_STATUSES:
+            raise ServiceError(
+                f"job {job_id} still {snap['status']} after {timeout_s}s",
+                status=504,
+            )
+        return snap
 
     def events(self, job_id: str, wait: bool = True) -> List[Dict[str, Any]]:
         """The job's full event log; with ``wait`` the call streams until
-        the job is terminal (mirrors the live progress a UI would show)."""
+        the job is terminal (mirrors the live progress a UI would show).
+        The stream's blank keepalive lines are skipped."""
         suffix = "" if wait else "?wait=0"
         status, raw = self._request("GET", f"/jobs/{job_id}/events{suffix}")
         if status != 200:

@@ -24,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..errors import ReproError
 
@@ -105,10 +105,20 @@ class JobRegistry:
     Cancellation is cooperative and file-based so it crosses the process
     boundary without shared primitives: :meth:`cancel` drops a sentinel
     file the worker's between-stage cancel check polls.
+
+    :meth:`apply_event` calls ``listener(job_id, terminal)`` after each
+    event, outside the lock, on whichever thread applied it (``terminal``
+    is the job when the event ended it, else None); the server uses it to
+    free the tenant's slot and wake that job's open event streams.
     """
 
-    def __init__(self, spool_dir: Union[str, Path]) -> None:
+    def __init__(
+        self,
+        spool_dir: Union[str, Path],
+        listener: Optional[Callable[[str, Optional[JobState]], None]] = None,
+    ) -> None:
         self.spool_dir = Path(spool_dir)
+        self.listener = listener
         self._lock = threading.RLock()
         self._jobs: Dict[str, JobState] = {}
         self._events: Dict[str, List[Dict[str, Any]]] = {}
@@ -189,8 +199,15 @@ class JobRegistry:
 
     def apply_event(self, payload: Dict[str, Any]) -> Optional[JobState]:
         """Fold one worker event into the job table; returns the job when
-        it just reached a terminal state (for quota release), else None."""
+        it just reached a terminal state, else None. Once the lock is
+        released, the listener hears of the event."""
         job_id = str(payload.get("job_id", ""))
+        terminal = self._fold(job_id, payload)
+        if self.listener is not None:
+            self.listener(job_id, terminal)
+        return terminal
+
+    def _fold(self, job_id: str, payload: Dict[str, Any]) -> Optional[JobState]:
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:

@@ -21,11 +21,17 @@ API (all JSON)::
     GET  /jobs                      job table (?tenant= filters)
     GET  /jobs/<id>                 state snapshot
     GET  /jobs/<id>/events          ndjson stream, live until terminal
-                                    (?wait=0 dumps and closes)
+                                    (?wait=0 dumps and closes); a blank
+                                    line after 5 s without an event
     GET  /jobs/<id>/artifacts/<k>   artifact record for kind <k>
     POST /jobs/<id>/cancel          cooperative cancellation
     GET  /metrics                   Prometheus exposition
     GET  /healthz                   liveness
+
+Events are pushed, not polled: the registry calls the service back on
+whichever thread applied an event (worker, drainer, or the loop itself
+for a cancelled queued job), and the service wakes that job's open
+``/events`` streams on the loop with ``call_soon_threadsafe``.
 
 The server is embeddable (``start_background()`` runs the loop in a
 daemon thread and returns once the port is bound — tests and perfbench
@@ -39,14 +45,14 @@ import json
 import signal
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..obs.prom import to_prometheus
 from ..pipeline import ALL_STAGES, ArtifactStore, PipelineConfig, default_cache_dir
-from .jobs import JobRegistry, ServiceError, dumps_event
+from .jobs import JobRegistry, JobState, ServiceError, dumps_event
 from .quotas import TenantQuotas
 from .worker import InlineWorkerPool, WorkerPool
 
@@ -59,7 +65,9 @@ _SUBMISSION_KEYS = frozenset(
     + _CONFIG_PASSTHROUGH
 )
 
-_EVENT_POLL_S = 0.05
+#: Seconds an ``/events`` stream may stay silent before it writes a blank
+#: line, so a long stage never trips the client's socket timeout.
+_KEEPALIVE_S = 5.0
 _MAX_BODY_BYTES = 8 << 20
 
 
@@ -88,7 +96,7 @@ class RoutingService:
         self.ledger = ledger
         self.ledger_dir = ledger_dir
         self.store = ArtifactStore(self.cache_dir)
-        self.registry = JobRegistry(self.spool_dir)
+        self.registry = JobRegistry(self.spool_dir, listener=self._job_changed)
         self.metrics = MetricsRegistry()
         self.quotas = TenantQuotas(
             max_active=max_active_per_tenant, registry=self.metrics
@@ -98,6 +106,8 @@ class RoutingService:
         else:
             self.pool = WorkerPool(workers, self._on_event)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: job id -> wake flags of its open event streams (loop thread only)
+        self._streams: Dict[str, Set[asyncio.Event]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -111,9 +121,9 @@ class RoutingService:
     # ------------------------------------------------------------------ #
 
     def _on_event(self, payload: Dict[str, Any]) -> None:
-        terminal = self.registry.apply_event(payload)
-        event = payload.get("event")
-        if event == "stage_end":
+        """The pools' event callback, on the worker or drainer thread."""
+        self.registry.apply_event(payload)
+        if payload.get("event") == "stage_end":
             status = str(payload.get("status", ""))
             name = (
                 "service_stage_runs_total"
@@ -128,9 +138,26 @@ class RoutingService:
             self.metrics.counter(
                 name, tenant=tenant, stage=str(payload.get("stage", ""))
             ).inc()
+
+    def _job_changed(self, job_id: str, terminal: Optional[JobState]) -> None:
+        """Registry listener, on whichever thread applied the event.
+
+        A job that just ended frees its tenant's slot first, so a client
+        that hears the end can submit again at once. Then the job's open
+        event streams are woken on the loop."""
         if terminal is not None:
             seconds = max(0.0, terminal.finished_unix - terminal.created_unix)
             self.quotas.release(terminal.tenant, terminal.status, seconds)
+        if self._loop is None:
+            return  # not serving: no stream can be open
+        try:
+            self._loop.call_soon_threadsafe(self._wake_streams, job_id)
+        except RuntimeError:
+            pass  # the loop has closed, and with it every stream
+
+    def _wake_streams(self, job_id: str) -> None:
+        for wake in self._streams.get(job_id, ()):
+            wake.set()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -403,16 +430,30 @@ class RoutingService:
     ) -> None:
         self.registry.get(job_id)  # 404 before headers go out
         self._start_response(writer, 200, content_type="application/x-ndjson")
+        wake = asyncio.Event()
+        streams = self._streams.setdefault(job_id, set())
+        streams.add(wake)
         sent = 0
-        while True:
-            for payload in self.registry.events(job_id, since=sent):
-                writer.write((dumps_event(payload) + "\n").encode("utf-8"))
-                sent += 1
-            await writer.drain()
-            job = self.registry.get(job_id)
-            if not wait or (job.terminal and sent >= job.events_seen):
-                return
-            await asyncio.sleep(_EVENT_POLL_S)
+        try:
+            while True:
+                # Cleared before the re-read: an event appended after it
+                # sets the flag again, also while drain() waits below.
+                wake.clear()
+                for payload in self.registry.events(job_id, since=sent):
+                    writer.write((dumps_event(payload) + "\n").encode("utf-8"))
+                    sent += 1
+                await writer.drain()
+                job = self.registry.get(job_id)
+                if not wait or (job.terminal and sent >= job.events_seen):
+                    return
+                try:
+                    await asyncio.wait_for(wake.wait(), _KEEPALIVE_S)
+                except asyncio.TimeoutError:
+                    writer.write(b"\n")  # keepalive; drained next round
+        finally:
+            streams.discard(wake)
+            if not streams:
+                del self._streams[job_id]
 
     def _send_artifact(
         self, writer: asyncio.StreamWriter, job_id: str, kind: str

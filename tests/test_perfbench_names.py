@@ -109,3 +109,33 @@ def test_layers_wrapped_by_the_tracer(monkeypatch):
     assert all(isinstance(g, SoAOverlayConstraintGraph) for g in router.graphs)
     router.route_all()
     assert calls["flip_colors"] > 0 and calls["pseudo_color"] > 0
+
+
+def test_service_surface_read_by_the_benchmark_harness(tmp_path):
+    """service-mix starts an inline-worker service, drives it with
+    closed-loop clients (submit, stream to the end, snapshot, fetch) and
+    reads these snapshot keys."""
+    from repro.service import RoutingService, ServiceClient
+
+    svc = RoutingService(
+        workers=0,
+        cache_dir=str(tmp_path / "store"),
+        spool_dir=str(tmp_path / "spool"),
+        ledger=False,
+        ledger_dir=str(tmp_path / "ledger"),
+    ).start_background()
+    try:
+        client = ServiceClient(svc.url, timeout_s=60.0, tenant="client0")
+        job = client.submit({"circuit": "Test1", "scale": 0.05, "seed": 2014})
+        events = client.events(job["job_id"], wait=True)
+        snap = client.job(job["job_id"])
+        report = client.artifact(job["job_id"], "report")
+    finally:
+        svc.stop()
+    assert events[-1]["event"] == "job_done"
+    assert snap["status"] == "done" and snap["tenant"] == "client0"
+    assert snap["created_unix"] <= snap["started_unix"] <= snap["finished_unix"]
+    route = [s for s in snap["stages"] if s["stage"] == "route"]
+    assert route[0]["status"] == "run" and route[0]["seconds"] > 0
+    assert snap["counters"]["astar_searches_total"] > 0
+    assert report["kind"] == "report"
