@@ -18,6 +18,11 @@ class Color(enum.Enum):
     CORE = "C"
     SECOND = "S"
 
+    #: Members are singletons that compare by identity, so the identity
+    #: hash is consistent with ``==``; it skips Enum's Python-level
+    #: ``__hash__`` on every dict lookup keyed by a color.
+    __hash__ = object.__hash__
+
     @property
     def flipped(self) -> "Color":
         return Color.SECOND if self is Color.CORE else Color.CORE

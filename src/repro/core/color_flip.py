@@ -19,6 +19,18 @@ side overlay, and once more after all nets are routed. The algorithm:
 On graphs whose contracted soft structure is a forest the result is
 globally optimal (Theorem 4); non-tree soft edges are ignored during the
 DP, exactly as in the paper.
+
+The kernel runs on 0/1 colors (0 = CORE, 1 = SECOND). A unit pair's
+cost matrix is one flat list ``m[(i << 1) | j]`` over the colors of its
+smaller and larger unit; the spanning forest, the DP and the refinement
+read it in either orientation instead of building transposes, and
+:class:`~repro.color.Color` objects appear only in the returned
+net -> color map. :func:`repro.core.reference.reference_unit_colors` is
+the Color-based oracle of the same steps. Everything that sets the
+result is shared with it: unit names (the contraction's union-find
+roots), Kruskal's key (-spread, pair), the DFS and child order, the
+``<=``/``<`` tie-breaks and the summation order. All costs are
+integer-valued floats, so sums are exact in any order anyway.
 """
 
 from __future__ import annotations
@@ -30,16 +42,21 @@ from .constraint_graph_soa import ConstraintGraph
 from .edges import ConstraintEdge
 from .odd_cycle import ParityUnionFind
 
+#: Color of each 0/1 kernel color.
 _COLORS = (Color.CORE, Color.SECOND)
-_IDX = {Color.CORE: 0, Color.SECOND: 1}
 
-#: A 2x2 cost matrix m[color_a][color_b] over unit root colors.
+#: A 2x2 cost matrix m[color_a][color_b] (``optimal_tree_coloring``'s input).
 CostMatrix = List[List[float]]
 
+#: A unit pair's flat cost matrix ``m[(i << 1) | j]``.
+FlatMatrix = List[float]
 
-def _matrix_spread(m: CostMatrix) -> float:
-    flat = [m[i][j] for i in range(2) for j in range(2)]
-    return max(flat) - min(flat)
+#: One forest or incidence entry ``(other unit, m, t)``: ``t`` is 1 when
+#: the entry's own unit is the pair's larger one, so ``m`` reads
+#: ``m[(j << 1) | i]`` for own color ``i`` and other color ``j``.
+Link = Tuple[int, FlatMatrix, int]
+
+_NO_COST = (0.0, 0.0)
 
 
 class _UnitGraph:
@@ -48,25 +65,26 @@ class _UnitGraph:
     def __init__(self) -> None:
         self.units: List[int] = []  # unit ids are hard-UF roots, stable order
         self.members: Dict[int, List[Tuple[int, int]]] = {}  # unit -> [(net, parity)]
-        self.self_cost: Dict[int, List[float]] = {}  # unit -> [cost_C, cost_S]
-        self.pair_cost: Dict[Tuple[int, int], CostMatrix] = {}  # (u<v) -> matrix
+        self.self_cost: Dict[int, List[float]] = {}  # unit -> [cost_0, cost_1]
+        self.pair_cost: Dict[Tuple[int, int], FlatMatrix] = {}  # (u<v) -> m
 
-    def add_pair_cost(self, a: int, b: int, matrix: CostMatrix) -> None:
+    def add_pair_cost(self, a: int, b: int, m: FlatMatrix) -> None:
+        """Accumulate ``m`` (over the colors of ``a`` and ``b``)."""
         if a == b:
             raise ValueError("self edges go to self_cost")
         if a > b:
             a, b = b, a
-            matrix = [[matrix[j][i] for j in range(2)] for i in range(2)]
+            m = [m[0], m[2], m[1], m[3]]
         acc = self.pair_cost.get((a, b))
         if acc is None:
-            # Adopt the caller's matrix outright — callers hand over a
-            # fresh one per edge, so no zero-matrix allocation is needed
-            # (and 0.0 + x == x bit-exactly for these non-negative costs).
-            self.pair_cost[(a, b)] = matrix
+            # Adopt the caller's matrix outright: callers hand over a
+            # fresh one per edge (and 0.0 + x == x for these costs).
+            self.pair_cost[(a, b)] = m
             return
-        for i in range(2):
-            for j in range(2):
-                acc[i][j] += matrix[i][j]
+        acc[0] += m[0]
+        acc[1] += m[1]
+        acc[2] += m[2]
+        acc[3] += m[3]
 
 
 def _contract(
@@ -96,44 +114,108 @@ def _contract(
         root_v, pv = uf.find(edge.v)
         if root_u == root_v:
             # Cost depends only on the unit's root color.
-            for color in _COLORS:
-                cu = color if pu == 0 else color.flipped
-                cv = color if pv == 0 else color.flipped
-                ug.self_cost[root_u][_IDX[color]] += edge.dp_cost(cu, cv)
+            for i in (0, 1):
+                ug.self_cost[root_u][i] += edge.dp_cost(
+                    _COLORS[i ^ pu], _COLORS[i ^ pv]
+                )
         else:
-            # Built as a literal (in _COLORS == _IDX order) — no scratch
-            # zero matrix per soft edge.
-            matrix = [
+            ug.add_pair_cost(
+                root_u,
+                root_v,
                 [
-                    edge.dp_cost(
-                        ca if pu == 0 else ca.flipped,
-                        cb if pv == 0 else cb.flipped,
-                    )
-                    for cb in _COLORS
-                ]
-                for ca in _COLORS
-            ]
-            ug.add_pair_cost(root_u, root_v, matrix)
+                    edge.dp_cost(_COLORS[i ^ pu], _COLORS[j ^ pv])
+                    for i in (0, 1)
+                    for j in (0, 1)
+                ],
+            )
     return ug
 
 
-def _maximum_spanning_forest(ug: _UnitGraph) -> Dict[int, List[Tuple[int, CostMatrix]]]:
+def _kruskal_key(item: Tuple[Tuple[int, int], FlatMatrix]):
+    m = item[1]
+    return (-(max(m) - min(m)), item[0])
+
+
+def _spanning_forest(ug: _UnitGraph) -> Dict[int, List[Link]]:
     """Kruskal by descending spread; returns adjacency of the kept edges."""
-    uf = ParityUnionFind()  # reused as a plain union-find (parity 0)
-    for unit in ug.units:
-        uf.add(unit)
-    ranked = sorted(
-        ug.pair_cost.items(), key=lambda kv: (-_matrix_spread(kv[1]), kv[0])
-    )
-    adjacency: Dict[int, List[Tuple[int, CostMatrix]]] = {u: [] for u in ug.units}
-    for (a, b), matrix in ranked:
-        if uf.same_set(a, b):
+    parent = {unit: unit for unit in ug.units}
+    adjacency: Dict[int, List[Link]] = {unit: [] for unit in ug.units}
+    for (a, b), m in sorted(ug.pair_cost.items(), key=_kruskal_key):
+        ra = a
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        rb = b
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra == rb:
             continue  # non-tree edge: ignored by the DP, as in the paper
-        uf.union(a, b, 0)
-        adjacency[a].append((b, matrix))
-        transposed = [[matrix[j][i] for j in range(2)] for i in range(2)]
-        adjacency[b].append((a, transposed))
+        parent[ra] = rb
+        adjacency[a].append((b, m, 0))
+        adjacency[b].append((a, m, 1))
     return adjacency
+
+
+def _tree_dp(
+    adjacency: Dict[int, List[Link]],
+    self_cost: Dict[int, List[float]],
+    root: int,
+    colors: Dict[int, int],
+) -> float:
+    """Eq. (4) on the tree of ``root``: write its 0/1 colors into
+    ``colors`` (root first, then in backtrace order); return its cost."""
+    # Iterative DFS ordering (explicit stack: components can be huge).
+    order: List[int] = []
+    parent: Dict[int, Optional[int]] = {root: None}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for child, _, _ in adjacency.get(node, ()):
+            if child not in parent:
+                parent[child] = node
+                stack.append(child)
+
+    cost: Dict[int, Tuple[float, float]] = {}
+    picks: Dict[int, List[Tuple[int, int, int]]] = {}
+    for node in reversed(order):
+        c0, c1 = self_cost.get(node, _NO_COST)
+        chosen = []
+        for child, m, t in adjacency.get(node, ()):
+            if parent[child] != node:
+                continue
+            k0, k1 = cost[child]
+            if t:
+                m00, m10, m01, m11 = m
+            else:
+                m00, m01, m10, m11 = m
+            # Best child color under each node color; ties go to 0.
+            o0 = k0 + m00
+            o1 = k1 + m01
+            if o0 <= o1:
+                j0 = 0
+                c0 += o0
+            else:
+                j0 = 1
+                c0 += o1
+            o0 = k0 + m10
+            o1 = k1 + m11
+            if o0 <= o1:
+                j1 = 0
+                c1 += o0
+            else:
+                j1 = 1
+                c1 += o1
+            chosen.append((child, j0, j1))
+        cost[node] = (c0, c1)
+        picks[node] = chosen
+
+    c0, c1 = cost[root]
+    colors[root] = 0 if c0 <= c1 else 1
+    for node in order:
+        i = colors[node]
+        for child, j0, j1 in picks[node]:
+            colors[child] = j1 if i else j0
+    return c1 if colors[root] else c0
 
 
 def optimal_tree_coloring(
@@ -146,44 +228,13 @@ def optimal_tree_coloring(
     ``adjacency[u]`` lists ``(v, matrix)`` with ``matrix[color_u][color_v]``;
     the tree is explored from ``root``. Returns (unit colors, total cost).
     """
-    # Iterative DFS ordering (explicit stack: components can be huge).
-    order: List[int] = []
-    parent: Dict[int, Optional[int]] = {root: None}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for child, _ in adjacency.get(node, ()):
-            if child not in parent:
-                parent[child] = node
-                stack.append(child)
-
-    cost: Dict[int, List[float]] = {}
-    pick: Dict[int, Dict[int, List[int]]] = {}  # node -> child -> best child color per node color
-    for node in reversed(order):
-        c = list(self_cost.get(node, [0.0, 0.0]))
-        pick[node] = {}
-        for child, matrix in adjacency.get(node, ()):
-            if parent.get(child) != node:
-                continue
-            best_for = []
-            for i in range(2):
-                options = [cost[child][j] + matrix[i][j] for j in range(2)]
-                j_best = 0 if options[0] <= options[1] else 1
-                best_for.append(j_best)
-                c[i] += options[j_best]
-            pick[node][child] = best_for
-        cost[node] = c
-
-    colors: Dict[int, Color] = {}
-    root_idx = 0 if cost[root][0] <= cost[root][1] else 1
-    total = cost[root][root_idx]
-    colors[root] = _COLORS[root_idx]
-    for node in order:
-        i = _IDX[colors[node]]
-        for child, chosen in pick[node].items():
-            colors[child] = _COLORS[chosen[i]]
-    return colors, total
+    links = {
+        u: [(v, [m[0][0], m[0][1], m[1][0], m[1][1]], 0) for v, m in entries]
+        for u, entries in adjacency.items()
+    }
+    colors: Dict[int, int] = {}
+    total = _tree_dp(links, self_cost, root, colors)
+    return {u: _COLORS[c] for u, c in colors.items()}, total
 
 
 def flip_colors(
@@ -215,41 +266,30 @@ def flip_colors(
 
     result: Dict[int, Color] = {}
     for comp in components:
-        result.update(_color_component(graph, comp, ColoringError))
+        ug = graph.contract_component(comp)
+        if ug is None:
+            raise ColoringError("hard-constraint odd cycle: no legal coloring")
+        for unit, color in _color_units(ug).items():
+            for net, parity in ug.members[unit]:
+                result[net] = _COLORS[color ^ parity]
     return result
 
 
-def _color_component(
-    graph: ConstraintGraph, comp: Set[int], ColoringError
-) -> Dict[int, Color]:
-    """Contract + maximum spanning forest + DP + refine for one component."""
-    ug = graph.contract_component(comp)
-    if ug is None:
-        raise ColoringError("hard-constraint odd cycle: no legal coloring")
-    adjacency = _maximum_spanning_forest(ug)
+def _color_units(ug: _UnitGraph) -> Dict[int, int]:
+    """Maximum spanning forest + DP + refine: unit -> 0/1 color."""
+    adjacency = _spanning_forest(ug)
     # The forest may still have several trees (soft edges need not
-    # connect all units); DP each tree from its smallest unit.
-    unit_colors: Dict[int, Color] = {}
-    seen: Set[int] = set()
+    # connect all units); DP each tree from its first unit.
+    colors: Dict[int, int] = {}
     for unit in ug.units:
-        if unit in seen:
-            continue
-        tree_nodes = _reachable(adjacency, unit)
-        seen |= tree_nodes
-        tree_colors, _ = optimal_tree_coloring(
-            {n: adjacency[n] for n in tree_nodes}, ug.self_cost, unit
-        )
-        unit_colors.update(tree_colors)
-    _refine_unit_colors(ug, unit_colors)
-    result: Dict[int, Color] = {}
-    for u, color in unit_colors.items():
-        for net, parity in ug.members[u]:
-            result[net] = color if parity == 0 else color.flipped
-    return result
+        if unit not in colors:
+            _tree_dp(adjacency, ug.self_cost, unit, colors)
+    _refine_unit_colors(ug, colors)
+    return colors
 
 
 def _refine_unit_colors(
-    ug: _UnitGraph, colors: Dict[int, Color], max_sweeps: int = 3
+    ug: _UnitGraph, colors: Dict[int, int], max_sweeps: int = 3
 ) -> None:
     """Greedy refinement over the FULL edge set (non-tree included).
 
@@ -257,51 +297,46 @@ def _refine_unit_colors(
     (the DP tie-breaks arbitrarily between mirror assignments) but not on
     asymmetric non-tree edges — then bounded single-unit flip sweeps.
     """
-    incident: Dict[int, List[Tuple[int, CostMatrix]]] = {u: [] for u in ug.units}
-    for (a, b), matrix in ug.pair_cost.items():
-        incident[a].append((b, matrix))
-        incident[b].append((a, [[matrix[j][i] for j in range(2)] for i in range(2)]))
-
-    def total(assign: Dict[int, Color]) -> float:
-        cost = sum(
-            ug.self_cost[u][_IDX[assign[u]]] for u in ug.units
-        )
-        for (a, b), matrix in ug.pair_cost.items():
-            cost += matrix[_IDX[assign[a]]][_IDX[assign[b]]]
-        return cost
-
-    mirrored = {u: c.flipped for u, c in colors.items()}
-    if total(mirrored) < total(colors):
-        colors.update(mirrored)
+    units = ug.units
+    self_cost = ug.self_cost
+    # Both totals: the coloring as it stands and its mirror image, each
+    # summed over units, then over pairs.
+    kept = 0
+    mirrored = 0
+    for unit in units:
+        c = colors[unit]
+        sc = self_cost[unit]
+        kept += sc[c]
+        mirrored += sc[c ^ 1]
+    incident: Dict[int, List[Link]] = {unit: [] for unit in units}
+    for (a, b), m in ug.pair_cost.items():
+        k = (colors[a] << 1) | colors[b]
+        kept += m[k]
+        mirrored += m[3 - k]
+        incident[a].append((b, m, 0))
+        incident[b].append((a, m, 1))
+    if mirrored < kept:
+        for unit in colors:
+            colors[unit] ^= 1
 
     for _ in range(max_sweeps):
         improved = False
-        for unit in ug.units:
-            current = _IDX[colors[unit]]
-            flipped = 1 - current
-            delta = ug.self_cost[unit][flipped] - ug.self_cost[unit][current]
-            for other, matrix in incident[unit]:
-                j = _IDX[colors[other]]
-                delta += matrix[flipped][j] - matrix[current][j]
+        for unit in units:
+            current = colors[unit]
+            flipped = current ^ 1
+            sc = self_cost[unit]
+            delta = sc[flipped] - sc[current]
+            for other, m, t in incident[unit]:
+                j = colors[other]
+                if t:
+                    delta += m[(j << 1) | flipped] - m[(j << 1) | current]
+                else:
+                    delta += m[(flipped << 1) | j] - m[(current << 1) | j]
             if delta < 0:
-                colors[unit] = _COLORS[flipped]
+                colors[unit] = flipped
                 improved = True
         if not improved:
             break
-
-
-def _reachable(
-    adjacency: Dict[int, List[Tuple[int, CostMatrix]]], start: int
-) -> Set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for other, _ in adjacency.get(node, ()):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return seen
 
 
 def brute_force_coloring(

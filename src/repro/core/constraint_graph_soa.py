@@ -35,8 +35,24 @@ from .odd_cycle import JournalEntry, ParityUnionFind
 from .scenario_detect import DetectedScenario
 from .scenarios import HARD
 
-#: _COLORS index of each color (matches color_flip._IDX).
+#: 0/1 index of each color (the color-flip kernel's colors).
 _CIDX = {Color.CORE: 0, Color.SECOND: 1}
+
+#: dp4 index of each entry ``(i << 1) | j`` of the flat cost matrix of a
+#: soft row between units ``ru`` and ``rv``, by ``(pu << 1) | pv``, the
+#: parities of the row's endpoints to those units: the row's color pair
+#: is ``(i ^ pu, j ^ pv)``. ``_ORIENT_T`` lays the matrix out over
+#: ``(rv, ru)`` instead, for when ``rv`` is the smaller unit.
+_ORIENT = [
+    tuple((((k >> 1) ^ pu) << 1) | ((k & 1) ^ pv) for k in range(4))
+    for pu in (0, 1)
+    for pv in (0, 1)
+]
+_ORIENT_T = [
+    tuple((((k & 1) ^ pu) << 1) | ((k >> 1) ^ pv) for k in range(4))
+    for pu in (0, 1)
+    for pv in (0, 1)
+]
 
 
 class SoAOverlayConstraintGraph:
@@ -386,6 +402,10 @@ class SoAOverlayConstraintGraph:
         Follows the object path's edge order exactly; all accumulated
         values are integer-valued float64, so the result is bit-identical
         to ``color_flip._contract`` over the materialised edges.
+
+        Each net's (root, parity) is read once, after the unions; the
+        roots name the units, so they feed Kruskal's tie-break and the DP
+        roots.
         """
         from .color_flip import _UnitGraph
 
@@ -409,35 +429,45 @@ class SoAOverlayConstraintGraph:
                 soft.append(r)
 
         ug = _UnitGraph()
+        units = ug.units
         members = ug.members
         self_cost = ug.self_cost
+        unit_of: Dict[int, Tuple[int, int]] = {}
         find = uf.find
         for net in sorted(comp):
-            root, parity = find(net)
-            if root not in members:
-                members[root] = []
-                ug.units.append(root)
+            root, p = unit_of[net] = find(net)
+            group = members.get(root)
+            if group is None:
+                members[root] = [(net, p)]
+                units.append(root)
                 self_cost[root] = [0.0, 0.0]
-            members[root].append((net, parity))
+            else:
+                group.append((net, p))
 
+        pair_cost = ug.pair_cost
         for r in soft:
             d = dp4[r]
-            ru, pu = find(us[r])
-            rv, pv = find(vs[r])
+            ru, pu = unit_of[us[r]]
+            rv, pv = unit_of[vs[r]]
             if ru == rv:
                 sc = self_cost[ru]
                 sc[0] += d[(pu << 1) | pv]
                 sc[1] += d[((1 - pu) << 1) | (1 - pv)]
+                continue
+            if ru < rv:
+                i0, i1, i2, i3 = _ORIENT[(pu << 1) | pv]
+                key = (ru, rv)
             else:
-                # matrix[i][j] = dp[2*(i^pu) + (j^pv)]
-                ug.add_pair_cost(
-                    ru,
-                    rv,
-                    [
-                        [d[(pu << 1) | pv], d[(pu << 1) | (1 ^ pv)]],
-                        [d[((1 ^ pu) << 1) | pv], d[((1 ^ pu) << 1) | (1 ^ pv)]],
-                    ],
-                )
+                i0, i1, i2, i3 = _ORIENT_T[(pu << 1) | pv]
+                key = (rv, ru)
+            acc = pair_cost.get(key)
+            if acc is None:
+                pair_cost[key] = [d[i0], d[i1], d[i2], d[i3]]
+            else:
+                acc[0] += d[i0]
+                acc[1] += d[i1]
+                acc[2] += d[i2]
+                acc[3] += d[i3]
         return ug
 
 

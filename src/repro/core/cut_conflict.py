@@ -30,6 +30,34 @@ from .scenarios import ScenarioType
 _COLOR_PAIRS = tuple((pair.a, pair.b) for pair in ColorPair)
 
 
+def _cut_shape(stype: ScenarioType, pair: ColorPair) -> Optional[str]:
+    """Which critical cut a scenario needs under a color pair, if any."""
+    if stype is ScenarioType.T1B and pair.same:
+        return "tip_gap"  # merge + cut: the cut separates the merged tips
+    if stype is ScenarioType.T2B:
+        return "tip_gap"  # the middle of the two-track tip gap, always
+    if stype is ScenarioType.T2A and not pair.same:
+        return "flank"  # assist-core merge re-opened along the core flank
+    if stype is ScenarioType.T3A and pair is ColorPair.CC:
+        return "corner"
+    if stype is ScenarioType.T3B and pair in (ColorPair.CC, ColorPair.SC):
+        return "corner"
+    if stype is ScenarioType.T3C and pair is ColorPair.CS:
+        return "corner"
+    if stype is ScenarioType.T3D and not pair.same:
+        return "corner"
+    return None
+
+
+#: ``_cut_shape`` of every (scenario type, color of A, color of B),
+#: built once: most memo misses need no cut and stop at this lookup.
+_CUT_SHAPE: Dict[Tuple[ScenarioType, Color, Color], Optional[str]] = {
+    (stype, pair.a, pair.b): _cut_shape(stype, pair)
+    for stype in ScenarioType
+    for pair in ColorPair
+}
+
+
 @dataclass(frozen=True)
 class CriticalCut:
     """A cut pattern that directly defines a target-pattern boundary."""
@@ -120,44 +148,38 @@ class CutConflictChecker:
 
         Only scenarios whose chosen assignment defines a target boundary
         with the cut mask produce critical cuts; spacer-protected
-        assignments produce none.
+        assignments produce none, and for them a memo miss costs one
+        :data:`_CUT_SHAPE` lookup.
         """
         key = (id(scenario), color_a, color_b)
         hit = self._cut_memo.get(key)
         if hit is not None and hit[0] is scenario:
             return hit[1]
-        pair = ColorPair.of(color_a, color_b)
         stype = scenario.scenario
+        shape = _CUT_SHAPE[(stype, color_a, color_b)]
+        if shape is None:
+            none: List[CriticalCut] = []
+            self._cut_memo[key] = (scenario, none)
+            return none
         a_nm = self.wire_rect_nm(scenario.rect_a)
         b_nm = self.wire_rect_nm(scenario.rect_b)
-        nets = (scenario.net_a, scenario.net_b)
-        cuts: List[Rect] = []
-
-        if stype is ScenarioType.T1B and pair.same:
-            # Merge + cut: the cut separates the two merged tips.
-            cuts.append(self._tip_gap_cut(a_nm, b_nm))
-        elif stype is ScenarioType.T2B:
-            # The middle of the two-track tip gap always needs a cut.
-            cuts.append(self._tip_gap_cut(a_nm, b_nm))
-        elif stype is ScenarioType.T2A and not pair.same:
+        if shape == "tip_gap":
+            rect = self._tip_gap_cut(a_nm, b_nm)
+        elif shape == "flank":
             # Assist-core merge: the cut re-opens the core pattern's flank.
-            core_rect = a_nm if pair.a is Color.CORE else b_nm
-            other = b_nm if pair.a is Color.CORE else a_nm
-            cuts.append(self._flank_cut(core_rect, other))
-        elif stype is ScenarioType.T3A and pair is ColorPair.CC:
-            cuts.append(self._corner_cut(a_nm, b_nm))
-        elif stype is ScenarioType.T3B and pair is ColorPair.CC:
-            cuts.append(self._corner_cut(a_nm, b_nm))
-        elif stype is ScenarioType.T3B and pair is ColorPair.SC:
-            cuts.append(self._corner_cut(a_nm, b_nm))
-        elif stype is ScenarioType.T3C and pair is ColorPair.CS:
-            cuts.append(self._corner_cut(a_nm, b_nm))
-        elif stype is ScenarioType.T3D and not pair.same:
-            cuts.append(self._corner_cut(a_nm, b_nm))
-
+            if color_a is Color.CORE:
+                rect = self._flank_cut(a_nm, b_nm)
+            else:
+                rect = self._flank_cut(b_nm, a_nm)
+        else:
+            rect = self._corner_cut(a_nm, b_nm)
         result = [
-            CriticalCut(rect=c, layer=scenario.layer, nets=nets, scenario=stype)
-            for c in cuts
+            CriticalCut(
+                rect=rect,
+                layer=scenario.layer,
+                nets=(scenario.net_a, scenario.net_b),
+                scenario=stype,
+            )
         ]
         self._cut_memo[key] = (scenario, result)
         return result

@@ -161,8 +161,7 @@ class SadpRouter:
         # MAX_REPAIR_ROUNDS on, a round sheds its offenders instead of
         # rerouting them: the zero-conflict guarantee is unconditional.
         for round_idx in range(2 * (self.MAX_REPAIR_ROUNDS + 1)):
-            self._final_flip()
-            self._refresh_all_cuts()
+            self._refresh_all_cuts(self._final_flip())
             conflicts = self.checker.all_conflicts()
             if not conflicts:
                 break
@@ -524,11 +523,10 @@ class SadpRouter:
                         # full-layout flipping pass (Fig. 19 line 16); the
                         # walk stopped as soon as it passed the cap.
                         continue
-                    new_colors = flip_colors(graph, scope)
-                    self.colorings[layer].update(new_colors)
+                    stale = self._recolor(layer, flip_colors(graph, scope))
                     self._flip_count += 1
                     obs.counter_inc("color_flips_total", scope="component")
-                    self._refresh_cuts(new_colors.keys())
+                    self._refresh_cuts(stale)
             if obs.is_enabled():
                 sp.attrs["flips"] = self._flip_count - flips_before
 
@@ -592,16 +590,43 @@ class SadpRouter:
             self._refresh_cuts(affected)
             self._committed.discard(net_id)
 
-    def _final_flip(self) -> None:
-        """Fig. 19 line 16: full-layout color flipping after routing."""
+    def _final_flip(self) -> Set[int]:
+        """Fig. 19 line 16: full-layout color flipping after routing.
+
+        Returns the nets whose cuts the new colors can have changed (see
+        :meth:`_recolor`).
+        """
+        stale: Set[int] = set()
         if not self.enable_flipping:
-            return
+            return stale
         with obs.span("color_flip", scope="layout"):
             for layer, graph in enumerate(self.graphs):
                 if len(graph):
-                    self.colorings[layer].update(flip_colors(graph))
+                    stale.update(self._recolor(layer, flip_colors(graph)))
                     self._flip_count += 1
                     obs.counter_inc("color_flips_total", scope="layout")
+        return stale
+
+    def _recolor(self, layer: int, new_colors: Dict[int, Color]) -> List[int]:
+        """Apply a flip's colors to ``layer``; return the nets whose cuts
+        they can change.
+
+        A net's cuts come from the scenarios it detected (its ``net_a``
+        side) and the colors of both nets of each, on the scenario's own
+        layer. So the cuts that can change are those of the ``net_a`` of
+        every scenario on ``layer`` that has a net this flip re-colored.
+        Those owners come back in first-seen order.
+        """
+        coloring = self.colorings[layer]
+        owners: Dict[int, None] = {}
+        for net_id, color in new_colors.items():
+            if coloring.get(net_id) is color:
+                continue
+            coloring[net_id] = color
+            for sc in self._scenarios_by_net.get(net_id, ()):
+                if sc.layer == layer:
+                    owners[sc.net_a] = None
+        return list(owners)
 
     # ------------------------------------------------------------------ #
     # Cut bookkeeping
@@ -619,12 +644,39 @@ class SadpRouter:
         return cuts
 
     def _refresh_cuts(self, nets) -> None:
+        """Recompute and re-register the cuts of the committed ``nets``.
+
+        Callers pass every net whose cuts can have changed: the owners
+        :meth:`_recolor` names after a flip, and the neighbours of a
+        ripped-up net, which lose its scenarios. Every other committed
+        net keeps registered cuts equal to what :meth:`_cuts_for_net`
+        returns. Re-registering moves a net's cuts to the end of the
+        checker's registration order. Until the next
+        :meth:`_refresh_all_cuts` only ``conflicts_with`` reads that
+        order, and the router uses its result as a set (blockers, and
+        penalties of one amount per cell), so which nets a refresh
+        touches, and in what order, changes no route.
+        """
         for net_id in nets:
             if net_id in self._scenarios_by_net:
                 self.checker.replace_net_cuts(net_id, self._cuts_for_net(net_id))
 
-    def _refresh_all_cuts(self) -> None:
-        self._refresh_cuts(list(self._scenarios_by_net.keys()))
+    def _refresh_all_cuts(self, stale: Set[int]) -> None:
+        """Re-register every net's cuts, in ``_scenarios_by_net`` order.
+
+        ``all_conflicts()`` reads the cuts in registration order, and
+        that order sets ``_repair_round``'s offender order, so every net
+        is registered again. Only the ``stale`` nets, whose cuts the last
+        full flip can have changed, recompute them; every other net gets
+        its registered list back.
+        """
+        checker = self.checker
+        for net_id in list(self._scenarios_by_net):
+            if net_id in stale:
+                cuts = self._cuts_for_net(net_id)
+            else:
+                cuts = checker.cuts_of(net_id)
+            checker.replace_net_cuts(net_id, cuts)
 
     # ------------------------------------------------------------------ #
     # Metrics

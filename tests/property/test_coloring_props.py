@@ -11,7 +11,20 @@ from repro.core import (
     ParityUnionFind,
     ScenarioType,
 )
-from repro.core.color_flip import brute_force_coloring, flip_colors
+from repro.core.color_flip import (
+    _COLORS as _KERNEL_COLORS,
+    _UnitGraph,
+    _color_units,
+    brute_force_coloring,
+    flip_colors,
+    optimal_tree_coloring,
+)
+from repro.core.edges import CUT_VETO
+from repro.core.reference import (
+    _maximum_spanning_forest,
+    reference_tree_coloring,
+    reference_unit_colors,
+)
 from repro.errors import ColoringError
 
 NODES = list(range(8))
@@ -153,3 +166,80 @@ class TestFlipColorsProperties:
             scoped = flip_colors(g, scope={vertex})
             assert set(scoped) == g.component_of(vertex)
         assert set(full) == set(g.vertices)
+
+
+# Few distinct costs, so Kruskal's spreads, the DP's two options per
+# color, refinement deltas and the two mirror totals tie often.
+_TIE_COSTS = st.sampled_from([0.0, 1.0, 2.0, CUT_VETO])
+
+
+@st.composite
+def unit_graphs(draw):
+    """A random contracted component: units named out of order, self
+    costs, and flat pair matrices inserted in random key order. With
+    ``mirror`` every cost is unchanged when all colors flip, so the
+    refinement's mirror totals are equal."""
+    names = draw(st.lists(st.integers(0, 60), min_size=1, max_size=9, unique=True))
+    mirror = draw(st.booleans())
+    ug = _UnitGraph()
+    for name in names:
+        ug.units.append(name)
+        ug.members[name] = [(name, 0)]
+        c0 = draw(_TIE_COSTS)
+        ug.self_cost[name] = [c0, c0 if mirror else draw(_TIE_COSTS)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    else:
+        chosen = []
+    for a, b in chosen:
+        m00, m01 = draw(_TIE_COSTS), draw(_TIE_COSTS)
+        if mirror:
+            m = [m00, m01, m01, m00]
+        else:
+            m = [m00, m01, draw(_TIE_COSTS), draw(_TIE_COSTS)]
+        ug.pair_cost[(min(a, b), max(a, b))] = m
+    return ug
+
+
+class TestKernelMatchesColorOracle:
+    """The 0/1 kernel against the Color-based MST + DP + refinement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_graphs())
+    def test_unit_colors_match(self, ug):
+        expected = [(u, c) for u, c in reference_unit_colors(ug).items()]
+        got = [(u, _KERNEL_COLORS[c]) for u, c in _color_units(ug).items()]
+        assert got == expected  # same colors, same order
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_graphs())
+    def test_tree_coloring_matches(self, ug):
+        forest = _maximum_spanning_forest(ug)
+        seen = set()
+        for root in ug.units:
+            if root in seen:
+                continue
+            expected = reference_tree_coloring(forest, ug.self_cost, root)
+            got = optimal_tree_coloring(forest, ug.self_cost, root)
+            assert list(got[0].items()) == list(expected[0].items())
+            assert got[1] == expected[1]
+            seen |= set(expected[0])
+
+    def test_forced_ties_are_reached(self):
+        """The strategy does produce each kind of tie the kernel breaks."""
+        ties = {"spread": 0, "option": 0, "delta": 0, "mirror": 0}
+
+        @settings(max_examples=200, deadline=None)
+        @given(unit_graphs())
+        def count(ug):
+            spreads = [max(m) - min(m) for m in ug.pair_cost.values()]
+            ties["spread"] += len(spreads) != len(set(spreads))
+            ties["option"] += any(m[0] == m[1] or m[2] == m[3] for m in ug.pair_cost.values())
+            ties["delta"] += any(c[0] == c[1] for c in ug.self_cost.values())
+            ties["mirror"] += all(c[0] == c[1] for c in ug.self_cost.values()) and all(
+                m[0] == m[3] and m[1] == m[2] for m in ug.pair_cost.values()
+            )
+
+        count()
+        assert all(ties.values()), ties

@@ -132,20 +132,27 @@ def _alive(pid):
     return True
 
 
-def _serving_url(proc, deadline_s):
-    """Read the server's stderr until it prints its address.
+def _pump_lines(stream):
+    """Drain ``stream`` into a queue from a thread; ``None`` marks its end.
 
-    A thread keeps draining the pipe afterwards, so the server never
-    blocks on a full stderr.
+    The thread keeps draining after the server's address is read, so the
+    server never blocks on a full stderr. Returns the queue and the
+    thread, which ends once every writer has closed the pipe.
     """
     lines = queue.Queue()
 
     def pump():
-        for line in proc.stderr:
+        for line in stream:
             lines.put(line)
         lines.put(None)
 
-    threading.Thread(target=pump, daemon=True).start()
+    thread = threading.Thread(target=pump, daemon=True)
+    thread.start()
+    return lines, thread
+
+
+def _serving_url(lines, deadline_s):
+    """Read the server's stderr lines until it prints its address."""
     deadline = time.monotonic() + deadline_s
     seen = []
     while True:
@@ -186,9 +193,10 @@ def test_serve_process_under_concurrent_load(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
     )
+    lines, pump = _pump_lines(proc.stderr)
     worker_pids = set()
     try:
-        url = _serving_url(proc, deadline_s=60)
+        url = _serving_url(lines, deadline_s=60)
         payloads = [{"circuit": "Test1", "scale": 0.1, "seed": 2014}] * 3 + [
             {"circuit": "Test1", "scale": 0.1, "seed": seed}
             for seed in (2015, 2016, 2017)
@@ -235,3 +243,9 @@ def test_serve_process_under_concurrent_load(tmp_path):
         for pid in worker_pids:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+        # Every process that held the pipe is gone, so the pump reaches
+        # its end; close the pipe only after it stopped reading.
+        pump.join(timeout=10)
+        if not pump.is_alive():
+            proc.stderr.close()
+    assert not pump.is_alive(), "the stderr pump never reached the pipe's end"

@@ -1,5 +1,8 @@
 """Unit tests for units (TrackGrid) and the color enums."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.color import ALL_PAIRS, Color, ColorPair
@@ -75,3 +78,21 @@ class TestColor:
 
     def test_all_pairs_order(self):
         assert [p.name for p in ALL_PAIRS] == ["CC", "CS", "SC", "SS"]
+
+    def test_identity_hash_survives_pickle_and_deepcopy(self):
+        """Colors hash by identity; a pickled or deep-copied color (or
+        color-keyed dict) is still the singleton, so lookups keep working."""
+        assert hash(Color.CORE) == object.__hash__(Color.CORE)
+        table = {Color.CORE: "core", Color.SECOND: "second"}
+        copies = [
+            pickle.loads(pickle.dumps(table, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        copies.append(copy.deepcopy(table))
+        for other in copies:
+            assert other[Color.CORE] == "core" and other[Color.SECOND] == "second"
+            assert all(a is b for a, b in zip(other, table))
+        for color in Color:
+            assert pickle.loads(pickle.dumps(color)) is color
+            assert copy.deepcopy(color) is color and copy.copy(color) is color
+            assert {color: 1}[Color(color.value)] == 1
