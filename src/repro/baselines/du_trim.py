@@ -2,7 +2,8 @@
 
 Published behaviour we reproduce:
 
-* trim process, no assist cores (same accounting as [11]);
+* trim process, no assist cores (the accounting and color choice of
+  [11], inherited from :class:`GaoPanTrimRouter`);
 * **multiple pin candidate locations**: every two-pin net offers several
   legal locations per pin, and the router commits to one pair;
 * the algorithm explores the candidate space exhaustively — it runs a
@@ -15,24 +16,19 @@ Published behaviour we reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from ..color import Color
-from ..core.scenario_detect import DetectedScenario
-from ..geometry import Point, Segment
 from ..netlist import Net
 from ..router.astar import SearchRequest, SearchResult
 from ..router.result import NetRoute, RoutingResult
-from .common import BaselineRouterBase
-from .trim_model import TrimAccounting
+from .gao_pan import GaoPanTrimRouter
 
 
-class DuTrimRouter(BaselineRouterBase):
+class DuTrimRouter(GaoPanTrimRouter):
     """The [10] baseline (multi-pin-candidate benchmarks, Table IV)."""
 
     def __init__(self, grid, netlist, params=None, time_budget_s: Optional[float] = None) -> None:
         super().__init__(grid, netlist, params)
-        self.accounting = TrimAccounting(grid.rules, grid.num_layers)
         #: Optional wall-clock budget; the paper aborts [10] beyond 10^5 s.
         self.time_budget_s = time_budget_s
         self._deadline: Optional[float] = None
@@ -107,52 +103,3 @@ class DuTrimRouter(BaselineRouterBase):
         key = (evaluation.conflicts, float(evaluation.overlay_nm), found.cost)
         self._release(net_id, found)
         return key
-
-    # ------------------------------------------------------------------ #
-    # Hooks (trim pricing, same as Gao-Pan)
-    # ------------------------------------------------------------------ #
-
-    def choose_colors(
-        self,
-        net_id: int,
-        segments: Sequence[Segment],
-        scenarios: Sequence[DetectedScenario],
-    ) -> Tuple[int, float]:
-        records = self.records_of(net_id, segments)
-        self.accounting.add_net(net_id, records, scenarios)
-        total_visible = 0
-        for layer in self.net_layers(segments):
-            best_key = None
-            best_color = Color.CORE
-            for color in (Color.CORE, Color.SECOND):
-                self.colorings[layer][net_id] = color
-                visible = sum(
-                    self.accounting.visible_pair_conflicts(
-                        sc,
-                        self.colorings[layer].get(sc.net_a, Color.CORE),
-                        self.colorings[layer].get(sc.net_b, Color.CORE),
-                    )
-                    for sc in self.accounting.scenarios_of(net_id)
-                    if sc.layer == layer
-                )
-                overlay = sum(
-                    self.accounting.fragment_overlay_nm(r, self.colorings[layer])
-                    for r in records
-                    if r.layer == layer
-                )
-                key = (visible, overlay)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_color = color
-            self.colorings[layer][net_id] = best_color
-            total_visible += best_key[0]
-        return total_visible, 0.0
-
-    def on_undo(self, net_id: int) -> None:
-        self.accounting.remove_net(net_id)
-
-    def collect_metrics(self, result: RoutingResult) -> None:
-        evaluation = self.accounting.evaluate(self.colorings)
-        result.overlay_nm = evaluation.overlay_nm
-        result.overlay_units = evaluation.overlay_nm / self.grid.rules.overlay_unit_nm
-        result.cut_conflicts = evaluation.conflicts

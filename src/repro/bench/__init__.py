@@ -13,7 +13,6 @@ from .runner import (
     rows_to_table,
     run_baseline,
     run_cell,
-    run_matrix,
     run_proposed,
 )
 from .scaling import fit_power_law
@@ -26,7 +25,6 @@ __all__ = [
     "generate_benchmark",
     "BenchRow",
     "run_cell",
-    "run_matrix",
     "run_proposed",
     "run_baseline",
     "rows_to_table",

@@ -168,25 +168,6 @@ def run_baseline(
     )
 
 
-def run_matrix(
-    specs: List[BenchmarkSpec],
-    routers: List[str],
-    scale: float = 1.0,
-    seed: int = 2014,
-    store: Optional[Any] = None,
-) -> List[BenchRow]:
-    """Every (circuit, router) cell, sharing one artifact store so each
-    circuit's design/grid artifacts are generated once."""
-    from ..pipeline import MemoryStore
-
-    shared = store if store is not None else MemoryStore()
-    return [
-        run_cell(spec, router=router, scale=scale, seed=seed, store=shared)
-        for spec in specs
-        for router in routers
-    ]
-
-
 def rows_to_table(rows: List[BenchRow], caption: str = "") -> str:
     """Format rows like the paper's tables (grouped by circuit).
 

@@ -106,11 +106,12 @@ class CutConflictChecker:
 
     def __init__(self, rules: DesignRules, num_layers: int) -> None:
         self.rules = rules
+        self._bucket = max(rules.pitch * 4, 1)
         self._cut_index: List[GridIndex[CriticalCut]] = [
-            GridIndex(bucket_size=max(rules.pitch * 4, 1)) for _ in range(num_layers)
+            GridIndex(bucket_size=self._bucket) for _ in range(num_layers)
         ]
         self._wire_index: List[GridIndex[int]] = [
-            GridIndex(bucket_size=max(rules.pitch * 4, 1)) for _ in range(num_layers)
+            GridIndex(bucket_size=self._bucket) for _ in range(num_layers)
         ]
         self._cuts_by_net: Dict[int, List[CriticalCut]] = {}
         self._wires_by_net: Dict[int, List[Tuple[int, Rect]]] = {}
@@ -285,14 +286,17 @@ class CutConflictChecker:
             self._cut_index[cut.layer].remove(cut.rect, cut)
 
     def replace_net_cuts(self, net_id: int, cuts: Iterable[CriticalCut]) -> None:
-        """Swap a net's registered cuts (after a color flip changed them)."""
-        for cut in self._cuts_by_net.pop(net_id, []):
+        """Swap a net's registered cuts (after a color flip changed them).
+
+        The net keeps its place in the registration order that
+        :meth:`all_cuts` reads.
+        """
+        for cut in self._cuts_by_net.get(net_id, ()):
             self._cut_index[cut.layer].remove(cut.rect, cut)
         cut_list = list(cuts)
         for cut in cut_list:
             self._cut_index[cut.layer].insert(cut.rect, cut)
-        if cut_list:
-            self._cuts_by_net[net_id] = cut_list
+        self._cuts_by_net[net_id] = cut_list
 
     # ------------------------------------------------------------------ #
     # Conflict detection
@@ -327,20 +331,28 @@ class CutConflictChecker:
     def all_conflicts(self) -> List[CutConflict]:
         """Every conflicting pair of registered cuts, each reported once.
 
-        One pass over :meth:`all_cuts`: each cut is checked only against
-        its index neighbours that come later in that order, so a pair is
-        priced once and reported from its earlier cut. The conflict test
-        is symmetric, so this is exactly the first-seen dedup of
-        ``conflicts_with(all_cuts())``, element for element.
+        One pass over :meth:`all_cuts`, whose order (nets in registration
+        order) sets the result's: each cut is checked only against its
+        neighbours that come later in that order, so a pair is priced
+        once and reported from its earlier cut. The neighbours come from
+        a fresh index filled in that order, so the result does not depend
+        on how often a net's cuts were replaced. The conflict test is
+        symmetric, so this is exactly the first-seen dedup of
+        ``conflicts_with(all_cuts())`` on a checker that registered every
+        net afresh, element for element.
         """
         cuts = self.all_cuts()
-        position = {id(cut): k for k, cut in enumerate(cuts)}
+        index: List[GridIndex[int]] = [
+            GridIndex(bucket_size=self._bucket) for _ in self._cut_index
+        ]
+        for k, cut in enumerate(cuts):
+            index[cut.layer].insert(cut.rect, k)
         d_cut = self.rules.d_cut
         conflicts: List[CutConflict] = []
         for k, cut in enumerate(cuts):
-            for _, other in self._cut_index[cut.layer].neighbours(cut.rect, d_cut):
-                if position[id(other)] > k:
-                    conflict = self._pair_conflict(cut, other)
+            for _, j in index[cut.layer].neighbours(cut.rect, d_cut):
+                if j > k:
+                    conflict = self._pair_conflict(cut, cuts[j])
                     if conflict is not None:
                         conflicts.append(conflict)
         return conflicts
@@ -375,9 +387,6 @@ class CutConflictChecker:
         """First net whose committed wire overlaps ``region``."""
         hits = self._wire_index[layer].query(region)
         return hits[0][1] if hits else None
-
-    def cuts_of(self, net_id: int) -> List[CriticalCut]:
-        return list(self._cuts_by_net.get(net_id, ()))
 
     def all_cuts(self) -> List[CriticalCut]:
         out = []

@@ -1,10 +1,8 @@
 """Manhattan geometry substrate.
 
 Everything the router and the SADP decomposition engine need to talk about
-shapes: integer points, axis-aligned rectangles, rectilinear polygons with
-fragmentation into rectangles (the primitive behind Theorem 3 of the paper),
-1-D interval arithmetic, wire segments, and a uniform-bucket spatial index
-for neighbour queries.
+shapes: integer points, axis-aligned rectangles, 1-D interval arithmetic,
+wire segments, and a uniform-bucket spatial index for neighbour queries.
 
 All coordinates are integers; callers choose the unit (tracks or nm).
 """
@@ -13,7 +11,6 @@ from .point import Point
 from .interval import Interval, IntervalSet
 from .rect import Rect
 from .segment import Segment, points_to_segments
-from .polygon import RectilinearPolygon, decompose_rectilinear
 from .spatial import GridIndex
 
 __all__ = [
@@ -23,7 +20,5 @@ __all__ = [
     "Rect",
     "Segment",
     "points_to_segments",
-    "RectilinearPolygon",
-    "decompose_rectilinear",
     "GridIndex",
 ]

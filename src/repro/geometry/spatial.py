@@ -51,11 +51,15 @@ class GridIndex(Generic[T]):
         present = False
         for key in self._keys(rect):
             bucket = self._cells.get(key)
-            if bucket and entry in bucket:
+            if not bucket:
+                continue
+            try:
                 bucket.remove(entry)
-                present = True
-                if not bucket:
-                    del self._cells[key]
+            except ValueError:
+                continue
+            present = True
+            if not bucket:
+                del self._cells[key]
         if present:
             self._count -= 1
         return present

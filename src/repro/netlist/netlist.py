@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 from ..errors import NetlistError
 from .net import Net
-
-#: Strategies :meth:`Netlist.ordered_for_routing` accepts.
-ROUTING_ORDERS = ("hpwl", "hpwl_desc", "id", "random")
 
 
 class Netlist:
@@ -51,33 +48,14 @@ class Netlist:
         except KeyError:
             raise NetlistError(f"no net named {name!r}") from None
 
-    def ordered_for_routing(self, strategy: str = "hpwl", seed: int = 0) -> List[Net]:
-        """Nets in routing order.
+    def ordered_for_routing(self) -> List[Net]:
+        """Nets in routing order: shortest half-perimeter first, id ties.
 
-        Strategies:
-
-        * ``"hpwl"`` (default) — shortest half-perimeter first, id ties.
-          Short nets have the fewest detour alternatives, so routing them
-          first is the standard sequential heuristic; rip-up & reroute
-          recovers the cases where the order was wrong.
-        * ``"hpwl_desc"`` — longest first (the classic counter-heuristic,
-          useful for ordering-sensitivity studies).
-        * ``"id"`` — netlist order.
-        * ``"random"`` — seeded shuffle.
+        Short nets have the fewest detour alternatives, so routing them
+        first is the standard sequential heuristic; rip-up & reroute
+        recovers the cases where the order was wrong.
         """
-        if strategy == "hpwl":
-            return sorted(self._nets, key=lambda n: (n.half_perimeter, n.net_id))
-        if strategy == "hpwl_desc":
-            return sorted(self._nets, key=lambda n: (-n.half_perimeter, n.net_id))
-        if strategy == "id":
-            return sorted(self._nets, key=lambda n: n.net_id)
-        if strategy == "random":
-            import random
-
-            nets = sorted(self._nets, key=lambda n: n.net_id)
-            random.Random(seed).shuffle(nets)
-            return nets
-        raise NetlistError(f"unknown routing-order strategy {strategy!r}")
+        return sorted(self._nets, key=lambda n: (n.half_perimeter, n.net_id))
 
     def total_half_perimeter(self) -> int:
         return sum(n.half_perimeter for n in self._nets)

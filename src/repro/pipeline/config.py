@@ -2,23 +2,20 @@
 
 A :class:`PipelineConfig` pins down everything a run depends on — the
 design source (a netlist file or a paper benchmark instance), grid
-dimensions, layer stack, overlay cost weights, and the
-bitmap resolution of the decomposition engine. Stages declare which
-*slice* of the config they depend on (see ``stages.py``), and only that
-slice enters their content hash, so changing e.g. ``bitmap_resolution``
-invalidates decompose/verify but leaves routing artifacts valid.
+dimensions, layer stack and router. The route stage routes with the
+paper's parameters (§IV), and decomposition runs at the default bitmap
+resolution. Stages declare which *slice* of the config they depend on
+(see ``stages.py``), and only that slice enters their content hash, so
+changing e.g. ``router`` invalidates routing and everything after it
+but leaves the design and grid artifacts valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional
 
 from ..errors import PipelineError, ReproError
-from ..netlist.netlist import ROUTING_ORDERS
-from ..router.cost import CostParams
-from ..rules import DesignRules
-from ..units import DEFAULT_BITMAP_RESOLUTION_NM
 from .store import default_cache_dir
 
 #: Router names the route stage can instantiate (the CLI's ``--router``).
@@ -52,18 +49,9 @@ class PipelineConfig:
 
     # --- routing ------------------------------------------------------- #
     router: str = "ours"
-    order: str = "hpwl"
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.5
-    delta_tip: float = 0.5
-    flip_threshold: float = 10.0
     #: Extra keyword arguments for the router constructor (must be
     #: JSON-serialisable; they enter the route stage's hash).
     router_options: Optional[Dict[str, Any]] = None
-
-    # --- decomposition ------------------------------------------------- #
-    bitmap_resolution: int = DEFAULT_BITMAP_RESOLUTION_NM
 
     # --- artifact store (not hashed; $REPRO_CACHE_DIR overrides the
     # --- .repro_cache default) ----------------------------------------- #
@@ -106,35 +94,6 @@ class PipelineConfig:
             raise PipelineError(
                 f"unknown router {self.router!r}; choose from {KNOWN_ROUTERS}"
             )
-        # Rule lengths become pixel radii, and the decomposition window
-        # is snapped to DEFAULT_BITMAP_RESOLUTION_NM: a resolution must
-        # divide all of them.
-        lengths = (DEFAULT_BITMAP_RESOLUTION_NM, *astuple(DesignRules()))
-        res = self.bitmap_resolution
-        if not _is_int(res) or res <= 0 or any(length % res for length in lengths):
-            fits = [
-                d for d in range(1, DEFAULT_BITMAP_RESOLUTION_NM + 1)
-                if not any(length % d for length in lengths)
-            ]
-            raise PipelineError(
-                f"bitmap_resolution {res!r} does not divide the "
-                f"{DEFAULT_BITMAP_RESOLUTION_NM} nm window snap and every "
-                f"design rule length; choose one of {fits} nm"
-            )
-        if self.order not in ROUTING_ORDERS:
-            raise PipelineError(
-                f"unknown order {self.order!r}; choose from {ROUTING_ORDERS}"
-            )
-
-    def cost_params(self) -> CostParams:
-        """The overlay-aware router's cost knobs from this config."""
-        return CostParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            delta_tip=self.delta_tip,
-            flip_threshold=self.flip_threshold,
-        )
 
     # ------------------------------------------------------------------ #
     # Per-stage config slices (what enters each stage's content hash)
@@ -166,17 +125,8 @@ class PipelineConfig:
     def route_slice(self) -> Dict[str, Any]:
         return {
             "router": self.router,
-            "order": self.order,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta_tip": self.delta_tip,
-            "flip_threshold": self.flip_threshold,
             "router_options": dict(self.router_options or {}),
         }
-
-    def decompose_slice(self) -> Dict[str, Any]:
-        return {"bitmap_resolution": self.bitmap_resolution}
 
 
 def _is_int(value: Any) -> bool:

@@ -183,12 +183,6 @@ class RouteStage(Stage):
         grid = inputs["grid"].build()
         netlist = inputs["design"].netlist()
         options = dict(config.router_options or {})
-        if config.router == "ours":
-            options = {
-                "params": config.cost_params(),
-                "order": config.order,
-                **options,
-            }
         router = router_class(config.router)(grid, netlist, **options)
         context["router"] = router
         result = router.route_all()
@@ -218,9 +212,6 @@ class DecomposeStage(Stage):
     inputs = ("grid", "routing", "coloring")
     outputs = ("mask",)
 
-    def config_slice(self, config: PipelineConfig) -> Dict[str, Any]:
-        return config.decompose_slice()
-
     def run(self, config, inputs, context):
         from ..decompose import routing_to_targets, synthesize_masks
 
@@ -234,9 +225,7 @@ class DecomposeStage(Stage):
             )
             if not targets:
                 continue
-            masks = synthesize_masks(
-                targets, grid.rules, resolution=config.bitmap_resolution
-            )
+            masks = synthesize_masks(targets, grid.rules)
             layers.append({"layer": layer, "masks": mask_set_to_dict(masks)})
         return {"mask": MaskArtifact({"layers": layers})}
 

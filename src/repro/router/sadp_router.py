@@ -53,7 +53,6 @@ class SadpRouter:
         enable_flipping: bool = True,
         enable_t2b_penalty: bool = True,
         enable_merge: bool = True,
-        order: str = "hpwl",
         core: str = "vector",
     ) -> None:
         self.grid = grid
@@ -61,8 +60,6 @@ class SadpRouter:
         self.params = params
         self.enable_flipping = enable_flipping
         self.enable_t2b_penalty = enable_t2b_penalty
-        #: Net-ordering strategy (see Netlist.ordered_for_routing).
-        self.order = order
         #: Constraint-engine backend: "vector" (the SoA edge store and the
         #: vector scenario detector) is the only one. Kept because
         #: ``perfbench/run.py`` reads it.
@@ -89,6 +86,8 @@ class SadpRouter:
             {} for _ in range(grid.num_layers)
         ]
         self.checker = CutConflictChecker(grid.rules, grid.num_layers)
+        #: Every committed net, in commit order, with the scenarios it
+        #: takes part in.
         self._scenarios_by_net: Dict[int, List[DetectedScenario]] = {}
         self._penalties: Dict[Tuple[int, int, int], float] = {}
         self._flip_count = 0
@@ -96,7 +95,6 @@ class SadpRouter:
         #: rescue, repair or eviction retry later replaced.
         self._ripup_count = 0
         self._blockers: Set[int] = set()
-        self._committed: Set[int] = set()
         self._evicted_routes: Dict[int, NetRoute] = {}
 
         self.engine = AStarRouter(
@@ -149,7 +147,7 @@ class SadpRouter:
 
     def _route_all(self) -> RoutingResult:
         result = RoutingResult()
-        for net in self.netlist.ordered_for_routing(self.order):
+        for net in self.netlist.ordered_for_routing():
             result.routes[net.net_id] = self.route_net(net)
         result.routes.update(self._evicted_routes)
         self._evicted_routes.clear()
@@ -161,7 +159,7 @@ class SadpRouter:
         # MAX_REPAIR_ROUNDS on, a round sheds its offenders instead of
         # rerouting them: the zero-conflict guarantee is unconditional.
         for round_idx in range(2 * (self.MAX_REPAIR_ROUNDS + 1)):
-            self._refresh_all_cuts(self._final_flip())
+            self._refresh_cuts(self._final_flip())
             conflicts = self.checker.all_conflicts()
             if not conflicts:
                 break
@@ -250,7 +248,6 @@ class SadpRouter:
                 route.success = True
                 route.segments = found.segments
                 route.vias = found.vias
-                self._committed.add(net.net_id)
                 self._post_route(net.net_id)
                 return route
             route.ripups += 1
@@ -281,7 +278,9 @@ class SadpRouter:
             ob.registry.counter("evictions_total").inc()
             # The innermost open span is this net's own ``route_net``.
             ob.tracer.current().attrs["blockers"] = sorted(self._blockers)
-        victims = [v for v in sorted(self._blockers) if v in self._committed][:2]
+        victims = [
+            v for v in sorted(self._blockers) if v in self._scenarios_by_net
+        ][:2]
         evicted = []
         for victim in victims:
             self.rip_up_net(victim)
@@ -588,7 +587,6 @@ class SadpRouter:
             }
             self._tear_down(net_id)
             self._refresh_cuts(affected)
-            self._committed.discard(net_id)
 
     def _final_flip(self) -> Set[int]:
         """Fig. 19 line 16: full-layout color flipping after routing.
@@ -650,33 +648,16 @@ class SadpRouter:
         :meth:`_recolor` names after a flip, and the neighbours of a
         ripped-up net, which lose its scenarios. Every other committed
         net keeps registered cuts equal to what :meth:`_cuts_for_net`
-        returns. Re-registering moves a net's cuts to the end of the
-        checker's registration order. Until the next
-        :meth:`_refresh_all_cuts` only ``conflicts_with`` reads that
-        order, and the router uses its result as a set (blockers, and
-        penalties of one amount per cell), so which nets a refresh
-        touches, and in what order, changes no route.
+        returns. A refreshed net keeps its place in the checker's
+        registration order, which sets ``all_conflicts()``'s order; the
+        refresh moves its cuts within the index buckets that
+        ``conflicts_with`` reads, but the router uses that result as a
+        set (blockers, and penalties of one amount per cell). So which
+        nets a refresh touches, and in what order, changes no route.
         """
         for net_id in nets:
             if net_id in self._scenarios_by_net:
                 self.checker.replace_net_cuts(net_id, self._cuts_for_net(net_id))
-
-    def _refresh_all_cuts(self, stale: Set[int]) -> None:
-        """Re-register every net's cuts, in ``_scenarios_by_net`` order.
-
-        ``all_conflicts()`` reads the cuts in registration order, and
-        that order sets ``_repair_round``'s offender order, so every net
-        is registered again. Only the ``stale`` nets, whose cuts the last
-        full flip can have changed, recompute them; every other net gets
-        its registered list back.
-        """
-        checker = self.checker
-        for net_id in list(self._scenarios_by_net):
-            if net_id in stale:
-                cuts = self._cuts_for_net(net_id)
-            else:
-                cuts = checker.cuts_of(net_id)
-            checker.replace_net_cuts(net_id, cuts)
 
     # ------------------------------------------------------------------ #
     # Metrics

@@ -1,6 +1,5 @@
-"""SADP cut-process design rules and nm-level rule checking."""
+"""SADP cut-process design rules."""
 
 from .design_rules import DesignRules
-from .drc import DrcViolation, check_min_width, check_min_spacing
 
-__all__ = ["DesignRules", "DrcViolation", "check_min_width", "check_min_spacing"]
+__all__ = ["DesignRules"]

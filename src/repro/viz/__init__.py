@@ -1,13 +1,11 @@
 """Dependency-free visualisation: ASCII layout dumps and SVG rendering."""
 
-from .ascii_art import render_layer, render_coloring
-from .svg import SvgCanvas, render_masks_svg, render_routing_svg, render_stack_svg
+from .ascii_art import render_layer
+from .svg import SvgCanvas, render_masks_svg, render_routing_svg
 
 __all__ = [
     "render_layer",
-    "render_coloring",
     "SvgCanvas",
     "render_masks_svg",
     "render_routing_svg",
-    "render_stack_svg",
 ]

@@ -45,16 +45,3 @@ def render_layer(
                     row.append("?")
         rows.append("".join(row))
     return "\n".join(rows)
-
-
-def render_coloring(
-    grid: RoutingGrid, colorings: Dict[int, Dict[int, Color]]
-) -> str:
-    """Render every layer, stacked, with per-layer colorings."""
-    blocks = []
-    for layer in range(grid.num_layers):
-        name = grid.layers[layer].name
-        direction = grid.layers[layer].direction.value
-        blocks.append(f"--- {name} ({direction}) ---")
-        blocks.append(render_layer(grid, layer, colorings.get(layer)))
-    return "\n".join(blocks)

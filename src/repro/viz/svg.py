@@ -117,46 +117,6 @@ def render_masks_svg(masks, path: Union[str, Path], scale: float = 0.5) -> Path:
     return canvas.write(path)
 
 
-def render_stack_svg(
-    grid,
-    colorings: Dict[int, Dict[int, Color]],
-    path: Union[str, Path],
-    scale: float = 0.25,
-    gap_nm: int = 200,
-) -> Path:
-    """Render every routed layer side by side in one SVG.
-
-    Layers are laid out left to right with ``gap_nm`` of whitespace, each
-    column labelled by the stack. Handy for eyeballing how a net hops
-    between layers without opening several files.
-    """
-    from ..geometry import Point
-
-    pitch = grid.rules.pitch
-    half = grid.rules.w_line // 2
-    panel_w = grid.width * pitch + 2 * pitch
-    total_w = grid.num_layers * panel_w + (grid.num_layers - 1) * gap_nm
-    window = Rect(-pitch, -pitch, total_w - pitch, grid.height * pitch + pitch)
-    canvas = SvgCanvas(window, scale=scale)
-    for layer in range(grid.num_layers):
-        x_off = layer * (panel_w + gap_nm)
-        coloring = colorings.get(layer, {})
-        for x in range(grid.width):
-            for y in range(grid.height):
-                owner = grid.owner(layer, Point(x, y))
-                if owner < 0:
-                    continue
-                rect = Rect(
-                    x * pitch - half + x_off,
-                    y * pitch - half,
-                    x * pitch + half + x_off,
-                    y * pitch + half,
-                )
-                style = "core" if coloring.get(owner) is Color.CORE else "second"
-                canvas.add_layer([rect], style, title=f"M{layer + 1} net {owner}")
-    return canvas.write(path)
-
-
 def render_routing_svg(
     grid,
     colorings: Dict[int, Dict[int, Color]],

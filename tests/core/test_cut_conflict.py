@@ -4,6 +4,7 @@ import pytest
 
 from repro.color import Color
 from repro.core import CutConflictChecker, ScenarioType
+from repro.core.cut_conflict import CriticalCut
 from repro.core.scenario_detect import DetectedScenario
 from repro.geometry import Rect
 from repro.rules import DesignRules
@@ -134,10 +135,17 @@ class TestTypeBDetection:
 def _first_seen_dedup(checker):
     """The endgame sweep's original form, kept as the oracle: every
     registered cut fed back through ``conflicts_with`` (which meets each
-    pair up to three times), then a first-seen dedup by cut identity."""
+    pair up to three times), then a first-seen dedup by cut identity.
+
+    Replacing a net's cuts moves them to the end of the cut index's
+    buckets, so the oracle sweeps a checker that registers every net
+    afresh, in registration order."""
+    fresh = CutConflictChecker(checker.rules, len(checker._cut_index))
+    for net_id, cuts in checker._cuts_by_net.items():
+        fresh.register_net(net_id, checker._wires_by_net.get(net_id, []), cuts)
     unique = []
     seen = set()
-    for conflict in checker.conflicts_with(checker.all_cuts()):
+    for conflict in fresh.conflicts_with(fresh.all_cuts()):
         key = tuple(sorted([id(conflict.first), id(conflict.second)]))
         if key not in seen:
             seen.add(key)
@@ -189,21 +197,66 @@ class TestAllConflicts:
         assert len(sweeps) > 1 and max(sweeps) > 0
 
 
+def _flanking_cuts(checker, centre, left, right):
+    """Cut ``x`` at ``centre`` nm, 20 nm from ``c1`` on its right and
+    ``c2`` on its left, all over one wire: both pairs conflict. Nets
+    9 (the wire), 0 (``x``), 1 (``c1``) and 2 (``c2``) register in that
+    order."""
+
+    def cut(xlo, nets):
+        return CriticalCut(
+            rect=Rect(xlo, 0, xlo + 20, 20), layer=0, nets=nets,
+            scenario=ScenarioType.T1B,
+        )
+
+    x, c1, c2 = cut(centre, (0, 5)), cut(right, (1, 6)), cut(left, (2, 7))
+    checker.register_net(9, [(0, Rect(left + 10, 0, right + 10, 20))], [])
+    for net_id, c in ((0, x), (1, c1), (2, c2)):
+        checker.register_net(net_id, [], [c])
+    return x, c1, c2
+
+
+class TestConflictOrder:
+    """``all_conflicts()`` keeps the order a full re-registration gave:
+    ``_repair_round`` takes its offenders in that order."""
+
+    def test_replaced_cuts_keep_their_place(self, checker):
+        # One index bucket: replacing c1 moves it behind c2 there.
+        x, c1, c2 = _flanking_cuts(checker, 60, 20, 100)
+        checker.replace_net_cuts(1, [c1])
+        got = checker.all_conflicts()
+        assert [(c.first, c.second) for c in got] == [(x, c1), (x, c2)]
+        _assert_same_conflicts(got, _first_seen_dedup(checker))
+
+    def test_hits_come_bucket_by_bucket(self, checker):
+        # x straddles the 160 nm bucket edge: its neighbour query meets
+        # c2's bucket before c1's, although c1 registered first.
+        x, c1, c2 = _flanking_cuts(checker, 150, 110, 190)
+        got = checker.all_conflicts()
+        assert [(c.first, c.second) for c in got] == [(x, c2), (x, c1)]
+        _assert_same_conflicts(got, _first_seen_dedup(checker))
+
+
 class TestRegistration:
     def test_remove_net_clears_cuts_and_wires(self, checker):
         a = cell_rect(0, 4, 0)
         sc = scenario(ScenarioType.T1B, 0, 1, a, cell_rect(5, 9, 0))
         cuts = checker.critical_cuts(sc, Color.CORE, Color.CORE)
         checker.register_net(0, [(0, checker.wire_rect_nm(a))], cuts)
-        assert checker.cuts_of(0)
+        assert checker.all_cuts() == cuts
         checker.remove_net(0)
-        assert checker.cuts_of(0) == []
         assert checker.all_cuts() == []
+        assert checker._wires_by_net == {}
 
     def test_replace_net_cuts(self, checker):
         a = cell_rect(0, 4, 0)
         sc = scenario(ScenarioType.T1B, 0, 1, a, cell_rect(5, 9, 0))
         cuts = checker.critical_cuts(sc, Color.CORE, Color.CORE)
         checker.register_net(0, [], cuts)
+        checker.register_net(1, [], [])
         checker.replace_net_cuts(0, [])
-        assert checker.cuts_of(0) == []
+        assert checker.all_cuts() == []
+        # A replaced net keeps its place in the registration order.
+        checker.replace_net_cuts(0, cuts)
+        assert list(checker._cuts_by_net) == [0, 1]
+        assert checker.all_cuts() == cuts

@@ -1,7 +1,5 @@
 """Engine semantics: hashing, cache hits, targets, force, resume."""
 
-import re
-
 import pytest
 
 from repro.errors import PipelineError
@@ -43,7 +41,9 @@ class TestCaching:
     def test_route_config_change_keeps_design_prefix(self, tmp_path):
         pipe = Pipeline(_config(tmp_path))
         first = pipe.run()
-        other = Pipeline(_config(tmp_path, gamma=2.5))
+        other = Pipeline(
+            _config(tmp_path, router_options={"enable_flipping": False})
+        )
         second = other.run()
         by_name = {r.name: r for r in second.records}
         assert by_name["load_design"].status == "hit"
@@ -156,7 +156,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "overrides, match",
         [
-            (dict(order="bogus"), "unknown order"),
+            (dict(scale=0.0), "scale must be in"),
             (dict(circuit="Test99"), "unknown circuit"),
             (dict(num_layers=1.5), "num_layers must be a positive integer"),
             (dict(num_layers=True), "num_layers must be a positive integer"),
@@ -174,23 +174,12 @@ class TestValidation:
         with pytest.raises(PipelineError, match=match):
             _config(tmp_path, **overrides).validate()
 
-    @pytest.mark.parametrize("resolution", [2, 10, 0, 5.0])
-    def test_bitmap_resolution_must_divide_the_rules(self, tmp_path, resolution):
-        """2 nm divides every rule length but not the 5 nm window snap; it
-        used to fail in the decompose stage, after routing. Now the config
-        is refused before any stage runs or any artifact is stored."""
-        config = _config(tmp_path, bitmap_resolution=resolution)
-        match = re.escape(f"bitmap_resolution {resolution!r}") + r".*\[1, 5\] nm"
-        with pytest.raises(PipelineError, match=match):
-            Pipeline(config).run()
-        assert not (tmp_path / "cache").exists()
-
-    @pytest.mark.parametrize("resolution", [1, 5])
-    def test_dividing_bitmap_resolution_accepted(self, tmp_path, resolution):
-        _config(tmp_path, bitmap_resolution=resolution).validate()
-
     def test_removed_knobs_are_not_fields(self, tmp_path):
-        for knob in ("workers", "shard", "kernel", "guidance"):
+        removed = (
+            "workers", "shard", "kernel", "guidance", "order", "alpha", "beta",
+            "gamma", "delta_tip", "flip_threshold", "bitmap_resolution",
+        )
+        for knob in removed:
             with pytest.raises(TypeError):
                 _config(tmp_path, **{knob: 1})
 

@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) on the geometry substrate."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Interval, IntervalSet, Point, Rect, decompose_rectilinear
+from repro.geometry import Interval, IntervalSet, Point, Rect
 
 coords = st.integers(min_value=-200, max_value=200)
 
@@ -98,25 +98,3 @@ class TestIntervalSetProperties:
         a = IntervalSet(xs)
         assert IntervalSet(list(a)) == a
 
-
-class TestDecomposition:
-    @settings(max_examples=50)
-    @given(st.lists(rects(), min_size=1, max_size=6))
-    def test_fragments_disjoint_and_area_preserving(self, shapes):
-        frags = decompose_rectilinear(shapes)
-        for i, a in enumerate(frags):
-            for b in frags[i + 1 :]:
-                assert not a.overlaps(b)
-        # Area equals the area of the union (computed by pixel counting
-        # on a coarse canvas would be expensive; instead compare against
-        # an independent slab sweep on x).
-        total = sum(f.area for f in frags)
-        assert total <= sum(s.area for s in shapes)
-        assert total >= max(s.area for s in shapes)
-
-    @settings(max_examples=50)
-    @given(st.lists(rects(), min_size=1, max_size=5))
-    def test_canonical_under_permutation(self, shapes):
-        a = decompose_rectilinear(shapes)
-        b = decompose_rectilinear(list(reversed(shapes)))
-        assert a == b

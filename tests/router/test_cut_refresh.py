@@ -1,16 +1,18 @@
 """The coloring layer recomputes only what a flip changed.
 
 A flip refreshes the cuts of the nets it can affect (``_recolor``'s
-owners), and the endgame's ``_refresh_all_cuts`` recomputes only those
-and re-registers every other net's list as it is. These tests hold that
-to a full recompute on routed designs:
+owners), and the checker keeps every net's place in its registration
+order while its cuts are replaced. These tests hold that to a full
+recompute on routed designs:
 
 * after every ``_post_route`` and at the end of ``route_all``, each
   committed net's registered cuts are the objects ``_cuts_for_net``
-  returns, in the same order;
-* after every endgame ``_refresh_all_cuts``, ``all_conflicts()`` returns
-  the same conflicts, in the same order, as after recomputing and
-  re-registering every net;
+  returns, in the same order, and the checker lists the nets in
+  ``_scenarios_by_net`` (commit) order;
+* at every endgame sweep, ``all_conflicts()`` returns the same
+  conflicts, in the same order, as a fresh checker that registers every
+  committed net in ``_scenarios_by_net`` order, swept through its own
+  cut index as the endgame did when it re-registered every net;
 * on the final graphs, the row contraction equals the object path's,
   and the 0/1 kernel returns the Color-based oracle's unit colors.
 """
@@ -18,6 +20,7 @@ to a full recompute on routed designs:
 import pytest
 
 from repro.bench.workloads import generate_benchmark, spec_by_name
+from repro.core import CutConflictChecker
 from repro.core.color_flip import _COLORS, _color_units, _contract
 from repro.core.reference import reference_unit_colors
 from repro.router import SadpRouter
@@ -37,20 +40,49 @@ DESIGNS = [
 
 
 def _stale_cuts(router):
-    """Committed nets whose registered cuts differ from a recompute."""
+    """Committed nets whose registered cuts differ from a recompute, and
+    ``"order"`` when the checker does not list the committed nets in
+    ``_scenarios_by_net`` order."""
     stale = []
+    registered = router.checker._cuts_by_net
     for net_id in router._scenarios_by_net:
-        registered = router.checker.cuts_of(net_id)
+        cuts = registered.get(net_id, [])
         fresh = router._cuts_for_net(net_id)
-        if len(registered) != len(fresh) or any(
-            a is not b for a, b in zip(registered, fresh)
-        ):
+        if len(cuts) != len(fresh) or any(a is not b for a, b in zip(cuts, fresh)):
             stale.append(net_id)
+    if list(registered) != list(router._scenarios_by_net):
+        stale.append("order")
     return stale
 
 
 def _conflict_key(conflict):
     return (id(conflict.first), id(conflict.second), conflict.gap_nm, conflict.over_net)
+
+
+def _fresh_checker(router):
+    """A checker that registers every committed net afresh, in
+    ``_scenarios_by_net`` order, with its wires and recomputed cuts."""
+    fresh = CutConflictChecker(router.grid.rules, router.grid.num_layers)
+    wires = router.checker._wires_by_net
+    for net_id in router._scenarios_by_net:
+        fresh.register_net(net_id, wires.get(net_id, []), router._cuts_for_net(net_id))
+    return fresh
+
+
+def _index_sweep(checker):
+    """The endgame sweep as it ran on a checker whose persistent cut
+    index held every cut in registration order."""
+    cuts = checker.all_cuts()
+    position = {id(cut): k for k, cut in enumerate(cuts)}
+    d_cut = checker.rules.d_cut
+    out = []
+    for k, cut in enumerate(cuts):
+        for _, other in checker._cut_index[cut.layer].neighbours(cut.rect, d_cut):
+            if position[id(other)] > k:
+                conflict = checker._pair_conflict(cut, other)
+                if conflict is not None:
+                    out.append(conflict)
+    return out
 
 
 class _CheckedRouter(SadpRouter):
@@ -59,24 +91,27 @@ class _CheckedRouter(SadpRouter):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.post_routes = 0
-        self.refreshes = []  # conflicts per endgame refresh
+        self.sweeps = []  # conflicts per all_conflicts() sweep
         self.stale = []  # nets found stale after a _post_route
-        self.misordered = []  # refreshes whose conflicts differed
+        self.misordered = []  # sweeps whose conflicts differed
+        sweep = self.checker.all_conflicts
+
+        def checked():
+            conflicts = sweep()
+            got = [_conflict_key(c) for c in conflicts]
+            fresh = _fresh_checker(self)
+            want = [_conflict_key(c) for c in _index_sweep(fresh)]
+            if got != want or got != [_conflict_key(c) for c in fresh.all_conflicts()]:
+                self.misordered.append(len(self.sweeps))
+            self.sweeps.append(len(got))
+            return conflicts
+
+        self.checker.all_conflicts = checked
 
     def _post_route(self, net_id):
         super()._post_route(net_id)
         self.post_routes += 1
         self.stale.extend(_stale_cuts(self))
-
-    def _refresh_all_cuts(self, stale):
-        super()._refresh_all_cuts(stale)
-        fast = [_conflict_key(c) for c in self.checker.all_conflicts()]
-        for net_id in list(self._scenarios_by_net):
-            self.checker.replace_net_cuts(net_id, self._cuts_for_net(net_id))
-        full = [_conflict_key(c) for c in self.checker.all_conflicts()]
-        if fast != full:
-            self.misordered.append(len(self.refreshes))
-        self.refreshes.append(len(full))
 
 
 @pytest.fixture(scope="module", params=DESIGNS, ids=lambda d: f"{d[0]}@{d[1]}-{d[2]}")
@@ -93,7 +128,9 @@ def test_registered_cuts_match_a_recompute(routed):
     assert router.post_routes > 0
     assert router.stale == []
     assert _stale_cuts(router) == []
-    registered = sum(len(router.checker.cuts_of(n)) for n in router._scenarios_by_net)
+    registered = sum(
+        len(router.checker._cuts_by_net.get(n, [])) for n in router._scenarios_by_net
+    )
     assert registered == len(router.checker.all_cuts())
     assert result.cut_conflicts == 0
 
@@ -101,8 +138,9 @@ def test_registered_cuts_match_a_recompute(routed):
 def test_endgame_refresh_matches_a_full_one(routed):
     router, _ = routed
     assert router.misordered == []
-    # One refresh per endgame round; the last found no conflict.
-    assert router.refreshes and router.refreshes[-1] == 0
+    # One sweep per endgame round and one for the result's count; the
+    # last round found no conflict.
+    assert len(router.sweeps) >= 2 and router.sweeps[-2:] == [0, 0]
 
 
 def test_kernel_and_contraction_match_the_oracles(routed):

@@ -34,33 +34,13 @@ class TestNetOrdering:
         )
 
     def test_hpwl_order(self):
-        order = [n.name for n in self._nets().ordered_for_routing("hpwl")]
+        order = [n.name for n in self._nets().ordered_for_routing()]
         assert order == ["short", "mid", "long"]
 
-    def test_hpwl_desc_order(self):
-        order = [n.name for n in self._nets().ordered_for_routing("hpwl_desc")]
-        assert order == ["long", "mid", "short"]
-
-    def test_id_order(self):
-        order = [n.net_id for n in self._nets().ordered_for_routing("id")]
-        assert order == [0, 1, 2]
-
-    def test_random_is_seeded(self):
-        a = [n.net_id for n in self._nets().ordered_for_routing("random", seed=7)]
-        b = [n.net_id for n in self._nets().ordered_for_routing("random", seed=7)]
-        c = [n.net_id for n in self._nets().ordered_for_routing("random", seed=8)]
-        assert a == b
-        assert sorted(a) == [0, 1, 2]
-        assert a != c or True  # different seeds usually differ; no hard claim
-
-    def test_unknown_strategy(self):
-        with pytest.raises(NetlistError):
-            self._nets().ordered_for_routing("voodoo")
-
-    def test_router_accepts_order(self):
-        grid = RoutingGrid(24, 24)
-        result = SadpRouter(grid, self._nets(), order="hpwl_desc").route_all()
-        assert result.routability == 1.0
+    def test_router_takes_no_order(self):
+        """Nets route shortest first; there is no other order to choose."""
+        with pytest.raises(TypeError):
+            SadpRouter(RoutingGrid(24, 24), self._nets(), order="hpwl")
 
 
 class TestDesignFile:

@@ -163,7 +163,7 @@ class TestCutMemoUpkeep:
         assert all(id(sc) in live for sc, _ in memo.values())
 
         net_id = next(
-            nid for nid in sorted(router._committed)
+            nid for nid in sorted(router._scenarios_by_net)
             if any(sc.net_a == nid for sc in router._scenarios_by_net.get(nid, ()))
         )
 

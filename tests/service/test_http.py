@@ -25,7 +25,7 @@ BAD_BODIES = {
     "width not a number": {"design_text": DESIGN, "width": "w", "height": 16},
     "router not a name": {"circuit": "Test1", "router": 5},
     "scale out of range": {"circuit": "Test1", "scale": 1e9},
-    "unknown order": {"circuit": "Test1", "order": "bogus"},
+    "unknown order": {"circuit": "Test1", "order": "hpwl"},
     "unknown circuit": {"circuit": "Test99"},
     "fractional num_layers": {"circuit": "Test1", "num_layers": 1.5},
     "negative width": {"design_text": DESIGN, "width": -5, "height": 16},
@@ -86,7 +86,7 @@ class TestSubmissionValidation:
         assert client.jobs() == []
 
     @pytest.mark.parametrize(
-        "key", ["workers", "shard", "kernel", "guidance", "alpha"]
+        "key", ["workers", "shard", "kernel", "guidance", "alpha", "order"]
     )
     def test_unknown_key_is_named(self, client, key):
         with pytest.raises(ServiceError) as err:
@@ -102,7 +102,6 @@ class TestSubmissionValidation:
             "targets": ["route"],
             "tenant": "t",
             "router": "gao-pan",
-            "order": "random",
             "num_layers": 2,
         }
         snap = ServiceClient(holding_service.url).submit(body)
@@ -144,7 +143,7 @@ def holding_service(tmp_path_factory):
 
 _SUBMISSION_KEYS = (
     "design_text", "width", "height", "circuit", "scale", "seed", "targets",
-    "tenant", "router", "order", "num_layers",
+    "tenant", "router", "num_layers",
 )
 _json_values = st.recursive(
     st.none()

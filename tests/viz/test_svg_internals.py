@@ -58,20 +58,3 @@ class TestCanvas:
         canvas.add_layer([Rect(0, 0, 5, 5)], "mystery")
         assert "#000000" in canvas.to_string()
 
-
-class TestStackRendering:
-    def test_render_stack_svg(self, tmp_path):
-        from repro.grid import RoutingGrid
-        from repro.netlist import Net, Netlist, Pin
-        from repro.router import SadpRouter
-        from repro.viz import render_stack_svg
-
-        grid = RoutingGrid(12, 12)
-        nets = Netlist([Net(0, "a", Pin.at(1, 2), Pin.at(9, 8))])
-        result = SadpRouter(grid, nets).route_all()
-        path = render_stack_svg(grid, result.colorings, tmp_path / "stack.svg")
-        text = path.read_text()
-        assert text.startswith("<svg")
-        # The net used at least layers M1 and M2; both labels appear.
-        assert "M1 net 0" in text
-        assert "M2 net 0" in text

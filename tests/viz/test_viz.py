@@ -9,7 +9,7 @@ from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
 from repro.router import SadpRouter
 from repro.rules import DesignRules
-from repro.viz import SvgCanvas, render_coloring, render_layer, render_masks_svg, render_routing_svg
+from repro.viz import SvgCanvas, render_layer, render_masks_svg, render_routing_svg
 
 
 class TestAscii:
@@ -32,11 +32,6 @@ class TestAscii:
         )
         bottom = art.splitlines()[-1]
         assert bottom.startswith("Cs?")
-
-    def test_render_coloring_all_layers(self):
-        grid = RoutingGrid(4, 4)
-        text = render_coloring(grid, {})
-        assert "M1 (H)" in text and "M2 (V)" in text and "M3 (H)" in text
 
 
 class TestSvg:
