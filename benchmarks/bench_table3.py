@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import CutNoMergeRouter, GaoPanTrimRouter
-from repro.bench import FIXED_PIN_BENCHMARKS, run_baseline, run_proposed, rows_to_table
+from repro.bench import FIXED_PIN_BENCHMARKS, rows_to_table, run_cell
 from repro.bench.runner import append_rows_json, comparison_summary
 
 from conftest import circuit_enabled, scale_for
@@ -37,10 +36,10 @@ def table3_file(results_dir):
 def test_table3_circuit(benchmark, table3_file, spec):
     scale = scale_for(spec.name)
     ours = benchmark.pedantic(
-        lambda: run_proposed(spec, scale=scale), rounds=1, iterations=1
+        lambda: run_cell(spec, scale=scale), rounds=1, iterations=1
     )
-    gao_pan = run_baseline(GaoPanTrimRouter, "gao-pan[11]", spec, scale=scale)
-    cut16 = run_baseline(CutNoMergeRouter, "cut[16]", spec, scale=scale)
+    gao_pan = run_cell(spec, router="gao-pan", label="gao-pan[11]", scale=scale)
+    cut16 = run_cell(spec, router="cut16", label="cut[16]", scale=scale)
 
     rows = [ours, gao_pan, cut16]
     table = rows_to_table(rows, caption=f"Table III (scaled {scale:.2f}) — {spec.name}")

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import DuTrimRouter
-from repro.bench import MULTI_PIN_BENCHMARKS, run_baseline, run_proposed, rows_to_table
+from repro.bench import MULTI_PIN_BENCHMARKS, rows_to_table, run_cell
 from repro.bench.runner import BenchRow, append_rows_json, comparison_summary
 
 from conftest import circuit_enabled, scale_for
@@ -41,10 +40,14 @@ def table4_file(results_dir):
 def test_table4_circuit(benchmark, table4_file, spec):
     scale = scale_for(spec.name)
     ours = benchmark.pedantic(
-        lambda: run_proposed(spec, scale=scale), rounds=1, iterations=1
+        lambda: run_cell(spec, scale=scale), rounds=1, iterations=1
     )
-    du = run_baseline(
-        DuTrimRouter, "du[10]", spec, scale=scale, time_budget_s=DU_BUDGET_S
+    du = run_cell(
+        spec,
+        router="du",
+        label="du[10]",
+        scale=scale,
+        router_options={"time_budget_s": DU_BUDGET_S},
     )
 
     table = rows_to_table([ours, du], caption=f"Table IV (scaled {scale:.2f}) — {spec.name}")

@@ -11,13 +11,11 @@ Run:  python examples/baseline_faceoff.py           # quick, scaled
 
 import os
 
-from repro.baselines import CutNoMergeRouter, DuTrimRouter, GaoPanTrimRouter
 from repro.bench import (
     FIXED_PIN_BENCHMARKS,
     MULTI_PIN_BENCHMARKS,
-    run_baseline,
-    run_proposed,
     rows_to_table,
+    run_cell,
 )
 from repro.bench.runner import comparison_summary
 
@@ -27,9 +25,9 @@ def main() -> None:
 
     fixed = FIXED_PIN_BENCHMARKS[0]
     print(f"routing {fixed.name} at scale {scale} ...")
-    ours = run_proposed(fixed, scale=scale)
-    gao = run_baseline(GaoPanTrimRouter, "gao-pan[11]", fixed, scale=scale)
-    cut16 = run_baseline(CutNoMergeRouter, "cut[16]", fixed, scale=scale)
+    ours = run_cell(fixed, scale=scale)
+    gao = run_cell(fixed, router="gao-pan", label="gao-pan[11]", scale=scale)
+    cut16 = run_cell(fixed, router="cut16", label="cut[16]", scale=scale)
     print()
     print(rows_to_table([ours, gao, cut16], caption="fixed-pin face-off (Table III shape)"))
     print(comparison_summary([ours], [gao]))
@@ -38,8 +36,14 @@ def main() -> None:
 
     multi = MULTI_PIN_BENCHMARKS[0]
     print(f"routing {multi.name} at scale {scale} ...")
-    ours_m = run_proposed(multi, scale=scale)
-    du = run_baseline(DuTrimRouter, "du[10]", multi, scale=scale, time_budget_s=300.0)
+    ours_m = run_cell(multi, scale=scale)
+    du = run_cell(
+        multi,
+        router="du",
+        label="du[10]",
+        scale=scale,
+        router_options={"time_budget_s": 300.0},
+    )
     print()
     print(rows_to_table([ours_m, du], caption="multi-candidate face-off (Table IV shape)"))
     print(comparison_summary([ours_m], [du]))

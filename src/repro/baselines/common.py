@@ -66,16 +66,13 @@ class BaselineRouterBase:
 
     def choose_colors(
         self, net_id: int, segments: Sequence[Segment], scenarios: Sequence[DetectedScenario]
-    ) -> Tuple[int, float]:
+    ) -> int:
         """Greedily freeze the net's per-layer colors.
 
-        Must write into ``self.colorings`` and return
-        ``(conflicts, overlay_delta_nm)`` for the chosen assignment.
+        Must write into ``self.colorings`` and return the conflicts this
+        router's model sees under the chosen assignment.
         """
         raise NotImplementedError
-
-    def on_commit(self, net_id: int, segments: Sequence[Segment], scenarios: Sequence[DetectedScenario]) -> None:
-        """Bookkeeping after a net is committed (optional)."""
 
     def on_undo(self, net_id: int) -> None:
         """Bookkeeping when a tentative net is ripped up (optional)."""
@@ -121,12 +118,11 @@ class BaselineRouterBase:
                 continue
             self._occupy(net.net_id, found)
             scenarios = self.detector.add_net(net.net_id, found.segments)
-            visible, _ = self.choose_colors(net.net_id, found.segments, scenarios)
+            visible = self.choose_colors(net.net_id, found.segments, scenarios)
             if visible == 0:
                 # The route looks clean *to this router's partial model*;
                 # the complete model may still find conflicts afterwards,
                 # which is where the tables' #C columns come from.
-                self.on_commit(net.net_id, found.segments, scenarios)
                 route.success = True
                 route.segments = found.segments
                 route.vias = found.vias

@@ -46,7 +46,7 @@ class CutNoMergeRouter(BaselineRouterBase):
         net_id: int,
         segments: Sequence[Segment],
         scenarios: Sequence[DetectedScenario],
-    ) -> Tuple[int, float]:
+    ) -> int:
         entries = [
             (
                 sc.layer,
@@ -77,7 +77,7 @@ class CutNoMergeRouter(BaselineRouterBase):
                     best_color = color
             self.colorings[seg_layer][net_id] = best_color
             total_conflicts += best_key[0]
-        return total_conflicts, 0.0
+        return total_conflicts
 
     def _price_net(self, net_id: int, layer: int) -> Tuple[int, float]:
         """(conflicts, overlay units) of the net's edges on one layer."""

@@ -75,7 +75,7 @@ class DuTrimRouter(GaoPanTrimRouter):
         _, found = best
         self._occupy(net.net_id, found)
         scenarios = self.detector.add_net(net.net_id, found.segments)
-        visible, _ = self.choose_colors(net.net_id, found.segments, scenarios)
+        visible = self.choose_colors(net.net_id, found.segments, scenarios)
         if visible > 0:
             # Even the best candidate pair conflicts in [10]'s own model:
             # the net fails (frozen colors leave nothing to flip).

@@ -13,7 +13,7 @@ Published behaviour we reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..color import Color
 from ..core.scenario_detect import DetectedScenario
@@ -39,7 +39,7 @@ class GaoPanTrimRouter(BaselineRouterBase):
         net_id: int,
         segments: Sequence[Segment],
         scenarios: Sequence[DetectedScenario],
-    ) -> Tuple[int, float]:
+    ) -> int:
         """Freeze the cheaper of the two colors, independently per layer.
 
         Pricing is trim semantics: conflicts dominate, then the overlay a
@@ -65,7 +65,7 @@ class GaoPanTrimRouter(BaselineRouterBase):
                     best_color = color
             self.colorings[layer][net_id] = best_color
             total_visible += best[0]
-        return total_visible, 0.0
+        return total_visible
 
     def _visible_layer_conflicts(self, net_id: int, layer: int) -> int:
         coloring = self.colorings[layer]

@@ -11,9 +11,7 @@ from .runner import (
     append_rows_json,
     rows_to_json,
     rows_to_table,
-    run_baseline,
     run_cell,
-    run_proposed,
 )
 from .scaling import fit_power_law
 from .sweeps import SweepPoint, sweep_parameter, sweep_to_table
@@ -25,8 +23,6 @@ __all__ = [
     "generate_benchmark",
     "BenchRow",
     "run_cell",
-    "run_proposed",
-    "run_baseline",
     "rows_to_table",
     "rows_to_json",
     "append_rows_json",

@@ -1,10 +1,9 @@
 """Run routers on benchmarks and collect the tables' columns.
 
 Cells go through the staged pipeline (:func:`run_cell`): a benchmark
-instance is one ``PipelineConfig``, so every router variant routed on the
-same circuit/scale/seed shares the cached design and grid artifacts, and
-repeated sweeps of the same cell are pure cache hits when a persistent
-store is passed.
+instance is one ``PipelineConfig``, so every router variant routed with
+the same circuit/scale/seed sees the identical instance, and rows are
+directly comparable.
 
 With observability enabled (``repro.obs.enable()`` or the CLI's
 ``--metrics`` / ``--trace``), each row also carries the per-phase runtime
@@ -16,11 +15,11 @@ the per-stage breakdown the TRIAD/TPL papers report.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
-from ..errors import PipelineError
 from ..obs.export import phase_totals
 from ..router.result import RoutingResult
 from .workloads import BenchmarkSpec
@@ -92,17 +91,16 @@ def run_cell(
     label: Optional[str] = None,
     scale: float = 1.0,
     seed: int = 2014,
-    store: Optional[Any] = None,
     router_options: Optional[Dict[str, Any]] = None,
 ) -> BenchRow:
     """Route one (circuit, router) table cell through the staged pipeline.
 
-    ``store`` defaults to a fresh in-memory store (a live run, like the
-    legacy behavior); pass a shared ``MemoryStore``/``ArtifactStore`` to
-    reuse the design/grid artifacts across router variants of the same
-    instance, or to make repeated sweeps cache-hit entirely.
+    ``router`` is a ``KNOWN_ROUTERS`` name, ``label`` the row's router
+    column (default: the name) and ``router_options`` the router's
+    constructor keywords. The run is live: it uses a store in a
+    temporary directory, removed when the cell is done.
     """
-    from ..pipeline import MemoryStore, Pipeline, PipelineConfig
+    from ..pipeline import ArtifactStore, Pipeline, PipelineConfig
 
     config = PipelineConfig(
         circuit=spec.name,
@@ -112,60 +110,11 @@ def run_cell(
         router_options=dict(router_options) if router_options else None,
     )
     before = phase_totals()
-    run = Pipeline(config, store=store if store is not None else MemoryStore()).run(
-        targets=("route",)
-    )
-    # A live run leaves the exact RoutingResult in the context; a cache
-    # hit deserializes it (identical content, zero routing work).
-    result = run.context.get("result") or run.artifact("routing").result()
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Pipeline(config, store=ArtifactStore(tmp)).run(targets=("route",))
+    result = run.artifact("routing").result()
     row = BenchRow.from_result(spec.name, label or router, result)
     return _fill_phases(row, before)
-
-
-def run_proposed(
-    spec: BenchmarkSpec, scale: float = 1.0, seed: int = 2014, **router_kwargs
-) -> BenchRow:
-    """Route a benchmark with the proposed overlay-aware router."""
-    return run_cell(
-        spec,
-        router="ours",
-        scale=scale,
-        seed=seed,
-        router_options=router_kwargs or None,
-    )
-
-
-def run_baseline(
-    router_factory: Callable,
-    label: str,
-    spec: BenchmarkSpec,
-    scale: float = 1.0,
-    seed: int = 2014,
-    **kwargs,
-) -> BenchRow:
-    """Route a benchmark with one of the baseline routers.
-
-    ``router_factory`` is a router class the pipeline's route stage
-    knows by name (:func:`repro.pipeline.stages.router_class`); the cell
-    goes through the pipeline, so it shares cached upstream artifacts,
-    and the same seed reproduces the identical instance the proposed
-    router saw, so rows are directly comparable. ``kwargs`` go to the
-    router's constructor.
-    """
-    from ..pipeline import KNOWN_ROUTERS
-    from ..pipeline.stages import router_class
-
-    names = [n for n in KNOWN_ROUTERS if router_class(n) is router_factory]
-    if not names:
-        raise PipelineError(f"{router_factory!r} is not a known router")
-    return run_cell(
-        spec,
-        router=names[0],
-        label=label,
-        scale=scale,
-        seed=seed,
-        router_options=kwargs or None,
-    )
 
 
 def rows_to_table(rows: List[BenchRow], caption: str = "") -> str:

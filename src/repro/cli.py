@@ -97,9 +97,11 @@ def _print_route_outputs(args: argparse.Namespace, run) -> None:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    """Thin wrapper over the pipeline (in-memory store: the classic
-    one-shot behavior, no cache directory side effects)."""
-    from .pipeline import MemoryStore, Pipeline, PipelineConfig, observed_command
+    """Thin wrapper over the pipeline, on a store in a temporary
+    directory: a one-shot run leaves no cache behind."""
+    import tempfile
+
+    from .pipeline import ArtifactStore, Pipeline, PipelineConfig, observed_command
 
     config = PipelineConfig(
         netlist=args.netlist,
@@ -108,9 +110,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
         num_layers=args.layers,
     )
     with observed_command(args, command="route", netlist=args.netlist):
-        pipe = Pipeline(config, store=MemoryStore())
         targets = ("report",) if args.report else ("route",)
-        run = pipe.run(targets=targets)
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Pipeline(config, store=ArtifactStore(tmp)).run(targets=targets)
         _print_route_outputs(args, run)
         result = run.artifact("routing").result()
     return _route_exit_code(result)

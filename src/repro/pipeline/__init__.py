@@ -24,7 +24,6 @@ run resumes at the first invalid stage. The CLI front-end is
 from .artifacts import (
     ARTIFACT_CLASSES,
     Artifact,
-    ColoringArtifact,
     DesignArtifact,
     GridArtifact,
     MaskArtifact,
@@ -48,7 +47,7 @@ from .stages import (
     VerifyStage,
     default_stages,
 )
-from .store import ArtifactStore, MemoryStore, StoreEntry, default_cache_dir
+from .store import ArtifactStore, StoreEntry, default_cache_dir
 
 __all__ = [
     "ALL_STAGES",
@@ -56,14 +55,12 @@ __all__ = [
     "Artifact",
     "ArtifactStore",
     "BuildGridStage",
-    "ColoringArtifact",
     "DecomposeStage",
     "DesignArtifact",
     "GridArtifact",
     "KNOWN_ROUTERS",
     "LoadDesignStage",
     "MaskArtifact",
-    "MemoryStore",
     "Pipeline",
     "PipelineConfig",
     "PipelineRun",

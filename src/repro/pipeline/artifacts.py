@@ -9,8 +9,8 @@ kind       class               carries
 ========== =================== =========================================
 design     DesignArtifact      netlist text + blockages + grid dims
 grid       GridArtifact        dimensions, layer count, blockage rects
-routing    RoutingArtifact     the full RoutingResult (router.io schema)
-coloring   ColoringArtifact    per-layer colors + scenario/overlay digest
+routing    RoutingArtifact     the RoutingResult (router.io schema, final
+                               colors included) + scenario/overlay digest
 mask       MaskArtifact        per-layer synthesized mask bitmaps
 verify     VerifyArtifact      per-layer decomposition verification
 report     ReportArtifact      the RoutingReport + summary line
@@ -104,25 +104,14 @@ class GridArtifact(Artifact):
 
 
 class RoutingArtifact(Artifact):
-    """The committed routing result, in the ``router.io`` JSON schema."""
+    """The committed routing result, in the ``router.io`` JSON schema,
+    plus the graph-side digests (scenario census and overlay breakdown)
+    captured while the router was live."""
 
     kind = "routing"
 
     def result(self) -> RoutingResult:
         return result_from_dict(self.payload["result"])
-
-
-class ColoringArtifact(Artifact):
-    """Per-layer mask colors plus the graph-side digests (scenario census
-    and overlay breakdown) captured while the router was live."""
-
-    kind = "coloring"
-
-    def colorings(self) -> Dict[int, Dict[int, Color]]:
-        return {
-            int(layer): {int(net): Color(value) for net, value in coloring.items()}
-            for layer, coloring in self.payload.get("colorings", {}).items()
-        }
 
     def scenario_census(self) -> Dict[str, int]:
         return {
@@ -264,7 +253,6 @@ ARTIFACT_CLASSES: Dict[str, Type[Artifact]] = {
         DesignArtifact,
         GridArtifact,
         RoutingArtifact,
-        ColoringArtifact,
         MaskArtifact,
         VerifyArtifact,
         ReportArtifact,

@@ -1,8 +1,8 @@
 """Declarative staged execution with content-hash caching and resume.
 
 A :class:`Pipeline` wires the stages of ``stages.py`` over one
-:class:`PipelineConfig`. Every stage output is content-hashed from its
-*inputs*::
+:class:`PipelineConfig`. Every stage writes one artifact, content-hashed
+from its *inputs*::
 
     hash(output) = sha256(stage name, stage version,
                           config slice, fingerprint extras,
@@ -13,7 +13,7 @@ failed mid-way naturally resumes at the first invalid stage — the hashes
 of everything before it still resolve in the store.
 
 Observability: each *executed* stage runs inside a ``stage:<name>`` span
-carrying the artifact hashes, serialized bytes, and wall seconds (the
+carrying the artifact hash, serialized bytes, and wall seconds (the
 JSONL run log picks these up automatically); cache hits don't open spans
 but bump the ``pipeline_cache_hits_total`` counter. A test can therefore
 assert "the second run did no routing" by counting ``stage:route`` spans.
@@ -25,14 +25,14 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import PipelineCancelled, PipelineError, ReproError
 from .artifacts import Artifact
 from .config import PipelineConfig
 from .stages import Stage, default_stages
-from .store import ArtifactStore, MemoryStore
+from .store import ArtifactStore
 
 #: Signature of a per-stage progress callback: called with structured
 #: event dicts (``{"event": "stage_start"|"stage_end", "stage": ...,
@@ -92,12 +92,11 @@ def _fmt_bytes(n: int) -> str:
 @dataclass
 class PipelineRun:
     """Outcome of :meth:`Pipeline.run`: artifacts by kind plus per-stage
-    records and the run-local context (the live router, ...)."""
+    records."""
 
     config: PipelineConfig
     records: List[StageRecord] = field(default_factory=list)
     artifacts: Dict[str, Artifact] = field(default_factory=dict)
-    context: Dict[str, Any] = field(default_factory=dict)
 
     def artifact(self, kind: str) -> Artifact:
         try:
@@ -133,23 +132,13 @@ class Pipeline:
     """
 
     def __init__(
-        self,
-        config: PipelineConfig,
-        store: Optional[Union[ArtifactStore, MemoryStore]] = None,
-        stages: Optional[Sequence[Stage]] = None,
+        self, config: PipelineConfig, store: Optional[ArtifactStore] = None
     ) -> None:
         config.validate()
         self.config = config
         self.store = store if store is not None else ArtifactStore(config.cache_dir)
-        self.stages: Tuple[Stage, ...] = tuple(stages or default_stages())
-        self._producer: Dict[str, Stage] = {}
-        for stage in self.stages:
-            for kind in stage.outputs:
-                if kind in self._producer:
-                    raise PipelineError(
-                        f"artifact kind {kind!r} produced by two stages"
-                    )
-                self._producer[kind] = stage
+        self.stages: Tuple[Stage, ...] = default_stages()
+        self._producer: Dict[str, Stage] = {s.output: s for s in self.stages}
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -166,12 +155,7 @@ class Pipeline:
                 return
             needed.add(stage.name)
             for kind in stage.inputs:
-                producer = self._producer.get(kind)
-                if producer is None:
-                    raise PipelineError(
-                        f"no stage produces {kind!r} (needed by {stage.name})"
-                    )
-                require(producer)
+                require(self._producer[kind])
 
         for name in targets:
             stage = by_name.get(name)
@@ -182,9 +166,7 @@ class Pipeline:
             require(stage)
         return [s for s in self.stages if s.name in needed]
 
-    def _output_hashes(
-        self, stage: Stage, input_hashes: Dict[str, str]
-    ) -> Dict[str, str]:
+    def _output_hash(self, stage: Stage, input_hashes: Dict[str, str]) -> str:
         material = json.dumps(
             {
                 "stage": stage.name,
@@ -197,27 +179,21 @@ class Pipeline:
             default=str,
         )
         base = hashlib.sha256(material.encode("utf-8")).hexdigest()
-        return {
-            kind: hashlib.sha256(f"{base}:{kind}".encode("utf-8")).hexdigest()[:32]
-            for kind in stage.outputs
-        }
+        return hashlib.sha256(f"{base}:{stage.output}".encode("utf-8")).hexdigest()[:32]
 
     def plan(self, targets: Sequence[str] = ALL_STAGES) -> List[StageRecord]:
-        """Resolve every needed stage's artifact hashes and cache status
+        """Resolve every needed stage's artifact hash and cache status
         without executing anything."""
         records: List[StageRecord] = []
         known: Dict[str, str] = {}
         for stage in self._needed_stages(targets):
-            hashes = self._output_hashes(
-                stage, {kind: known[kind] for kind in stage.inputs}
-            )
-            known.update(hashes)
-            cached = all(self.store.has(h) for h in hashes.values())
+            h = self._output_hash(stage, {kind: known[kind] for kind in stage.inputs})
+            known[stage.output] = h
             records.append(
                 StageRecord(
                     name=stage.name,
-                    status="hit" if cached else "pending",
-                    hashes=hashes,
+                    status="hit" if self.store.has(h) else "pending",
+                    hashes={stage.output: h},
                 )
             )
         return records
@@ -230,7 +206,6 @@ class Pipeline:
         self,
         targets: Sequence[str] = ALL_STAGES,
         force: bool = False,
-        context: Optional[Dict[str, Any]] = None,
         progress: Optional[ProgressFn] = None,
         cancel: Optional[CancelFn] = None,
     ) -> PipelineRun:
@@ -248,7 +223,7 @@ class Pipeline:
         True the run raises :class:`PipelineCancelled` (completed stages
         stay cached, so a resubmission resumes).
         """
-        run = PipelineRun(config=self.config, context=context if context is not None else {})
+        run = PipelineRun(config=self.config)
         needed = self._needed_stages(targets)
         total = len(needed)
         for index, stage in enumerate(needed):
@@ -269,7 +244,7 @@ class Pipeline:
                 )
             inputs = {kind: run.artifacts[kind] for kind in stage.inputs}
             try:
-                record, produced = self._run_stage(stage, inputs, run.context, force)
+                record, artifact = self._run_stage(stage, inputs, force)
             except PipelineError:
                 raise
             except ReproError as exc:
@@ -277,7 +252,7 @@ class Pipeline:
                     f"stage '{stage.name}' failed: {exc}", stage=stage.name
                 ) from exc
             run.records.append(record)
-            run.artifacts.update(produced)
+            run.artifacts[stage.output] = artifact
             if progress is not None:
                 progress(
                     {
@@ -294,99 +269,46 @@ class Pipeline:
                 )
         return run
 
-    def _load_cached(
-        self, hashes: Dict[str, str]
-    ) -> Optional[Dict[str, Artifact]]:
-        cached = {kind: self.store.load(h) for kind, h in hashes.items()}
-        if all(art is not None for art in cached.values()):
-            return cached  # type: ignore[return-value]
-        return None
-
     def _run_stage(
-        self,
-        stage: Stage,
-        inputs: Dict[str, Artifact],
-        context: Dict[str, Any],
-        force: bool,
-    ) -> Tuple[StageRecord, Dict[str, Artifact]]:
-        hashes = self._output_hashes(
-            stage, {kind: art.hash for kind, art in inputs.items()}
-        )
-        if not force:
-            cached = self._load_cached(hashes)
-            if cached is not None:
-                obs.counter_inc("pipeline_cache_hits_total", stage=stage.name)
-                return (
-                    StageRecord(name=stage.name, status="hit", hashes=hashes),
-                    cached,
-                )
+        self, stage: Stage, inputs: Dict[str, Artifact], force: bool
+    ) -> Tuple[StageRecord, Artifact]:
+        h = self._output_hash(stage, {kind: art.hash for kind, art in inputs.items()})
+        if force:
+            return self._execute_stage(stage, inputs, h)
+        status = "hit"
+        cached = self.store.load(h)
+        if cached is None:
             # Miss: coalesce with any concurrent identical run before
             # computing. The leader executes while holding the advisory
             # lock; followers wait it out, then re-check — the entry the
-            # leader published turns their computation into a read.
-            flight = getattr(self.store, "single_flight", None)
-            if flight is not None:
-                key = sorted(hashes.values())[0]
-                with flight(key) as leader:
-                    if not leader:
-                        cached = self._load_cached(hashes)
-                        if cached is not None:
-                            obs.counter_inc(
-                                "pipeline_singleflight_coalesced_total",
-                                stage=stage.name,
-                            )
-                            return (
-                                StageRecord(
-                                    name=stage.name,
-                                    status="coalesced",
-                                    hashes=hashes,
-                                ),
-                                cached,
-                            )
-                    else:
-                        # Double-check inside the lock: another process
-                        # may have published between our miss and the
-                        # lock acquisition.
-                        cached = self._load_cached(hashes)
-                        if cached is not None:
-                            obs.counter_inc(
-                                "pipeline_cache_hits_total", stage=stage.name
-                            )
-                            return (
-                                StageRecord(
-                                    name=stage.name, status="hit", hashes=hashes
-                                ),
-                                cached,
-                            )
-                    return self._execute_stage(stage, inputs, context, hashes)
-
-        return self._execute_stage(stage, inputs, context, hashes)
+            # leader published turns their computation into a read. The
+            # leader re-checks too: another process may have published
+            # between our miss and the lock acquisition.
+            with self.store.single_flight(h) as leader:
+                cached = self.store.load(h)
+                if cached is None:
+                    return self._execute_stage(stage, inputs, h)
+            if not leader:
+                status = "coalesced"
+        obs.counter_inc(
+            "pipeline_cache_hits_total"
+            if status == "hit"
+            else "pipeline_singleflight_coalesced_total",
+            stage=stage.name,
+        )
+        return StageRecord(stage.name, status, {stage.output: h}), cached
 
     def _execute_stage(
-        self,
-        stage: Stage,
-        inputs: Dict[str, Artifact],
-        context: Dict[str, Any],
-        hashes: Dict[str, str],
-    ) -> Tuple[StageRecord, Dict[str, Artifact]]:
+        self, stage: Stage, inputs: Dict[str, Artifact], h: str
+    ) -> Tuple[StageRecord, Artifact]:
         t0 = time.perf_counter()
         with obs.span(f"stage:{stage.name}", stage=stage.name) as sp:
-            produced = stage.run(self.config, inputs, context)
+            artifact = stage.run(self.config, inputs)
         seconds = time.perf_counter() - t0
-
-        missing = set(stage.outputs) - set(produced)
-        if missing:
-            raise PipelineError(
-                f"stage '{stage.name}' did not produce {sorted(missing)}",
-                stage=stage.name,
-            )
-        nbytes = 0
-        for kind in stage.outputs:
-            artifact = produced[kind]
-            artifact.hash = hashes[kind]
-            written, _ = self.store.publish(artifact, stage.name)
-            nbytes += written
+        artifact.hash = h
+        nbytes, _ = self.store.publish(artifact, stage.name)
         obs.counter_inc("pipeline_stage_runs_total", stage=stage.name)
+        hashes = {stage.output: h}
         if obs.is_enabled():
             # The finished span is already recorded; attrs mutate in place.
             sp.attrs.update(
@@ -397,21 +319,6 @@ class Pipeline:
                 }
             )
         return (
-            StageRecord(
-                name=stage.name,
-                status="run",
-                hashes=hashes,
-                seconds=seconds,
-                bytes=nbytes,
-            ),
-            {kind: produced[kind] for kind in stage.outputs},
+            StageRecord(stage.name, "run", hashes, seconds=seconds, bytes=nbytes),
+            artifact,
         )
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-
-    def clean(self) -> int:
-        """Empty the artifact store; returns the number of artifacts
-        removed."""
-        return self.store.clean()

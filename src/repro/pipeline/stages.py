@@ -3,16 +3,15 @@
 ``load_design → build_grid → route → decompose → verify`` mirrors
 Sections IV–V: netlist in, sequential overlay-aware routing with OCG
 maintenance and color flipping, then mask decomposition and physical
-verification; ``report`` digests the routing/coloring artifacts into the
-user-facing report. The ``route`` stage emits two artifacts — the
-geometric :class:`RoutingArtifact` and the :class:`ColoringArtifact`
-digest — because the census/breakdown can only be captured while the
-router's constraint graphs are live.
+verification; ``report`` digests the routing artifact into the
+user-facing report. The routing artifact carries the final colors
+inside its result, plus the scenario census and overlay breakdown the
+route stage reads while the router's constraint graphs are live.
 
 Each stage declares:
 
 * ``inputs`` — upstream artifact kinds it consumes,
-* ``outputs`` — artifact kinds it produces,
+* ``output`` — the kind of the one artifact it produces,
 * ``version`` — bumped whenever the stage's semantics change, which
   invalidates every cached artifact it (and anything downstream) made,
 * ``config_slice`` — the part of :class:`PipelineConfig` entering its
@@ -28,7 +27,6 @@ from ..analysis.report import breakdown_by_scenario, build_report, scenario_cens
 from ..router.io import result_to_dict
 from .artifacts import (
     Artifact,
-    ColoringArtifact,
     DesignArtifact,
     GridArtifact,
     MaskArtifact,
@@ -46,7 +44,7 @@ class Stage:
     name: str = ""
     version: str = "1"
     inputs: Tuple[str, ...] = ()
-    outputs: Tuple[str, ...] = ()
+    output: str = ""
 
     def config_slice(self, config: PipelineConfig) -> Dict[str, Any]:
         return {}
@@ -57,11 +55,8 @@ class Stage:
         return {}
 
     def run(
-        self,
-        config: PipelineConfig,
-        inputs: Dict[str, Artifact],
-        context: Dict[str, Any],
-    ) -> Dict[str, Artifact]:
+        self, config: PipelineConfig, inputs: Dict[str, Artifact]
+    ) -> Artifact:
         raise NotImplementedError
 
 
@@ -71,7 +66,7 @@ class LoadDesignStage(Stage):
     name = "load_design"
     version = "1"
     inputs = ()
-    outputs = ("design",)
+    output = "design"
 
     def config_slice(self, config: PipelineConfig) -> Dict[str, Any]:
         return config.design_slice()
@@ -84,7 +79,7 @@ class LoadDesignStage(Stage):
         text = read_design_text(config.netlist)
         return {"netlist_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
-    def run(self, config, inputs, context):
+    def run(self, config, inputs):
         if config.netlist is not None:
             from ..netlist.io import read_design, read_design_text
 
@@ -117,7 +112,7 @@ class LoadDesignStage(Stage):
                 "height": grid.height,
                 "num_layers": config.num_layers,
             }
-        return {"design": DesignArtifact(payload)}
+        return DesignArtifact(payload)
 
 
 class BuildGridStage(Stage):
@@ -126,12 +121,12 @@ class BuildGridStage(Stage):
     name = "build_grid"
     version = "1"
     inputs = ("design",)
-    outputs = ("grid",)
+    output = "grid"
 
     def config_slice(self, config: PipelineConfig) -> Dict[str, Any]:
         return config.grid_slice()
 
-    def run(self, config, inputs, context):
+    def run(self, config, inputs):
         design: DesignArtifact = inputs["design"]
         blockages, _ = design.parse()
         payload = {
@@ -143,7 +138,7 @@ class BuildGridStage(Stage):
                 for layer, rect in blockages
             ],
         }
-        return {"grid": GridArtifact(payload)}
+        return GridArtifact(payload)
 
 
 def router_class(name: str) -> Callable:
@@ -163,71 +158,57 @@ def router_class(name: str) -> Callable:
 
 
 class RouteStage(Stage):
-    """Grid + netlist → routing result + coloring digest.
-
-    The live router is exposed to the caller through ``context["router"]``
-    — run-local and never serialized.
-    """
+    """Grid + netlist → the routing result with its scenario census and
+    overlay breakdown."""
 
     name = "route"
-    #: "2": the routing artifact's ``total_ripups`` counts every
-    #: rejected commit, so version-1 artifacts must not be served.
-    version = "2"
+    #: "3": the census and breakdown ride in the routing artifact (no
+    #: separate coloring artifact), so version-2 entries must not be
+    #: served.
+    version = "3"
     inputs = ("design", "grid")
-    outputs = ("routing", "coloring")
+    output = "routing"
 
     def config_slice(self, config: PipelineConfig) -> Dict[str, Any]:
         return config.route_slice()
 
-    def run(self, config, inputs, context):
+    def run(self, config, inputs):
         grid = inputs["grid"].build()
         netlist = inputs["design"].netlist()
         options = dict(config.router_options or {})
         router = router_class(config.router)(grid, netlist, **options)
-        context["router"] = router
         result = router.route_all()
-        context["result"] = result
-
-        routing = RoutingArtifact({"result": result_to_dict(result)})
-        coloring = ColoringArtifact(
+        return RoutingArtifact(
             {
-                "colorings": {
-                    str(layer): {
-                        str(net): color.value for net, color in coloring.items()
-                    }
-                    for layer, coloring in result.colorings.items()
-                },
+                "result": result_to_dict(result),
                 "scenario_census": scenario_census(router),
                 "overlay": breakdown_by_scenario(router).to_dict(),
             }
         )
-        return {"routing": routing, "coloring": coloring}
 
 
 class DecomposeStage(Stage):
-    """Routing + coloring → synthesized SADP masks per layer."""
+    """Routing → synthesized SADP masks per layer, in the result's
+    colors."""
 
     name = "decompose"
     version = "1"
-    inputs = ("grid", "routing", "coloring")
-    outputs = ("mask",)
+    inputs = ("grid", "routing")
+    output = "mask"
 
-    def run(self, config, inputs, context):
+    def run(self, config, inputs):
         from ..decompose import routing_to_targets, synthesize_masks
 
         grid = inputs["grid"].build()
         result = inputs["routing"].result()
-        colorings = inputs["coloring"].colorings()
         layers = []
         for layer in range(grid.num_layers):
-            targets = routing_to_targets(
-                grid, result, layer, coloring=colorings.get(layer)
-            )
+            targets = routing_to_targets(grid, result, layer)
             if not targets:
                 continue
             masks = synthesize_masks(targets, grid.rules)
             layers.append({"layer": layer, "masks": mask_set_to_dict(masks)})
-        return {"mask": MaskArtifact({"layers": layers})}
+        return MaskArtifact({"layers": layers})
 
 
 class VerifyStage(Stage):
@@ -236,9 +217,9 @@ class VerifyStage(Stage):
     name = "verify"
     version = "1"
     inputs = ("mask",)
-    outputs = ("verify",)
+    output = "verify"
 
-    def run(self, config, inputs, context):
+    def run(self, config, inputs):
         from ..decompose import verify_decomposition
 
         layers = []
@@ -259,31 +240,27 @@ class VerifyStage(Stage):
                     "cut_conflicts": len(report.cut_conflicts),
                 }
             )
-        return {"verify": VerifyArtifact({"layers": layers, "ok": all_ok})}
+        return VerifyArtifact({"layers": layers, "ok": all_ok})
 
 
 class ReportStage(Stage):
-    """Routing + coloring digests → the user-facing routing report."""
+    """Routing result and digests → the user-facing routing report."""
 
     name = "report"
     version = "1"
-    inputs = ("routing", "coloring")
-    outputs = ("report",)
+    inputs = ("routing",)
+    output = "report"
 
-    def run(self, config, inputs, context):
-        result = inputs["routing"].result()
-        coloring: ColoringArtifact = inputs["coloring"]
+    def run(self, config, inputs):
+        routing: RoutingArtifact = inputs["routing"]
+        result = routing.result()
         report = build_report(
             result,
-            coloring.scenario_census(),
-            coloring.overlay_breakdown(),
+            routing.scenario_census(),
+            routing.overlay_breakdown(),
             instrumentation=None,
         )
-        return {
-            "report": ReportArtifact(
-                {"report": report.to_dict(), "summary": result.summary()}
-            )
-        }
+        return ReportArtifact({"report": report.to_dict(), "summary": result.summary()})
 
 
 #: Canonical stage order (a stage's inputs are always produced earlier).

@@ -1,25 +1,20 @@
-"""Content-addressed artifact stores, safe under concurrent writers.
+"""The content-addressed artifact store, safe under concurrent writers.
 
 An artifact's hash is derived from its *inputs* (stage version, upstream
 hashes, config slice — see ``engine.py``), so a store lookup answers "has
 this exact computation already run?" without touching the payload.
 
-Two implementations share one interface:
-
-* :class:`ArtifactStore` — a ``.repro_cache/`` directory of one JSON file
-  per artifact; survives across processes and powers ``--resume`` and the
-  multi-tenant routing service. Writes are **compare-and-publish**: a
-  temp-file + atomic rename only lands when the hash is still absent, so
-  N processes racing on one key leave exactly one valid entry. The files
-  are the whole state: a hit sets its file's mtime, so ``stat`` gives
-  each entry's size and last use for the GC. Advisory file locks under
-  ``locks/`` give **single-flight** execution: concurrent identical stage
-  runs coalesce on one computing leader while followers wait and then
-  read the published result.
-* :class:`MemoryStore` — a plain dict; used where caching should stay
-  inside one process (the legacy ``repro route`` path, unit tests). It
-  implements the same protocol with a thread lock, so the engine code is
-  store-agnostic.
+:class:`ArtifactStore` is a ``.repro_cache/`` directory of one JSON file
+per artifact; it survives across processes and powers resume and the
+multi-tenant routing service. Writes are **compare-and-publish**: a
+temp-file + atomic rename only lands when the hash is still absent, so
+N processes racing on one key leave exactly one valid entry. The files
+are the whole state: a hit sets its file's mtime, so ``stat`` gives each
+entry's size and last use for the GC. Advisory file locks under
+``locks/`` give **single-flight** execution: concurrent identical stage
+runs coalesce on one computing leader while followers wait and then
+read the published result. One-shot callers (``repro route``,
+``repro.bench.run_cell``) open one in a temporary directory.
 
 Corrupt entries (half-written files from a killed writer, truncated
 JSON) are never fatal: ``load``/``entries`` skip them with a warning and
@@ -36,7 +31,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .. import obs
 from .artifacts import Artifact, artifact_from_record
@@ -88,73 +83,6 @@ class StoreEntry:
     bytes: int
     created_unix: float
     last_used_unix: float = 0.0
-
-
-class MemoryStore:
-    """In-process artifact store (no disk I/O)."""
-
-    def __init__(self) -> None:
-        import threading
-
-        self._artifacts: Dict[str, Artifact] = {}
-        self._stages: Dict[str, str] = {}
-        self._lock = threading.RLock()
-        self._flights: Dict[str, "threading.Lock"] = {}
-
-    def has(self, hash: str) -> bool:
-        return hash in self._artifacts
-
-    def load(self, hash: str) -> Optional[Artifact]:
-        return self._artifacts.get(hash)
-
-    def publish(self, artifact: Artifact, stage: str) -> Tuple[int, bool]:
-        """Compare-and-publish: first writer wins, later identical writes
-        are no-ops. Returns ``(serialized bytes, newly published)``."""
-        with self._lock:
-            if artifact.hash in self._artifacts:
-                return (0, False)
-            self._artifacts[artifact.hash] = artifact
-            self._stages[artifact.hash] = stage
-            return (len(json.dumps(artifact.payload)), True)
-
-    @contextmanager
-    def single_flight(self, key: str, timeout_s: float = SINGLE_FLIGHT_TIMEOUT_S) -> Iterator[bool]:
-        """Serialize identical computations: yields ``True`` for the
-        leader (must compute + publish) and ``False`` for followers that
-        waited a leader out (re-check the cache before computing)."""
-        import threading
-
-        with self._lock:
-            lock = self._flights.setdefault(key, threading.Lock())
-        if lock.acquire(blocking=False):
-            try:
-                yield True
-            finally:
-                lock.release()
-            return
-        got = lock.acquire(timeout=timeout_s)
-        if got:
-            lock.release()
-        yield False
-
-    def entries(self) -> List[StoreEntry]:
-        return [
-            StoreEntry(
-                kind=art.kind,
-                stage=self._stages.get(h, ""),
-                hash=h,
-                bytes=len(json.dumps(art.payload)),
-                created_unix=0.0,
-            )
-            for h, art in sorted(self._artifacts.items())
-        ]
-
-    def clean(self) -> int:
-        with self._lock:
-            count = len(self._artifacts)
-            self._artifacts.clear()
-            self._stages.clear()
-            return count
 
 
 class ArtifactStore:

@@ -61,7 +61,8 @@ class JobState:
     #: Per-stage outcomes in pipeline order (from ``stage_end`` events):
     #: ``{"stage", "status", "seconds", "bytes"}``.
     stages: List[Dict[str, Any]] = field(default_factory=list)
-    #: artifact kind → content hash (resolves ``/artifacts/<kind>``).
+    #: artifact kind → content hash (resolves ``/artifacts/<kind>``),
+    #: from each ``stage_end`` event.
     artifact_hashes: Dict[str, str] = field(default_factory=dict)
     #: Ledger run id recorded by the worker (empty when ledger is off).
     run_id: str = ""
@@ -242,8 +243,6 @@ class JobRegistry:
                 job.finished_unix = float(payload["ts"])
                 job.error = str(payload.get("error", "")) or job.error
                 job.run_id = str(payload.get("run_id", "")) or job.run_id
-                for kind, h in (payload.get("artifact_hashes") or {}).items():
-                    job.artifact_hashes[kind] = h
                 job.counters = dict(payload.get("counters") or {})
                 job.executed = int(payload.get("executed", job.executed))
                 job.cached = int(payload.get("cached", job.cached))

@@ -63,7 +63,6 @@ def execute_job(task: Dict[str, Any], emit: Callable[[Dict[str, Any]], None]) ->
     emit(job_event("job_started", job_id, pid=os.getpid()))
     t0 = time.perf_counter()
     outcome = "error"
-    run = None
     try:
         config = PipelineConfig(**task["config"])
         targets = tuple(task.get("targets") or ALL_STAGES)
@@ -102,17 +101,12 @@ def execute_job(task: Dict[str, Any], emit: Callable[[Dict[str, Any]], None]) ->
                         run_id = record.run_id
                     except Exception:  # telemetry must never fail a job
                         pass
-        hashes: Dict[str, str] = {}
-        if run is not None:
-            for record_ in run.records:
-                hashes.update(record_.hashes)
         emit(
             job_event(
                 "job_done",
                 job_id,
-                artifact_hashes=hashes,
-                executed=run.executed_count if run is not None else 0,
-                cached=run.cached_count if run is not None else 0,
+                executed=run.executed_count,
+                cached=run.cached_count,
                 route_spans=route_spans,
                 counters=counters,
                 run_id=run_id,

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
-from repro.baselines import GaoPanTrimRouter
 from repro.bench import (
     FIXED_PIN_BENCHMARKS,
     BenchRow,
     fit_power_law,
-    run_baseline,
-    run_proposed,
     rows_to_table,
+    run_cell,
 )
 from repro.bench.runner import append_rows_json, comparison_summary, rows_to_json
 from repro.errors import ReproError
@@ -19,16 +17,34 @@ from repro.errors import ReproError
 
 class TestRunner:
     def test_run_proposed_row(self):
-        row = run_proposed(FIXED_PIN_BENCHMARKS[0], scale=0.12)
+        row = run_cell(FIXED_PIN_BENCHMARKS[0], scale=0.12)
         assert row.router == "ours"
         assert row.circuit == "Test1"
         assert row.conflicts == 0
         assert 0 < row.routability_pct <= 100
 
     def test_run_baseline_same_instance(self):
-        row = run_baseline(GaoPanTrimRouter, "gao-pan", FIXED_PIN_BENCHMARKS[0], scale=0.12)
-        ours = run_proposed(FIXED_PIN_BENCHMARKS[0], scale=0.12)
+        row = run_cell(
+            FIXED_PIN_BENCHMARKS[0], router="gao-pan", label="gao-pan[11]", scale=0.12
+        )
+        ours = run_cell(FIXED_PIN_BENCHMARKS[0], scale=0.12)
+        assert row.router == "gao-pan[11]"
         assert row.num_nets == ours.num_nets
+
+    def test_run_cell_leaves_no_store(self, tmp_path, monkeypatch):
+        """A cell runs on a store in a temporary directory and removes it;
+        it takes no store of the caller's."""
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(tmp_path)
+        run_cell(FIXED_PIN_BENCHMARKS[0], scale=0.05)
+        assert list(scratch.iterdir()) == []
+        assert not (tmp_path / ".repro_cache").exists()
+        with pytest.raises(TypeError):
+            run_cell(FIXED_PIN_BENCHMARKS[0], scale=0.05, store=None)
 
     def test_table_formatting(self):
         rows = [

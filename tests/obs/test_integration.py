@@ -4,7 +4,7 @@ metric names, and the no-op default leaves instrumented code silent."""
 import pytest
 
 from repro import obs
-from repro.bench import FIXED_PIN_BENCHMARKS, run_proposed
+from repro.bench import FIXED_PIN_BENCHMARKS, run_cell
 from repro.bench.workloads import generate_benchmark, spec_by_name
 from repro.grid import RoutingGrid
 from repro.netlist import Net, Netlist, Pin
@@ -152,7 +152,7 @@ class TestBenchPhases:
         from repro.bench.runner import rows_to_table
 
         with obs.session():
-            row = run_proposed(FIXED_PIN_BENCHMARKS[0], scale=0.1)
+            row = run_cell(FIXED_PIN_BENCHMARKS[0], scale=0.1)
         assert row.has_phases
         assert row.search_s > 0.0
         assert row.graph_s > 0.0
@@ -163,6 +163,6 @@ class TestBenchPhases:
         from repro.bench.runner import rows_to_table
 
         obs.disable()
-        row = run_proposed(FIXED_PIN_BENCHMARKS[0], scale=0.1)
+        row = run_cell(FIXED_PIN_BENCHMARKS[0], scale=0.1)
         assert not row.has_phases
         assert "search(s)" not in rows_to_table([row])

@@ -1,4 +1,4 @@
-"""Round-trip tests for typed artifacts and the two stores."""
+"""Round-trip tests for typed artifacts and the artifact store."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.pipeline import (
     ArtifactStore,
     DesignArtifact,
     GridArtifact,
-    MemoryStore,
     Pipeline,
     PipelineConfig,
     mask_set_from_dict,
@@ -89,14 +88,20 @@ class TestArtifactAccessors:
         assert grid.owner(0, Point(3, 3)) == CellState.BLOCKED
         assert grid.owner(1, Point(3, 3)) == CellState.FREE
 
-    def test_coloring_artifact_typed_keys(self, tmp_path):
-        run = _run(tmp_path)
-        colorings = run.artifact("coloring").colorings()
+    def test_routing_artifact_typed_keys(self, tmp_path):
+        """The routing artifact carries the final colors inside its
+        result, and the scenario census and overlay breakdown beside it."""
+        routing = _run(tmp_path).artifact("routing")
+        colorings = routing.result().colorings
+        assert colorings
         for layer, per_net in colorings.items():
             assert isinstance(layer, int)
             for net, color in per_net.items():
                 assert isinstance(net, int)
                 assert isinstance(color, Color)
+        census = routing.scenario_census()
+        assert census and all(isinstance(v, int) for v in census.values())
+        assert routing.overlay_breakdown().to_dict() == routing.payload["overlay"]
 
     def test_replay_matches_result(self, tmp_path):
         run = _run(tmp_path)
@@ -168,16 +173,6 @@ class TestStores:
         path.write_text(json.dumps({**record, "tenant": "acme"}, sort_keys=True))
         assert store.load("h3").payload == art.payload
         assert [e.hash for e in store.entries()] == ["h3"]
-
-    def test_memory_store_entries_and_clean(self):
-        store = MemoryStore()
-        art = GridArtifact({"width": 1, "height": 1, "num_layers": 1})
-        art.hash = "h2"
-        store.publish(art, "build_grid")
-        entries = store.entries()
-        assert len(entries) == 1 and entries[0].kind == "grid"
-        assert store.clean() == 1
-        assert not store.has("h2")
 
     def test_store_clean_counts(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")

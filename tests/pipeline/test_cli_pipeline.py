@@ -100,7 +100,7 @@ class TestPipelineShowClean:
         rc = main(["pipeline", "show", "--cache-dir", cache_dir])
         listing = capsys.readouterr().out
         assert rc == 0
-        assert "7 artifacts" in listing
+        assert "6 artifacts" in listing
 
     def test_clean(self, cache_dir, capsys):
         main(_run_args("Test1", cache_dir, "--scale", "0.1"))
@@ -108,7 +108,7 @@ class TestPipelineShowClean:
         rc = main(["pipeline", "clean", "--cache-dir", cache_dir])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "removed 7 artifacts" in out
+        assert "removed 6 artifacts" in out
         rc = main(["pipeline", "show", "--cache-dir", cache_dir])
         assert "empty" in capsys.readouterr().out
 
@@ -137,7 +137,7 @@ class TestGCFlags:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "gc removed 7 artifacts" in out
+        assert "gc removed 6 artifacts" in out
 
 
 class TestCacheDirEnv:

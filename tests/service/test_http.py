@@ -217,6 +217,27 @@ class TestJobFlow:
             client.artifact(job["job_id"], "blueprint")
         assert err.value.status == 404
 
+    def test_one_artifact_per_stage(self, client):
+        """Each stage_end carries its stage's one hash; the snapshot lists
+        six kinds, job_done repeats none of them, and a kind no stage
+        writes answers 404 naming the kinds there are."""
+        job = client.submit({"design_text": DESIGN, "width": 16, "height": 16})
+        events = client.events(job["job_id"])
+        snap = client.job(job["job_id"])
+        kinds = {"design", "grid", "routing", "mask", "verify", "report"}
+        assert set(snap["artifact_hashes"]) == kinds
+        ends = [e for e in events if e["event"] == "stage_end"]
+        assert all(len(e["hashes"]) == 1 for e in ends)
+        assert {k: h for e in ends for k, h in e["hashes"].items()} == snap[
+            "artifact_hashes"
+        ]
+        assert events[-1]["event"] == "job_done"
+        assert "artifact_hashes" not in events[-1]
+        with pytest.raises(ServiceError) as err:
+            client.artifact(job["job_id"], "coloring")
+        assert err.value.status == 404
+        assert all(repr(kind) in str(err.value) for kind in kinds)
+
     def test_events_stream_ends_with_terminal_event(self, client):
         job = client.submit({"design_text": DESIGN, "width": 16, "height": 16})
         events = client.events(job["job_id"])  # streams until terminal

@@ -101,7 +101,7 @@ class TestSmoke:
         snap1, snap2 = smoke["snaps"]
         first, second = smoke["clients"]
         assert snap1["artifact_hashes"] == snap2["artifact_hashes"]
-        for kind in ("routing", "masks", "report"):
+        for kind in ("routing", "mask", "report"):
             if kind not in snap1["artifact_hashes"]:
                 continue
             assert first.artifact_bytes(

@@ -55,6 +55,27 @@ class TestCli:
         assert out_svg.read_text().startswith("<svg")
         assert "Routing report" in capsys.readouterr().out
 
+    def test_route_leaves_no_cache(self, netlist_file, tmp_path, monkeypatch, capsys):
+        """``repro route`` runs the pipeline on a store in a temporary
+        directory: no ``.repro_cache`` in the working directory, and
+        nothing left in the temp directory."""
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        work = tmp_path / "work"
+        scratch.mkdir()
+        work.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(work)
+        rc = main(
+            ["route", str(netlist_file), "--width", "30", "--height", "30", "--report"]
+        )
+        assert rc == 0
+        assert "Routing report" in capsys.readouterr().out
+        assert list(work.iterdir()) == []
+        assert list(scratch.iterdir()) == []
+
     def test_scenarios_command(self, capsys):
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
